@@ -1,0 +1,74 @@
+(* E5: crypto microbenchmarks (Bechamel). *)
+
+open Apna
+open Apna_crypto
+open Harness
+open Fixtures
+
+let run tier =
+  let open Bechamel in
+  let open Bechamel.Toolkit in
+  let fx = make_br_fixture () in
+  let block = String.make 16 'b' in
+  let msg1k = String.make 1024 'm' in
+  let aes_key = Aes.expand (String.make 16 'k') in
+  let aead_key = Aead.of_secret (String.make 32 'K') in
+  let gcm_key = Aead.of_secret ~scheme:Aead.Gcm (String.make 32 'K') in
+  let nonce = String.make 16 'n' in
+  let kp = Ed25519.keypair_of_seed (String.make 32 's') in
+  let signature = Ed25519.sign kp "msg" in
+  let x_secret = Drbg.generate rng 32 in
+  let x_peer = X25519.public_of_secret (Drbg.generate rng 32) in
+  let sealed = Aead.seal ~key:aead_key ~nonce msg1k in
+  let pkt = make_packet fx ~frame:512 in
+  let test name f = Test.make ~name (Staged.stage f) in
+  let tests =
+    Test.make_grouped ~name:"crypto"
+      [
+        test "aes128-block" (fun () -> Aes.encrypt_block aes_key block);
+        test "sha256-1KiB" (fun () -> Sha256.digest msg1k);
+        test "hmac-sha256-1KiB" (fun () -> Hmac.Sha256.mac ~key:"k" msg1k);
+        test "ephid-issue" (fun () ->
+            Ephid.issue fx.keys ~hid:(Apna_net.Addr.hid_of_int 1) ~expiry:now0
+              ~iv:"\x00\x01\x02\x03");
+        test "ephid-parse" (fun () -> Ephid.parse fx.keys fx.host_ephid);
+        test "aead-seal-1KiB" (fun () -> Aead.seal ~key:aead_key ~nonce msg1k);
+        test "aead-open-1KiB" (fun () -> Aead.open_ ~key:aead_key ~nonce sealed);
+        test "aead-gcm-seal-1KiB" (fun () -> Aead.seal ~key:gcm_key ~nonce msg1k);
+        test "pkt-mac-verify-512B" (fun () ->
+            Pkt_auth.verify ~auth_key:fx.host_kha.auth pkt);
+        test "x25519-shared" (fun () -> X25519.scalar_mult ~scalar:x_secret ~point:x_peer);
+        test "ed25519-sign" (fun () -> Ed25519.sign kp "msg");
+        test "ed25519-verify" (fun () ->
+            Ed25519.verify ~pub:(Ed25519.public_key kp) ~msg:"msg" ~signature);
+      ]
+  in
+  let cfg =
+    Benchmark.cfg
+      ~limit:(by_tier tier ~quick:400 ~full:2000)
+      ~quota:(Time.second (by_tier tier ~quick:0.05 ~full:0.25))
+      ()
+  in
+  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
+  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
+  let results =
+    Hashtbl.fold
+      (fun name ols acc ->
+        let ns = match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan in
+        (name, ns) :: acc)
+      (Analyze.all ols Instance.monotonic_clock raw)
+      []
+    |> List.sort compare
+  in
+  line "";
+  line "%-36s %14s" "primitive" "ns/op";
+  line "%s" (String.make 52 '-');
+  List.iter (fun (name, ns) -> line "%-36s %14.0f" name ns) results;
+  line "";
+  line "paper's decomposition target: EphID issue/parse are a handful of AES";
+  line "operations; certificates cost one ed25519 signature; forwarding";
+  line "touches only symmetric primitives.";
+  (J.Obj (List.map (fun (name, ns) -> (name, J.Float ns)) results), [])
+
+let experiment =
+  { id = "E5"; title = "CRYPTO-MICRO"; paper_ref = "§V-A1 (primitive decomposition)"; run }
