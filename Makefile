@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check linkage-gate clean
+.PHONY: all build test bench check linkage-gate recorder-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -18,6 +18,21 @@ linkage-gate:
 	fi; \
 	echo "linkage-gate: OK (all EphID->HID linkage goes through lib/broker)"
 
+# One flight recorder: Apna_obs.Event is the only trace ring. lib/obs/span.ml
+# survives as an alias only because perf/ (frozen by BENCHMARK.json) still
+# calls Span.set_enabled; any other `Span.` use would grow a second ring.
+recorder-gate:
+	@violations=$$(grep -rn '\bSpan\.' \
+	  lib bin bench examples test \
+	  --include='*.ml' --include='*.mli' \
+	  | grep -v "^lib/obs/span\.ml:" || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "recorder-gate: Span. used outside perf/ and lib/obs/span.ml:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "recorder-gate: OK (Event is the only flight recorder)"
+
 all: build
 
 build:
@@ -34,8 +49,8 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage grep gate.
-check: linkage-gate
+# journal dump and the linkage and recorder grep gates.
+check: linkage-gate recorder-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -45,7 +60,7 @@ check: linkage-gate
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage gate clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage and recorder gates clean, BENCH_results.json written and validated)"
 
 clean:
 	dune clean

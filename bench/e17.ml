@@ -11,13 +11,14 @@ open Apna
 open Harness
 open Fixtures
 module M = Apna_obs.Metrics
+module Event = Apna_obs.Event
 
 let frame = 64
 
 let run tier =
   let allocs_ceiling = baseline ~id:"E17" tier "burst_cached_allocs_per_pkt" in
   M.set_enabled M.default false;
-  Apna_obs.Span.set_enabled Apna_obs.Span.default false;
+  Event.set_enabled Event.default false;
   let n = Border_router.max_burst in
   let samples = by_tier tier ~quick:100 ~full:400 in
   let build ~cached =
@@ -85,19 +86,26 @@ let run tier =
   let overflows = Border_router.arena_overflows (fst cached).br in
   line "arena overflows: %d (scratch stayed in the preallocated slots)" overflows;
 
-  (* The allocs-per-packet gauge, demonstrated live: one instrumented
-     burst, then read the series back through the registry. *)
+  (* The cost of the instrumentation itself: the same cached burst with
+     metrics and the flight recorder on (reported, not gated). The
+     allocs-per-packet gauge then reads the last of those bursts back
+     through the registry. *)
   M.set_enabled M.default true;
-  run_burst cached ();
+  Event.set_enabled Event.default true;
+  let observed_allocs = allocs_per_pkt (run_burst cached) in
   let gauge =
     M.Gauge.register M.default
       ~labels:[ ("aid", string_of_int (Apna_net.Addr.aid_to_int (fst cached).keys.aid)) ]
       "apna_br_allocs_per_packet"
   in
   let gauge_v = M.Gauge.value gauge in
+  Event.set_enabled Event.default false;
+  Event.clear Event.default;
   M.set_enabled M.default false;
-  line "gauge apna_br_allocs_per_packet after one instrumented burst: %.1f w/pkt" gauge_v;
-  line "  (includes what the enabled instrumentation itself allocates)";
+  line "burst_cached with metrics + recorder on: %.2f allocs/pkt (not gated)"
+    observed_allocs;
+  line "gauge apna_br_allocs_per_packet after the last instrumented burst: %.1f w/pkt"
+    gauge_v;
   let gates =
     [
       gate "burst_cached_allocs_per_pkt" burst_cached_allocs (At_most allocs_ceiling);
@@ -122,6 +130,7 @@ let run tier =
                rows) );
         ("burst_cached_ns_per_pkt", J.Float burst_cached_ns);
         ("burst_cached_allocs_per_pkt", J.Float burst_cached_allocs);
+        ("burst_cached_allocs_per_pkt_observed", J.Float observed_allocs);
         ("speedup_vs_single_cached", J.Float (single_cached_ns /. burst_cached_ns));
         ("speedup_vs_single_uncached", J.Float (single_uncached_ns /. burst_cached_ns));
         ("allocs_gauge_one_instrumented_burst", J.Float gauge_v);

@@ -2,7 +2,6 @@ open Apna
 open Apna_crypto
 open Apna_util.Rw
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 module Event = Apna_obs.Event
 
 type role = Accountability_agent | Law_enforcement | Peer_as
@@ -354,72 +353,63 @@ let refuse t ~now ~corr ~requester ~query_label ~reason ~remaining =
   Response.Refused { corr; reason; remaining }
 
 let handle t ~now (req : Request.t) =
-  let sp =
-    Span.start_for Span.default
-      ~id:(Printf.sprintf "broker:%Ld" req.corr)
-      ~stage:"broker.handle"
-  in
   let label = Request.query_label req.query in
   let remaining () = Budget.remaining t.budget ~id:req.requester ~now in
-  let resp =
-    match Hashtbl.find_opt t.requesters req.requester with
-    | None ->
+  match Hashtbl.find_opt t.requesters req.requester with
+  | None ->
+      refuse t ~now ~corr:req.corr ~requester:req.requester
+        ~query_label:label ~reason:Error.Auth_failed ~remaining:0
+  | Some { role; key } ->
+      if not (Request.verify ~key req) then
         refuse t ~now ~corr:req.corr ~requester:req.requester
-          ~query_label:label ~reason:Error.Auth_failed ~remaining:0
-    | Some { role; key } ->
-        if not (Request.verify ~key req) then
-          refuse t ~now ~corr:req.corr ~requester:req.requester
-            ~query_label:label ~reason:Error.Auth_failed
-            ~remaining:(remaining ())
-        else if not (allowed role req.query) then
-          refuse t ~now ~corr:req.corr ~requester:req.requester
-            ~query_label:label
-            ~reason:
-              (Error.Rejected
-                 (Printf.sprintf "role %s may not %s" (role_label role) label))
-            ~remaining:(remaining ())
-        else begin
-          let cost = cost_of req.query in
-          match Budget.charge t.budget ~id:req.requester ~now ~cost with
-          | Budget.Exhausted { remaining; retry_after_s; _ } ->
-              let what =
-                if retry_after_s < 0 then
-                  Printf.sprintf "%s costs %d, balance %d" label cost remaining
-                else
-                  Printf.sprintf "%s costs %d, balance %d, retry in %ds" label
-                    cost remaining retry_after_s
-              in
-              M.Gauge.set
-                (g_budget t ~requester:req.requester)
-                (float_of_int remaining);
-              refuse t ~now ~corr:req.corr ~requester:req.requester
-                ~query_label:label ~reason:(Error.Budget_exhausted what)
-                ~remaining
-          | Budget.Charged { remaining; _ } ->
-              M.Gauge.set
-                (g_budget t ~requester:req.requester)
-                (float_of_int remaining);
-              (* The budget is spent either way: a failed query still
-                 probed the logs, and free probing would let a requester
-                 binary-search identities at no cost. *)
-              (match execute t req.query with
-              | Error reason ->
-                  refuse t ~now ~corr:req.corr ~requester:req.requester
-                    ~query_label:label ~reason ~remaining
-              | Ok grant ->
-                  t.grants <- t.grants + 1;
-                  M.Counter.incr (m_grants t ~query:label);
-                  record_event t ~corr:req.corr ~granted:true ~query:label;
-                  ignore
-                    (Journal.append t.journal ~now
-                       (Printf.sprintf
-                          "grant requester=%s query=%s cost=%d balance=%d"
-                          req.requester label cost remaining));
-                  Response.Granted { corr = req.corr; cost; remaining; grant })
-        end
-  in
-  Span.finish Span.default sp;
-  resp
+          ~query_label:label ~reason:Error.Auth_failed
+          ~remaining:(remaining ())
+      else if not (allowed role req.query) then
+        refuse t ~now ~corr:req.corr ~requester:req.requester
+          ~query_label:label
+          ~reason:
+            (Error.Rejected
+               (Printf.sprintf "role %s may not %s" (role_label role) label))
+          ~remaining:(remaining ())
+      else begin
+        let cost = cost_of req.query in
+        match Budget.charge t.budget ~id:req.requester ~now ~cost with
+        | Budget.Exhausted { remaining; retry_after_s; _ } ->
+            let what =
+              if retry_after_s < 0 then
+                Printf.sprintf "%s costs %d, balance %d" label cost remaining
+              else
+                Printf.sprintf "%s costs %d, balance %d, retry in %ds" label
+                  cost remaining retry_after_s
+            in
+            M.Gauge.set
+              (g_budget t ~requester:req.requester)
+              (float_of_int remaining);
+            refuse t ~now ~corr:req.corr ~requester:req.requester
+              ~query_label:label ~reason:(Error.Budget_exhausted what)
+              ~remaining
+        | Budget.Charged { remaining; _ } ->
+            M.Gauge.set
+              (g_budget t ~requester:req.requester)
+              (float_of_int remaining);
+            (* The budget is spent either way: a failed query still
+               probed the logs, and free probing would let a requester
+               binary-search identities at no cost. *)
+            (match execute t req.query with
+            | Error reason ->
+                refuse t ~now ~corr:req.corr ~requester:req.requester
+                  ~query_label:label ~reason ~remaining
+            | Ok grant ->
+                t.grants <- t.grants + 1;
+                M.Counter.incr (m_grants t ~query:label);
+                record_event t ~corr:req.corr ~granted:true ~query:label;
+                ignore
+                  (Journal.append t.journal ~now
+                     (Printf.sprintf
+                        "grant requester=%s query=%s cost=%d balance=%d"
+                        req.requester label cost remaining));
+                Response.Granted { corr = req.corr; cost; remaining; grant })
+      end
 
 let handle_bytes t ~now payload =
   match Request.of_bytes payload with

@@ -1,7 +1,6 @@
 open Apna_crypto
 open Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 
 let ms_hid = Addr.hid_of_int 1
 let dns_hid = Addr.hid_of_int 2
@@ -290,26 +289,24 @@ and observe_certs t (pkt : Packet.t) =
       end
 
 and deliver_local t hid (pkt : Packet.t) =
-  let sp = Span.start_for Span.default ~id:pkt.header.mac ~stage:"as.deliver" in
   if Apna_obs.Event.enabled Apna_obs.Event.default then
     Apna_obs.Event.(
       record default
         ~key:(key_of_string pkt.header.mac)
         (Deliver { aid = Addr.aid_to_int t.aid; hid = Addr.hid_to_int hid }));
   observe_certs t pkt;
-  (if Addr.hid_equal hid ms_hid then dispatch_ms t pkt
-   else if Addr.hid_equal hid dns_hid then dispatch_dns t pkt
-   else if Addr.hid_equal hid aa_hid then dispatch_aa t pkt
-   else if Addr.hid_equal hid broker_hid then dispatch_broker t pkt
-   else if Addr.hid_equal hid br_hid then ()
-   else begin
-     match Addr.Hid_tbl.find_opt t.deliver_by_hid hid with
-     | Some deliver -> deliver pkt
-     | None ->
-         Logs.debug (fun m ->
-             m "AS %a: no attached host for %a" Addr.pp_aid t.aid Addr.pp_hid hid)
-   end);
-  Span.finish Span.default sp
+  if Addr.hid_equal hid ms_hid then dispatch_ms t pkt
+  else if Addr.hid_equal hid dns_hid then dispatch_dns t pkt
+  else if Addr.hid_equal hid aa_hid then dispatch_aa t pkt
+  else if Addr.hid_equal hid broker_hid then dispatch_broker t pkt
+  else if Addr.hid_equal hid br_hid then ()
+  else begin
+    match Addr.Hid_tbl.find_opt t.deliver_by_hid hid with
+    | Some deliver -> deliver pkt
+    | None ->
+        Logs.debug (fun m ->
+            m "AS %a: no attached host for %a" Addr.pp_aid t.aid Addr.pp_hid hid)
+  end
 
 and dispatch_ms t (pkt : Packet.t) =
   M.Counter.incr t.obs.m_ms;

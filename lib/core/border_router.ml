@@ -1,6 +1,5 @@
 open Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 module E = Apna_obs.Event
 module Arena = Apna_util.Arena
 
@@ -334,11 +333,10 @@ let egress_pipeline t ~now ~scratch (pkt : Packet.t) =
   | None -> ());
   Addr.hid_to_int e.info.hid
 
-(* One egress verdict, written into [b] at [i]. Span and event follow the
-   single-packet pipeline exactly; both are load-and-branch no-ops while
-   observability is off. *)
+(* One egress verdict, written into [b] at [i]. The event follows the
+   single-packet pipeline exactly; it is a load-and-branch no-op while the
+   recorder is off. *)
 let egress_into t ~now ~scratch (b : Burst.t) i (pkt : Packet.t) =
-  let sp = Span.start_for Span.default ~id:pkt.header.mac ~stage:"br.egress" in
   (match egress_pipeline t ~now ~scratch pkt with
   | hid ->
       b.errs.(i) <- None;
@@ -347,7 +345,6 @@ let egress_into t ~now ~scratch (b : Burst.t) i (pkt : Packet.t) =
       record_drop t e;
       b.errs.(i) <- Some e;
       b.hids.(i) <- -1);
-  Span.finish Span.default sp;
   if E.enabled E.default then begin
     let outcome =
       match b.errs.(i) with
@@ -378,7 +375,6 @@ let ingress_pipeline t ~now (b : Burst.t) i (pkt : Packet.t) =
   end
 
 let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
-  let sp = Span.start_for Span.default ~id:pkt.header.mac ~stage:"br.ingress" in
   b.hids.(i) <- -1;
   b.fwds.(i) <- -1;
   (match ingress_pipeline t ~now b i pkt with
@@ -386,7 +382,6 @@ let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
   | exception Rejected e ->
       record_drop t e;
       b.errs.(i) <- Some e);
-  Span.finish Span.default sp;
   if E.enabled E.default then begin
     let outcome =
       match b.errs.(i) with

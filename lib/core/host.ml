@@ -1,7 +1,6 @@
 open Apna_crypto
 open Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 module E = Apna_obs.Event
 
 let m_rpc_retries =
@@ -136,6 +135,9 @@ type t = {
   (* Local endpoint backing each connection, for shutoff signatures and
      queued 0.5-RTT data. *)
   local_by_conn : endpoint I64_tbl.t;
+  (* Connections in [local_by_conn] per endpoint (raw EphID bytes), so a
+     close knows in O(1) whether a shared endpoint is still in use. *)
+  conns_by_ephid : (string, int) Hashtbl.t;
   queued_data : string Queue.t I64_tbl.t;
   (* Most recent raw data packet per connection: the evidence a victim
      presents in a shutoff request (Fig. 5). *)
@@ -223,6 +225,7 @@ let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
       accept_resend = I64_tbl.create 4;
       sessions_by_conn = I64_tbl.create 8;
       local_by_conn = I64_tbl.create 8;
+      conns_by_ephid = Hashtbl.create 8;
       queued_data = I64_tbl.create 8;
       last_packet_by_conn = I64_tbl.create 8;
       data_handler = (fun ~session:_ ~data:_ -> ());
@@ -273,13 +276,37 @@ let endpoints t =
 
 let last_endpoint_op_cost t = t.last_endpoint_op_cost
 
+let ephid_raw (ep : endpoint) = Ephid.to_bytes ep.cert.Cert.ephid
+
 let add_endpoint t (ep : endpoint) =
   t.last_endpoint_op_cost <- 1;
-  Hashtbl.replace t.endpoints_by_ephid (Ephid.to_bytes ep.cert.Cert.ephid) ep
+  Hashtbl.replace t.endpoints_by_ephid (ephid_raw ep) ep
 
 let remove_endpoint t (ep : endpoint) =
   t.last_endpoint_op_cost <- 1;
-  Hashtbl.remove t.endpoints_by_ephid (Ephid.to_bytes ep.cert.Cert.ephid)
+  Hashtbl.remove t.endpoints_by_ephid (ephid_raw ep)
+
+(* Every write to [local_by_conn] goes through these two, keeping
+   [conns_by_ephid] in step. [unbind_local] returns the endpoint the
+   connection was bound to and how many other connections still use it. *)
+let unbind_local t conn_id =
+  match I64_tbl.find_opt t.local_by_conn conn_id with
+  | None -> None
+  | Some ep ->
+      I64_tbl.remove t.local_by_conn conn_id;
+      let raw = ephid_raw ep in
+      let others = Hashtbl.find t.conns_by_ephid raw - 1 in
+      if others > 0 then Hashtbl.replace t.conns_by_ephid raw others
+      else Hashtbl.remove t.conns_by_ephid raw;
+      Some (ep, others)
+
+let bind_local t conn_id ep =
+  ignore (unbind_local t conn_id);
+  I64_tbl.replace t.local_by_conn conn_id ep;
+  let raw = ephid_raw ep in
+  Hashtbl.replace t.conns_by_ephid raw
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.conns_by_ephid raw))
+
 let received t = List.rev t.received_rev
 let unreachables t = List.of_seq (Queue.to_seq t.unreachables_q)
 let unreachable_total t = t.unreachable_total
@@ -365,13 +392,7 @@ and rpc_timer_fired t tbl key =
         rpc.attempts <- rpc.attempts + 1;
         t.rpc_retries <- t.rpc_retries + 1;
         M.Counter.incr m_rpc_retries;
-        let span =
-          Span.start_for Span.default
-            ~id:(Printf.sprintf "rpc:%Ld" key)
-            ~stage:"host.rpc.retransmit"
-        in
         rpc.resend ();
-        Span.finish Span.default span;
         arm_rpc t tbl key rpc
       end
 
@@ -736,9 +757,8 @@ let send_frame t ~(endpoint : endpoint) ~remote:(remote_cert : Cert.t) frame =
     ~payload:(Session.Frame.to_bytes frame)
 
 let forget_session t conn_id =
-  let endpoint = I64_tbl.find_opt t.local_by_conn conn_id in
+  let bound = unbind_local t conn_id in
   I64_tbl.remove t.sessions_by_conn conn_id;
-  I64_tbl.remove t.local_by_conn conn_id;
   I64_tbl.remove t.last_packet_by_conn conn_id;
   I64_tbl.remove t.queued_data conn_id;
   settle_rpc t.accept_waits conn_id;
@@ -750,11 +770,11 @@ let forget_session t conn_id =
   I64_tbl.remove t.pending_retx conn_id;
   I64_tbl.remove t.recovery_last conn_id;
   (* Per-flow EphIDs die with their flow: preemptively release the backing
-     EphID unless it is pooled (per-host/per-application) or receive-only
-     (§VIII-G2: hosts manage their EphID pool). *)
-  match endpoint with
-  | None -> ()
-  | Some endpoint ->
+     EphID once no other connection is bound to it, unless it is pooled
+     (per-host/per-application) or receive-only (§VIII-G2: hosts manage
+     their EphID pool). *)
+  match bound with
+  | Some (endpoint, 0) ->
       let pooled =
         Hashtbl.fold
           (fun _ (e : endpoint) acc -> acc || Cert.equal e.cert endpoint.cert)
@@ -762,6 +782,7 @@ let forget_session t conn_id =
       in
       if (not pooled) && not endpoint.receive_only then
         warn t "close: release" (release_endpoint t endpoint)
+  | None | Some _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Mid-session EphID migration: a live session outlives the EphID that
@@ -771,8 +792,6 @@ let forget_session t conn_id =
    Rekey until the peer's Rekey_ack — the same exactly-once discipline as
    every other host round trip. *)
 
-let ephid_raw (ep : endpoint) = Ephid.to_bytes ep.cert.Cert.ephid
-
 let inhibited t (ep : endpoint) = Hashtbl.mem t.shutoff_inhibited (ephid_raw ep)
 
 let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
@@ -781,13 +800,8 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
   if I64_tbl.mem t.migrating conn_id then ()
   else begin
     I64_tbl.replace t.migrating conn_id ();
-    let span =
-      Span.start_for Span.default
-        ~id:(Printf.sprintf "conn:%Ld" conn_id)
-        ~stage:"host.session.migrate"
-    in
+    let since = E.start E.default in
     request_ephid_r t (fun result ->
-        Span.finish Span.default span;
         match result with
         | Error e ->
             (* Brownout: keep riding the current endpoint until its hard
@@ -812,7 +826,7 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                   I64_tbl.remove t.migrating conn_id;
                   warn t "migrate: rekey" (Error e)
               | Ok () ->
-                  I64_tbl.replace t.local_by_conn conn_id fresh;
+                  bind_local t conn_id fresh;
                   t.migrations <- t.migrations + 1;
                   M.Counter.incr m_migrations;
                   Logs.info (fun m ->
@@ -822,6 +836,7 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                   | Some att when E.enabled E.default ->
                       E.record E.default
                         ~key:(E.key_of_string (Printf.sprintf "conn:%Ld" conn_id))
+                        ~since
                         (E.Migrate
                            {
                              aid = Addr.aid_to_int att.aid;
@@ -894,7 +909,7 @@ let connect t ~remote ?(data0 = "") ?app ?(expect_accept = false) k =
               | Error e -> warn t "connect: session" (Error e)
               | Ok session ->
                   I64_tbl.replace t.sessions_by_conn conn_id session;
-                  I64_tbl.replace t.local_by_conn conn_id endpoint;
+                  bind_local t conn_id endpoint;
                   let seq, sealed = Session.seal session data0 in
                   (* Retransmits must reuse the sealed frame — sealing again
                      would advance the send sequence. The connection id is
@@ -1229,7 +1244,7 @@ let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                         | Error e -> warn t "init: serving session" (Error e)
                         | Ok session' ->
                             I64_tbl.replace t.sessions_by_conn conn_id session';
-                            I64_tbl.replace t.local_by_conn conn_id serving;
+                            bind_local t conn_id serving;
                             let seq, sealed = Session.seal session' "" in
                             let accept_frame =
                               Session.Frame.Accept
@@ -1255,7 +1270,7 @@ let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                   end
                   else begin
                     I64_tbl.replace t.sessions_by_conn conn_id session;
-                    I64_tbl.replace t.local_by_conn conn_id local;
+                    bind_local t conn_id local;
                     Option.iter (fun d -> if d <> "" then deliver_data t session d) data0
                   end
             end

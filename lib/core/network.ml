@@ -84,11 +84,9 @@ type t = {
 let create ?(seed = "apna-network") ?(epoch = 1_750_000_000)
     ?(transport = Native) () =
   let engine = Apna_sim.Engine.create () in
-  (* Trace spans recorded inside this simulation should carry simulated
-     time, not wall time. Last network created wins, like the engine
-     gauges — one live simulation per process is the norm. *)
-  Apna_obs.Span.set_clock Apna_obs.Span.default (fun () ->
-      Apna_sim.Engine.now engine);
+  (* Flight-recorder events recorded inside this simulation should carry
+     simulated time, not wall time. Last network created wins, like the
+     engine gauges — one live simulation per process is the norm. *)
   Apna_obs.Event.set_clock Apna_obs.Event.default (fun () ->
       Apna_sim.Engine.now engine);
   {

@@ -1,6 +1,6 @@
-(* Packet flight recorder: typed lifecycle events in a bounded ring.
-   Mirrors the Span sink's structure (default-off, fixed ring, global
-   seq counter) so the two share clocks, keys and eviction semantics. *)
+(* Packet flight recorder: typed lifecycle events in a bounded ring — the
+   one trace sink (default-off, fixed ring, global seq counter). A record
+   with a non-zero [dur] is a timed stage. *)
 
 type fate = Delivered | Lost | Duplicated | Reordered | Queue_drop
 
@@ -24,9 +24,10 @@ type kind =
   | Broker_decision of { aid : int; granted : bool; query : string }
   | Alert_state of { rule : string; series : string; state : string }
 
-type record = { key : int64; time : float; seq : int; kind : kind }
+type record = { key : int64; time : float; dur : float; seq : int; kind : kind }
 
-let dummy = { key = 0L; time = 0.0; seq = -1; kind = Shutoff { aid = 0 } }
+let dummy =
+  { key = 0L; time = 0.0; dur = 0.0; seq = -1; kind = Shutoff { aid = 0 } }
 
 type sink = {
   mutable on : bool;
@@ -43,15 +44,30 @@ let default = create_sink ()
 let set_enabled t on = t.on <- on
 let enabled t = t.on
 let set_clock t clock = t.clock <- clock
+let start t = if t.on then t.clock () else 0.0
 
-let record t ~key kind =
+let record t ~key ?since kind =
   if t.on then begin
-    let r = { key; time = t.clock (); seq = t.written; kind } in
-    t.ring.(t.written mod Array.length t.ring) <- r;
+    let time = t.clock () in
+    (* Instants share the literal 0.0: no float is boxed for them. *)
+    let dur = match since with None -> 0.0 | Some t0 -> time -. t0 in
+    t.ring.(t.written mod Array.length t.ring) <-
+      { key; time; dur; seq = t.written; kind };
     t.written <- t.written + 1
   end
 
-let key_of_string = Span.key_of_string
+(* FNV-1a, 64-bit. A loop rather than String.iter: a ref no closure
+   captures stays unboxed, so only the result is allocated. *)
+let key_of_string s =
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  !h
+
 let recorded t = t.written
 let capacity t = Array.length t.ring
 let evicted t = max 0 (t.written - Array.length t.ring)
@@ -78,16 +94,37 @@ let fate_label = function
 
 let stage_label = function
   | Host_send _ -> "host.send"
-  | Br_egress _ -> "br.egress"
+  | Br_egress _ -> "border_router.egress"
   | Link_transit _ -> "link.transit"
-  | Br_ingress _ -> "br.ingress"
-  | Deliver _ -> "deliver"
+  | Br_ingress _ -> "border_router.ingress"
+  | Deliver _ -> "as_node.deliver"
   | Gw_encap _ -> "gw.encap"
   | Gw_decap _ -> "gw.decap"
   | Shutoff _ -> "shutoff"
-  | Migrate _ -> "host.migrate"
+  | Migrate _ -> "host.session.migrate"
   | Broker_decision _ -> "broker.decide"
   | Alert_state _ -> "alert"
+
+let stage_summary t =
+  let tbl : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      let stage = stage_label r.kind in
+      let n, total =
+        match Hashtbl.find_opt tbl stage with
+        | Some cell -> cell
+        | None ->
+            let cell = (ref 0, ref 0.0) in
+            Hashtbl.replace tbl stage cell;
+            cell
+      in
+      incr n;
+      total := !total +. r.dur)
+    (to_list t);
+  Hashtbl.fold
+    (fun stage (n, total) acc -> (stage, !n, !total /. float_of_int !n) :: acc)
+    tbl []
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let where = function
   | Host_send { aid; _ }

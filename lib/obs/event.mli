@@ -1,19 +1,23 @@
 (** Packet flight recorder: typed lifecycle events in a bounded ring.
 
-    Where {!Span} answers "how long did stage S take", an event answers
-    "what happened to this packet": it records one step of a packet's
-    journey — submitted by a host, accepted or dropped at a border router,
-    placed on (or lost on) an inter-AS link, delivered, encapsulated by a
-    gateway, named in a shutoff. Events sharing a key are assembled into an
-    end-to-end causal timeline by {!Journey} and exported alongside spans
-    by {!Chrome_trace}.
+    This is the one trace sink. A record answers "what happened to this
+    packet": it records one step of a packet's journey — submitted by a
+    host, accepted or dropped at a border router, placed on (or lost on)
+    an inter-AS link, delivered, encapsulated by a gateway, named in a
+    shutoff. Records sharing a key are assembled into an end-to-end causal
+    timeline by {!Journey}, summarized per stage by {!stage_summary} and
+    exported by {!Chrome_trace}.
 
-    The key is the same FNV-1a 64-bit hash of the packet MAC that {!Span}
-    uses, so spans and events for one packet line up. A control-plane
+    Most records are instants ([dur = 0.0]). A timed record also answers
+    "how long did stage S take": the caller takes {!start} before the
+    stage and passes it as [~since] when recording.
+
+    The key is the FNV-1a 64-bit hash of the packet MAC ({!key_of_string}),
+    so every stage of one packet shares it. A control-plane
     retransmission reuses the original packet bytes (same MAC), so all
     attempts of one request land in one journey.
 
-    Like {!Span}, a sink starts disabled and recording is bounded-memory:
+    A sink starts disabled and recording is bounded-memory:
     instrumentation sites guard with [if Event.enabled Event.default then
     ...], one mutable load and a branch while the recorder is off — no
     hashing, no allocation, no clock read. *)
@@ -58,7 +62,8 @@ type kind =
       (** A host rebound a live session onto a fresh EphID (keyed on the
           connection id, so all migrations of one session share a
           timeline); [reason] is "renewal-margin" for proactive renewal or
-          the ICMP reason label for reactive recovery. *)
+          the ICMP reason label for reactive recovery. Timed: [dur] is the
+          round trip from the fresh EphID's request to its issuance. *)
   | Broker_decision of { aid : int; granted : bool; query : string }
       (** The privacy broker granted or refused a linkage request (keyed
           on the request correlation id); [query] is the query label
@@ -68,9 +73,11 @@ type kind =
           "resolved"); keyed on the rule name so one rule's transitions
           form a timeline. *)
 
-type record = { key : int64; time : float; seq : int; kind : kind }
-(** [time] is the sink clock (simulated seconds inside a simulation);
-    [seq] is the global record order, for deterministic reconstruction. *)
+type record = { key : int64; time : float; dur : float; seq : int; kind : kind }
+(** [time] is the sink clock when the record was appended (simulated
+    seconds inside a simulation); a timed record covers
+    [[time - dur, time]], an instant has [dur = 0.0]. [seq] is the global
+    record order, for deterministic reconstruction. *)
 
 type sink
 
@@ -87,13 +94,18 @@ val set_clock : sink -> (unit -> float) -> unit
 (** Clock stamped onto records. Only consulted while enabled;
     [Network.create] points the default sink at simulated time. *)
 
-val record : sink -> key:int64 -> kind -> unit
-(** Append one event. No-op while disabled — but callers on hot paths
-    should guard with {!enabled} so the [kind] is never even built. *)
+val start : sink -> float
+(** Start time for a timed record: the clock while enabled, [0.0] without
+    reading the clock while disabled. *)
+
+val record : sink -> key:int64 -> ?since:float -> kind -> unit
+(** Append one event; with [~since] (a {!start} reading) it is a timed
+    record of duration [clock () - since]. No-op while disabled — but
+    callers on hot paths should guard with {!enabled} so the [kind] is
+    never even built. *)
 
 val key_of_string : string -> int64
-(** FNV-1a 64-bit hash — identical to {!Span.key_of_string}, so the same
-    packet MAC yields the same key in both sinks. *)
+(** FNV-1a 64-bit hash, for deriving keys from packet MACs or names. *)
 
 val recorded : sink -> int
 (** Total events ever recorded (may exceed capacity). *)
@@ -117,9 +129,16 @@ val clear : sink -> unit
 val fate_label : fate -> string
 
 val stage_label : kind -> string
-(** Short stage name: ["host.send"], ["br.egress"], ["link.transit"],
-    ["br.ingress"], ["deliver"], ["gw.encap"], ["gw.decap"],
-    ["shutoff"]. *)
+(** Stage name. The packet path uses the packet-cost ledger's layer
+    names: ["host.send"], ["border_router.egress"], ["link.transit"],
+    ["border_router.ingress"], ["as_node.deliver"]; the rest are
+    ["gw.encap"], ["gw.decap"], ["shutoff"], ["host.session.migrate"],
+    ["broker.decide"] and ["alert"]. *)
+
+val stage_summary : sink -> (string * int * float) list
+(** Per-stage (name, record count, mean [dur]) over retained records,
+    sorted by name. When {!evicted} is nonzero it covers only the newest
+    [capacity] records. *)
 
 val where : kind -> string
 (** Location tag: ["AS64500"], ["AS64500->AS64501"], ["gw:lan-a"]. *)

@@ -28,10 +28,9 @@ let classify events =
     | [] -> In_flight
     | last :: _ -> (
         match last.Event.kind with
-        | Event.Br_egress { outcome = Event.Egress_drop reason; _ } ->
-            Dropped_at { stage = "br.egress"; reason }
-        | Event.Br_ingress { outcome = Event.Ingress_drop reason; _ } ->
-            Dropped_at { stage = "br.ingress"; reason }
+        | ( Event.Br_egress { outcome = Event.Egress_drop reason; _ }
+          | Event.Br_ingress { outcome = Event.Ingress_drop reason; _ } ) as k ->
+            Dropped_at { stage = Event.stage_label k; reason }
         | Event.Link_transit
             { src; dst; fate = (Event.Lost | Event.Queue_drop) as fate } ->
             Lost_on_link { src; dst; fate }
@@ -125,7 +124,7 @@ let render j =
   List.iter
     (fun (r : Event.record) ->
       Buffer.add_string b
-        (Printf.sprintf "  +%10.6fs  %-12s %s\n" (r.time -. t0)
+        (Printf.sprintf "  +%10.6fs  %-21s %s\n" (r.time -. t0)
            (Event.stage_label r.kind) (Event.describe r.kind)))
     j.events;
   Buffer.contents b

@@ -10,8 +10,9 @@ type outcome =
       (** at least one copy reached a {!Event.Deliver} (or gateway
           decapsulation) point *)
   | Dropped_at of { stage : string; reason : string }
-      (** rejected by a border-router pipeline; [stage] is ["br.egress"]
-          or ["br.ingress"], [reason] an {!Error.kind_label} *)
+      (** rejected by a border-router pipeline; [stage] is the drop's
+          {!Event.stage_label} (["border_router.egress"] or
+          ["border_router.ingress"]), [reason] an {!Error.kind_label} *)
   | Lost_on_link of { src : int; dst : int; fate : Event.fate }
       (** last sighting is an injected link loss or sender-queue tail
           drop on the [src -> dst] link *)
@@ -39,15 +40,16 @@ val find : t list -> int64 -> t option
 (** Journey for one packet key, if any events were retained. *)
 
 val outcome_label : outcome -> string
-(** ["delivered"], ["dropped at br.egress [bad-mac]"],
+(** ["delivered"], ["dropped at border_router.egress [bad-mac]"],
     ["lost on link AS64500->AS64501"], ["in-flight"]. *)
 
 val summary : t list -> (string * int) list
 (** Outcome-label histogram, sorted by descending count then label. *)
 
 val last_good_hop : t -> string
-(** Stage + location of the last non-failing event (["br.egress @
-    AS64500"]), or ["(origin)"] when every retained event failed. *)
+(** Stage + location of the last non-failing event
+    (["border_router.egress @ AS64500"]), or ["(origin)"] when every
+    retained event failed. *)
 
 val drop_report : t list -> ((string * string) * int) list
 (** Forensics over non-delivered journeys: counts grouped by

@@ -1,94 +1,4 @@
-type record = { key : int64; stage : string; t0 : float; t1 : float; seq : int }
-
-let dummy_record = { key = 0L; stage = ""; t0 = 0.0; t1 = 0.0; seq = -1 }
-
-type sink = {
-  mutable on : bool;
-  mutable clock : unit -> float;
-  ring : record array;
-  (* Total spans ever finished; ring slot is [written mod capacity]. *)
-  mutable written : int;
-}
-
-let create_sink ?(capacity = 4096) ?(enabled = false) () =
-  if capacity < 1 then invalid_arg "Span.create_sink: capacity";
-  {
-    on = enabled;
-    clock = Sys.time;
-    ring = Array.make capacity dummy_record;
-    written = 0;
-  }
-
-let default = create_sink ()
-let set_enabled t on = t.on <- on
-let enabled t = t.on
-let set_clock t clock = t.clock <- clock
-
-type span = { skey : int64; sstage : string; st0 : float; live : bool }
-
-let none = { skey = 0L; sstage = ""; st0 = 0.0; live = false }
-
-let append t r =
-  t.ring.(t.written mod Array.length t.ring) <- r;
-  t.written <- t.written + 1
-
-let start t ~key ~stage =
-  if t.on then { skey = key; sstage = stage; st0 = t.clock (); live = true }
-  else none
-
-let finish t sp =
-  if t.on && sp.live then
-    append t
-      { key = sp.skey; stage = sp.sstage; t0 = sp.st0; t1 = t.clock (); seq = t.written }
-
-let record t ~key ~stage ~t0 ~t1 =
-  if t.on then append t { key; stage; t0; t1; seq = t.written }
-
-(* FNV-1a, 64-bit. *)
-let key_of_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let start_for t ~id ~stage =
-  if t.on then start t ~key:(key_of_string id) ~stage else none
-
-let recorded t = t.written
-let capacity t = Array.length t.ring
-let evicted t = max 0 (t.written - Array.length t.ring)
-
-let to_list t =
-  let cap = Array.length t.ring in
-  let retained = min t.written cap in
-  let first = t.written - retained in
-  List.init retained (fun i -> t.ring.((first + i) mod cap))
-
-let by_key t key = List.filter (fun r -> Int64.equal r.key key) (to_list t)
-
-let stage_summary t =
-  let tbl : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let n, total =
-        match Hashtbl.find_opt tbl r.stage with
-        | Some cell -> cell
-        | None ->
-            let cell = (ref 0, ref 0.0) in
-            Hashtbl.replace tbl r.stage cell;
-            cell
-      in
-      incr n;
-      total := !total +. (r.t1 -. r.t0))
-    (to_list t);
-  Hashtbl.fold
-    (fun stage (n, total) acc -> (stage, !n, !total /. float_of_int !n) :: acc)
-    tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) dummy_record;
-  t.written <- 0
+(* Kept only because perf/ (frozen by BENCHMARK.json) still enables
+   [Span.default]; it is the one flight recorder, Event.default. *)
+let default = Event.default
+let set_enabled = Event.set_enabled

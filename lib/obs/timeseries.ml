@@ -1,5 +1,5 @@
 (* Periodic sampler: snapshots a Metrics registry into fixed-capacity
-   ring-buffered series. Follows the Span/Event sink discipline: created
+   ring-buffered series. Follows the Event sink discipline: created
    disabled, bounded memory, a single mutable load + branch when off. *)
 
 type kind = Kcounter | Kgauge | Kderived

@@ -6,7 +6,7 @@
 open Apna
 module Net = Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
+module Event = Apna_obs.Event
 
 let qtest ?(count = 50) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -367,13 +367,13 @@ let alloc_tests =
         let n = Border_router.max_burst in
         let pkts = Array.init n (fun _ -> egress_packet fx E_valid) in
         let store = Border_router.Burst.create () in
-        let m_was = M.enabled M.default and s_was = Span.enabled Span.default in
+        let m_was = M.enabled M.default and e_was = Event.enabled Event.default in
         M.set_enabled M.default false;
-        Span.set_enabled Span.default false;
+        Event.set_enabled Event.default false;
         Fun.protect
           ~finally:(fun () ->
             M.set_enabled M.default m_was;
-            Span.set_enabled Span.default s_was)
+            Event.set_enabled Event.default e_was)
           (fun () ->
             for _ = 1 to 3 do
               Border_router.egress_burst br ~now:now0 pkts ~n store

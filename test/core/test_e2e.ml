@@ -260,6 +260,46 @@ let lifecycle_tests =
         let node = Network.node_exn net 100 in
         Alcotest.(check int) "EphID revoked" 1
           (Revocation.size (As_node.revoked node)));
+    Alcotest.test_case "a shared server EphID outlives its first close" `Quick
+      (fun () ->
+        (* Two clients on one server EphID: the first Fin must not release
+           it under the second connection; the last one does. *)
+        let net, alice, bob = make_world () in
+        let carol =
+          Network.add_host net ~as_number:100 ~name:"carol" ~credential:"carol-token" ()
+        in
+        ok_or_fail "carol bootstrap" (Host.bootstrap carol);
+        let bob_ep = get_endpoint bob in
+        Network.run net;
+        let bob_ep = Option.get !bob_ep in
+        let open_session client data0 =
+          let session = ref None in
+          Host.connect client ~remote:bob_ep.cert ~data0 (fun s -> session := Some s);
+          Network.run net;
+          Option.get !session
+        in
+        let sa = open_session alice "from alice" in
+        let sc = open_session carol "from carol" in
+        Alcotest.(check int) "bob serves both" 2 (List.length (Host.sessions bob));
+        let bob_as = Network.node_exn net 300 in
+        let bob_holds () =
+          List.exists (fun (e : Host.endpoint) -> Cert.equal e.cert bob_ep.cert)
+            (Host.endpoints bob)
+        in
+        ok_or_fail "alice close" (Host.close alice sa);
+        Network.run net;
+        Alcotest.(check int) "not released after the first close" 0
+          (Revocation.size (As_node.revoked bob_as));
+        Alcotest.(check bool) "bob still holds the EphID" true (bob_holds ());
+        ok_or_fail "carol send" (Host.send carol sc "still served");
+        Network.run net;
+        Alcotest.(check bool) "carol's frame delivered" true
+          (List.exists (fun (_, d) -> d = "still served") (Host.received bob));
+        ok_or_fail "carol close" (Host.close carol sc);
+        Network.run net;
+        Alcotest.(check int) "released after the last close" 1
+          (Revocation.size (As_node.revoked bob_as));
+        Alcotest.(check bool) "bob dropped the EphID" false (bob_holds ()));
     Alcotest.test_case "spoofed fin does not kill a session" `Quick (fun () ->
         let net, alice, bob = make_world () in
         let bob_ep = get_endpoint bob in

@@ -1,14 +1,14 @@
-(* Flight-recorder acceptance (Issue 4): a cross-AS data packet under the
-   E13 topology yields a journey whose hop sequence is exactly
+(* Flight-recorder acceptance: a cross-AS data packet under the E13
+   topology yields a journey whose hop sequence is exactly
    host → egress → link → ingress → … → deliver, a packet killed by
-   injected loss yields the same prefix ending in a tagged loss event,
-   and the Chrome-trace export of a live run parses as trace-event JSON. *)
+   injected loss yields the same prefix ending in a tagged loss event, a
+   retransmitted control request repeats its send in one journey, and the
+   Chrome-trace export of a live run parses as trace-event JSON. *)
 
 open Apna
 open Apna_net
 module Event = Apna_obs.Event
 module Journey = Apna_obs.Journey
-module Span = Apna_obs.Span
 module Json = Apna_obs.Json
 module Chrome_trace = Apna_obs.Chrome_trace
 
@@ -53,15 +53,11 @@ let make_world ?first_hop_faults () =
    recorder off, so bootstrap and EphID traffic leave no events behind. *)
 let with_recorder f =
   Event.clear Event.default;
-  Span.clear Span.default;
   Event.set_enabled Event.default true;
-  Span.set_enabled Span.default true;
   Fun.protect
     ~finally:(fun () ->
       Event.set_enabled Event.default false;
-      Span.set_enabled Span.default false;
-      Event.clear Event.default;
-      Span.clear Span.default)
+      Event.clear Event.default)
     f
 
 let stages (j : Journey.t) =
@@ -96,8 +92,9 @@ let flight_tests =
             Alcotest.(check (list string))
               "hop sequence"
               [
-                "host.send"; "br.egress"; "link.transit"; "br.ingress";
-                "link.transit"; "br.ingress"; "deliver";
+                "host.send"; "border_router.egress"; "link.transit";
+                "border_router.ingress"; "link.transit"; "border_router.ingress";
+                "as_node.deliver";
               ]
               (stages j);
             (match List.map (fun (r : Event.record) -> r.kind) j.events with
@@ -137,23 +134,42 @@ let flight_tests =
             let j = cross_as_journey (Journey.assemble Event.default) in
             Alcotest.(check (list string))
               "prefix ends at the lossy link"
-              [ "host.send"; "br.egress"; "link.transit" ]
+              [ "host.send"; "border_router.egress"; "link.transit" ]
               (stages j);
             match j.outcome with
             | Journey.Lost_on_link { src = 100; dst = 200; fate = Event.Lost }
               ->
                 ()
             | o -> Alcotest.failf "outcome: %s" (Journey.outcome_label o)));
+    Alcotest.test_case "a retransmitted EphID request repeats host.send" `Quick
+      (fun () ->
+        let net, alice, _ = make_world () in
+        (* Every access-link crossing is lost, so the request times out
+           after its full retransmission ladder. Each attempt re-sends the
+           same bytes, hence the same MAC and the same journey. *)
+        Network.set_host_faults net (Some (Link.make_faults ~loss:1.0 ()));
+        with_recorder (fun () ->
+            Host.request_ephid alice (fun _ -> ());
+            Network.run net;
+            let sends j = List.length (List.filter (( = ) "host.send") (stages j)) in
+            let most =
+              List.fold_left
+                (fun acc j -> max acc (sends j))
+                0
+                (Journey.assemble Event.default)
+            in
+            Alcotest.(check bool) "the request was retransmitted" true
+              (Host.rpc_retries alice >= 1);
+            Alcotest.(check bool)
+              (Printf.sprintf "%d host.send in one journey (>= 2)" most)
+              true (most >= 2)));
     Alcotest.test_case "chrome-trace export of a live run parses" `Quick
       (fun () ->
         let net, alice, ep = make_world () in
         with_recorder (fun () ->
             Host.connect alice ~remote:ep.cert ~data0:"probe" (fun _ -> ());
             Network.run net;
-            let text =
-              Chrome_trace.to_string ~spans:Span.default ~events:Event.default
-                ()
-            in
+            let text = Chrome_trace.to_string Event.default in
             match Json.parse text with
             | Error e -> Alcotest.failf "trace does not parse: %s" e
             | Ok (Json.List entries) ->

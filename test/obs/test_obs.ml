@@ -1,6 +1,7 @@
-(* Tests for the observability subsystem: metrics registry, JSON codec and
-   trace-span ring buffer. Everything here uses private registries/sinks so
-   the default instances other suites may touch stay untouched. *)
+(* Tests for the observability subsystem: metrics registry, JSON codec,
+   the flight-recorder ring and what is built on it. Everything here uses
+   private registries/sinks so the default instances other suites may
+   touch stay untouched. *)
 
 open Apna_obs
 
@@ -192,126 +193,161 @@ let json_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Spans *)
+(* Spans: timed records, and the ring every record lives in *)
+
+(* A clock the test steps by hand. *)
+let manual_clock s =
+  let t = ref 0.0 in
+  Event.set_clock s (fun () -> !t);
+  t
+
+let send ~aid = Event.Host_send { aid; host = "h" }
+
+(* One timed record of [dur] seconds ending at [at]. *)
+let timed s clock ~key ~at ~dur kind =
+  clock := at -. dur;
+  let since = Event.start s in
+  clock := at;
+  Event.record s ~key ~since kind
 
 let span_tests =
   [
     Alcotest.test_case "records a packet's path in order" `Quick (fun () ->
-        let s = Span.create_sink ~enabled:true () in
-        let t = ref 0.0 in
-        Span.set_clock s (fun () -> !t);
-        let key = Span.key_of_string "mac-bytes" in
+        let s = Event.create_sink ~enabled:true () in
+        let clock = manual_clock s in
+        let key = Event.key_of_string "mac-bytes" in
         List.iter
-          (fun stage ->
-            let sp = Span.start s ~key ~stage in
-            t := !t +. 1.0;
-            Span.finish s sp)
-          [ "host.encrypt"; "br.egress"; "br.ingress"; "as.deliver" ];
+          (fun kind ->
+            let since = Event.start s in
+            clock := !clock +. 1.0;
+            Event.record s ~key ~since kind)
+          [
+            send ~aid:1;
+            Event.Br_egress { aid = 1; outcome = Event.Egress_ok };
+            Event.Br_ingress { aid = 2; outcome = Event.Ingress_deliver };
+            Event.Deliver { aid = 2; hid = 7 };
+          ];
         (* An unrelated packet interleaved in the ring. *)
-        Span.record s ~key:(Span.key_of_string "other") ~stage:"br.egress"
-          ~t0:0.0 ~t1:0.1;
-        let path = Span.by_key s key in
+        Event.record s ~key:(Event.key_of_string "other") (send ~aid:1);
+        let path = Event.by_key s key in
         Alcotest.(check (list string))
-          "stages in finish order"
-          [ "host.encrypt"; "br.egress"; "br.ingress"; "as.deliver" ]
-          (List.map (fun (r : Span.record) -> r.stage) path);
+          "stages in record order"
+          [
+            "host.send"; "border_router.egress"; "border_router.ingress";
+            "as_node.deliver";
+          ]
+          (List.map (fun (r : Event.record) -> Event.stage_label r.kind) path);
         List.iter
-          (fun (r : Span.record) ->
-            Alcotest.(check (float 1e-9)) "duration" 1.0 (r.t1 -. r.t0))
+          (fun (r : Event.record) ->
+            Alcotest.(check (float 1e-9)) "duration" 1.0 r.dur)
           path);
     Alcotest.test_case "disabled sink stores nothing, reads no clock" `Quick
       (fun () ->
-        let s = Span.create_sink () in
-        Span.set_clock s (fun () -> Alcotest.fail "clock read while disabled");
-        let sp = Span.start s ~key:1L ~stage:"x" in
-        Span.finish s sp;
-        Span.record s ~key:1L ~stage:"x" ~t0:0.0 ~t1:1.0;
-        Alcotest.(check int) "empty" 0 (Span.recorded s);
-        Alcotest.(check bool) "start is none" true (sp == Span.none));
+        let s = Event.create_sink () in
+        Event.set_clock s (fun () -> Alcotest.fail "clock read while disabled");
+        let since = Event.start s in
+        Event.record s ~key:1L ~since (send ~aid:1);
+        Event.record s ~key:1L (send ~aid:1);
+        Alcotest.(check int) "empty" 0 (Event.recorded s);
+        Alcotest.(check (float 0.0)) "start is 0" 0.0 since);
     Alcotest.test_case "ring keeps only the newest spans" `Quick (fun () ->
-        let s = Span.create_sink ~capacity:4 ~enabled:true () in
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        let clock = manual_clock s in
         for i = 1 to 10 do
-          Span.record s ~key:(Int64.of_int i) ~stage:"st" ~t0:0.0 ~t1:1.0
+          timed s clock ~key:(Int64.of_int i) ~at:(float_of_int i) ~dur:0.5
+            (send ~aid:1)
         done;
-        Alcotest.(check int) "all recorded" 10 (Span.recorded s);
-        let kept = Span.to_list s in
+        Alcotest.(check int) "all recorded" 10 (Event.recorded s);
+        let kept = Event.to_list s in
         Alcotest.(check int) "capacity retained" 4 (List.length kept);
         Alcotest.(check (list int))
           "newest, oldest first" [ 7; 8; 9; 10 ]
-          (List.map (fun (r : Span.record) -> Int64.to_int r.key) kept));
+          (List.map (fun (r : Event.record) -> Int64.to_int r.key) kept));
     Alcotest.test_case "stage_summary aggregates by stage" `Quick (fun () ->
-        let s = Span.create_sink ~enabled:true () in
-        Span.record s ~key:1L ~stage:"b" ~t0:0.0 ~t1:2.0;
-        Span.record s ~key:2L ~stage:"b" ~t0:0.0 ~t1:4.0;
-        Span.record s ~key:3L ~stage:"a" ~t0:0.0 ~t1:1.0;
-        match Span.stage_summary s with
-        | [ ("a", 1, m_a); ("b", 2, m_b) ] ->
-            Alcotest.(check (float 1e-9)) "a mean" 1.0 m_a;
-            Alcotest.(check (float 1e-9)) "b mean" 3.0 m_b
+        let s = Event.create_sink ~enabled:true () in
+        let clock = manual_clock s in
+        let egress = Event.Br_egress { aid = 1; outcome = Event.Egress_ok } in
+        timed s clock ~key:1L ~at:2.0 ~dur:2.0 egress;
+        timed s clock ~key:2L ~at:4.0 ~dur:4.0 egress;
+        timed s clock ~key:3L ~at:5.0 ~dur:1.0 (send ~aid:1);
+        (* Instants count toward their stage with duration 0. *)
+        Event.record s ~key:4L (send ~aid:1);
+        match Event.stage_summary s with
+        | [ ("border_router.egress", 2, m_egress); ("host.send", 2, m_send) ] ->
+            Alcotest.(check (float 1e-9)) "egress mean" 3.0 m_egress;
+            Alcotest.(check (float 1e-9)) "send mean" 0.5 m_send
         | other -> Alcotest.failf "unexpected summary (%d stages)" (List.length other));
     Alcotest.test_case "clear resets retention, not identity" `Quick (fun () ->
-        let s = Span.create_sink ~enabled:true () in
-        Span.record s ~key:1L ~stage:"x" ~t0:0.0 ~t1:1.0;
-        Span.clear s;
-        Alcotest.(check int) "nothing retained" 0 (List.length (Span.to_list s)));
+        let s = Event.create_sink ~enabled:true () in
+        Event.record s ~key:1L (send ~aid:1);
+        Event.clear s;
+        Alcotest.(check int) "nothing retained" 0 (List.length (Event.to_list s));
+        Alcotest.(check bool) "still enabled" true (Event.enabled s));
     Alcotest.test_case "key_of_string is deterministic and spreads" `Quick
       (fun () ->
         Alcotest.(check bool) "equal inputs" true
-          (Span.key_of_string "abc" = Span.key_of_string "abc");
+          (Event.key_of_string "abc" = Event.key_of_string "abc");
         Alcotest.(check bool) "distinct inputs" false
-          (Span.key_of_string "abc" = Span.key_of_string "abd");
+          (Event.key_of_string "abc" = Event.key_of_string "abd");
         (* FNV-1a of the empty string is the offset basis. *)
         Alcotest.(check int64) "offset basis" 0xcbf29ce484222325L
-          (Span.key_of_string ""));
+          (Event.key_of_string "");
+        Alcotest.(check int64) "FNV-1a 64 of \"a\"" 0xaf63dc4c8601ec8cL
+          (Event.key_of_string "a"));
     Alcotest.test_case "evicted and capacity expose wraparound" `Quick
       (fun () ->
-        let s = Span.create_sink ~capacity:4 ~enabled:true () in
-        Alcotest.(check int) "capacity" 4 (Span.capacity s);
-        Alcotest.(check int) "nothing evicted yet" 0 (Span.evicted s);
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        Alcotest.(check int) "capacity" 4 (Event.capacity s);
+        Alcotest.(check int) "nothing evicted yet" 0 (Event.evicted s);
         for i = 1 to 10 do
-          Span.record s ~key:(Int64.of_int i) ~stage:"st" ~t0:0.0 ~t1:1.0
+          Event.record s ~key:(Int64.of_int i) (send ~aid:1)
         done;
-        Alcotest.(check int) "evicted = written - capacity" 6 (Span.evicted s);
-        Span.clear s;
-        Alcotest.(check int) "clear resets eviction" 0 (Span.evicted s));
+        Alcotest.(check int) "evicted = written - capacity" 6 (Event.evicted s);
+        Event.clear s;
+        Alcotest.(check int) "clear resets eviction" 0 (Event.evicted s));
     qtest "ring retains min(written, capacity) spans in seq order" ~count:300
       QCheck2.Gen.(
         pair (int_range 1 16) (list_size (int_range 0 64) (int_range 0 5)))
       (fun (capacity, ops) ->
-        let s = Span.create_sink ~capacity ~enabled:true () in
+        let s = Event.create_sink ~capacity ~enabled:true () in
+        let clock = manual_clock s in
         List.iteri
           (fun i k ->
-            Span.record s ~key:(Int64.of_int k)
-              ~stage:(string_of_int (k mod 3))
-              ~t0:(float_of_int i)
-              ~t1:(float_of_int i +. 1.0))
+            (* Timed and instant records share the one ring. *)
+            if k mod 2 = 0 then
+              timed s clock ~key:(Int64.of_int k) ~at:(float_of_int i) ~dur:0.5
+                (send ~aid:k)
+            else Event.record s ~key:(Int64.of_int k) (send ~aid:k))
           ops;
         let written = List.length ops in
-        let retained = Span.to_list s in
-        let seqs = List.map (fun (r : Span.record) -> r.seq) retained in
+        let retained = Event.to_list s in
+        let seqs = List.map (fun (r : Event.record) -> r.seq) retained in
         (* Exactly the newest min(written, capacity) records, oldest
            first: seqs are the final contiguous window. *)
         let expect_n = min written capacity in
         List.length retained = expect_n
         && seqs = List.init expect_n (fun i -> written - expect_n + i)
-        && Span.evicted s = max 0 (written - capacity));
+        && Event.evicted s = max 0 (written - capacity));
     Alcotest.test_case "by_key stays causally ordered across a wrap" `Quick
       (fun () ->
-        let s = Span.create_sink ~capacity:4 ~enabled:true () in
-        let key = Span.key_of_string "the-packet" in
-        let filler = Span.key_of_string "noise" in
-        Span.record s ~key ~stage:"s1" ~t0:0.0 ~t1:0.1;
-        Span.record s ~key:filler ~stage:"f" ~t0:0.2 ~t1:0.3;
-        Span.record s ~key:filler ~stage:"f" ~t0:0.4 ~t1:0.5;
-        Span.record s ~key ~stage:"s2" ~t0:0.6 ~t1:0.7;
-        Span.record s ~key:filler ~stage:"f" ~t0:0.8 ~t1:0.9;
-        Span.record s ~key:filler ~stage:"f" ~t0:1.0 ~t1:1.1;
-        (* The ring has wrapped: s1 is gone, s2 retained. *)
-        Span.record s ~key ~stage:"s3" ~t0:1.2 ~t1:1.3;
-        Alcotest.(check int) "three spans evicted" 3 (Span.evicted s);
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        let clock = manual_clock s in
+        let key = Event.key_of_string "the-packet" in
+        let filler = Event.key_of_string "noise" in
+        let hop aid at = timed s clock ~key ~at ~dur:0.1 (send ~aid) in
+        let noise at = timed s clock ~key:filler ~at ~dur:0.1 (send ~aid:0) in
+        hop 1 0.1;
+        noise 0.3;
+        noise 0.5;
+        hop 2 0.7;
+        noise 0.9;
+        noise 1.1;
+        (* The ring has wrapped: hop 1 is gone, hop 2 retained. *)
+        hop 3 1.3;
+        Alcotest.(check int) "three records evicted" 3 (Event.evicted s);
         Alcotest.(check (list string))
-          "hops in causal order, truncated from the front" [ "s2"; "s3" ]
-          (List.map (fun (r : Span.record) -> r.stage) (Span.by_key s key)));
+          "hops in causal order, truncated from the front" [ "AS2"; "AS3" ]
+          (List.map (fun (r : Event.record) -> Event.where r.kind) (Event.by_key s key)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -343,10 +379,6 @@ let event_tests =
           (List.map
              (fun (r : Event.record) -> Int64.to_int r.key)
              (Event.to_list s)));
-    Alcotest.test_case "keys match the span hash" `Quick (fun () ->
-        Alcotest.(check int64) "same FNV-64"
-          (Span.key_of_string "mac")
-          (Event.key_of_string "mac"));
     Alcotest.test_case "delivered journey renders a waterfall" `Quick
       (fun () ->
         let s = Event.create_sink ~enabled:true () in
@@ -370,8 +402,8 @@ let event_tests =
                   i + nl <= tl && (String.sub text i nl = needle || go (i + 1))
                 in
                 Alcotest.(check bool) needle true (go 0))
-              [ "host.send"; "br.egress"; "link.transit"; "br.ingress";
-                "deliver"; "alice"; "delivered" ]
+              [ "host.send"; "border_router.egress"; "link.transit";
+                "border_router.ingress"; "as_node.deliver"; "alice"; "delivered" ]
         | js -> Alcotest.failf "expected one journey, got %d" (List.length js));
     Alcotest.test_case "drop at a border router classifies with reason" `Quick
       (fun () ->
@@ -383,7 +415,8 @@ let event_tests =
         match Journey.assemble s with
         | [ j ] -> (
             match j.Journey.outcome with
-            | Journey.Dropped_at { stage = "br.egress"; reason = "bad-mac" } ->
+            | Journey.Dropped_at
+                { stage = "border_router.egress"; reason = "bad-mac" } ->
                 Alcotest.(check string)
                   "last good hop" "host.send @ AS100" (Journey.last_good_hop j)
             | o -> Alcotest.failf "wrong outcome: %s" (Journey.outcome_label o))
@@ -442,7 +475,10 @@ let event_tests =
         ev s ~key:3L ~at:0.3
           (Event.Br_ingress { aid = 200; outcome = Event.Ingress_drop "revoked" });
         match Journey.drop_report (Journey.assemble s) with
-        | [ (("br.egress @ AS100", "lost"), 2); (("(origin)", "revoked"), 1) ] ->
+        | [
+         (("border_router.egress @ AS100", "lost"), 2);
+         (("(origin)", "revoked"), 1);
+        ] ->
             ()
         | report ->
             Alcotest.failf "unexpected report: %s"
@@ -468,17 +504,18 @@ let event_tests =
 let chrome_tests =
   [
     Alcotest.test_case "export is valid trace-event JSON" `Quick (fun () ->
-        let spans = Span.create_sink ~enabled:true () in
-        Span.record spans ~key:1L ~stage:"br.egress" ~t0:0.001 ~t1:0.002;
         let events = Event.create_sink ~enabled:true () in
+        let clock = manual_clock events in
+        timed events clock ~key:1L ~at:0.002 ~dur:0.001
+          (Event.Br_egress { aid = 100; outcome = Event.Egress_ok });
         ev events ~key:1L ~at:0.001
           (Event.Br_egress { aid = 100; outcome = Event.Egress_ok });
         ev events ~key:1L ~at:0.003 (Event.Deliver { aid = 200; hid = 1 });
-        let text = Chrome_trace.to_string ~spans ~events () in
+        let text = Chrome_trace.to_string events in
         match Json.parse text with
         | Error e -> Alcotest.failf "parse: %s" e
         | Ok (Json.List entries) ->
-            Alcotest.(check int) "one span + two events" 3 (List.length entries);
+            Alcotest.(check int) "one timed + two instants" 3 (List.length entries);
             List.iter
               (fun entry ->
                 (match Json.member "name" entry with
@@ -498,7 +535,7 @@ let chrome_tests =
         ev events ~key:1L ~at:0.5 (Event.Deliver { aid = 300; hid = 1 });
         ev events ~key:1L ~at:0.1
           (Event.Host_send { aid = 100; host = "h" });
-        match Chrome_trace.to_json ~events () with
+        match Chrome_trace.to_json events with
         | Json.List [ first; second ] ->
             let ts e = Option.get (Json.number (Option.get (Json.member "ts" e))) in
             Alcotest.(check bool) "sorted" true (ts first <= ts second);
@@ -509,14 +546,28 @@ let chrome_tests =
             Alcotest.(check (float 1e-6)) "us conversion" 100000.0 (ts first)
         | _ -> Alcotest.fail "expected two entries");
     Alcotest.test_case "span entries carry a duration" `Quick (fun () ->
-        let spans = Span.create_sink ~enabled:true () in
-        Span.record spans ~key:1L ~stage:"st" ~t0:1.0 ~t1:1.5;
-        match Chrome_trace.to_json ~spans () with
-        | Json.List [ entry ] -> (
-            match Json.number (Option.get (Json.member "dur" entry)) with
-            | Some dur -> Alcotest.(check (float 1e-3)) "dur us" 500000.0 dur
-            | None -> Alcotest.fail "dur not a number")
-        | _ -> Alcotest.fail "expected one entry");
+        (* A timed record keeps its dur and exports as a complete event
+           starting at time - dur; an instant exports as "i". *)
+        let events = Event.create_sink ~enabled:true () in
+        let clock = manual_clock events in
+        timed events clock ~key:1L ~at:1.5 ~dur:0.5
+          (Event.Migrate { aid = 100; host = "h"; reason = "renewal-margin" });
+        ev events ~key:1L ~at:2.0 (Event.Deliver { aid = 100; hid = 1 });
+        (match Event.to_list events with
+        | [ r; _ ] -> Alcotest.(check (float 1e-9)) "record dur" 0.5 r.dur
+        | _ -> Alcotest.fail "expected two records");
+        match Chrome_trace.to_json events with
+        | Json.List [ timed_entry; instant ] ->
+            let num e k = Option.get (Json.number (Option.get (Json.member k e))) in
+            Alcotest.(check bool) "complete event" true
+              (Json.member "ph" timed_entry = Some (Json.Str "X"));
+            Alcotest.(check (float 1e-3)) "dur us" 500000.0 (num timed_entry "dur");
+            Alcotest.(check (float 1e-3)) "ts at start" 1000000.0 (num timed_entry "ts");
+            Alcotest.(check bool) "instant" true
+              (Json.member "ph" instant = Some (Json.Str "i"));
+            Alcotest.(check bool) "instant has no dur" true
+              (Json.member "dur" instant = None)
+        | _ -> Alcotest.fail "expected two entries");
   ]
 
 (* ------------------------------------------------------------------ *)
