@@ -47,9 +47,10 @@ type cache_entry = {
   ephid : Ephid.t;
   info : Ephid.info;
   entry : Host_info.entry;
-  (* Prepared packet-MAC key: HMAC pads expanded at insert time, reused
-     for every packet of the flow. [None] only in the uncached config. *)
-  verifier : Pkt_auth.verifier option;
+  (* Prepared packet-MAC key: HMAC midstates computed at insert time,
+     reused for every packet of the flow. [None] only in the uncached
+     config. *)
+  verifier : Pkt_auth.prepared option;
   rev_gen : int;
   host_gen : int;
 }
@@ -265,7 +266,7 @@ let revalidate t cache ~now raw =
       ephid = interned;
       info;
       entry;
-      verifier = Some (Pkt_auth.make_verifier ~auth_key:entry.kha.auth);
+      verifier = Some (Pkt_auth.prepare ~auth_key:entry.kha.auth);
       rev_gen = Revocation.generation t.revoked;
       host_gen = Host_info.generation t.host_info;
     }

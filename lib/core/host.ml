@@ -69,6 +69,9 @@ type endpoint = { cert : Cert.t; keys : Keys.ephid_keys; receive_only : bool }
 
 type identity = {
   kha : Keys.host_as;
+  signer : Pkt_auth.prepared;
+      (** [kha.auth] prepared once at bootstrap: every packet the host
+          sends is sealed under it. *)
   ctrl_ephid : Ephid.t;
   ctrl_expiry : int;
   ms_cert : Cert.t;
@@ -457,10 +460,12 @@ let bootstrap t =
                   with
                   | Error e -> Error (Error.Crypto e)
                   | Ok shared_secret ->
+                      let kha = Keys.derive_host_as ~shared_secret in
                       t.identity <-
                         Some
                           {
-                            kha = Keys.derive_host_as ~shared_secret;
+                            kha;
+                            signer = Pkt_auth.prepare ~auth_key:kha.auth;
                             ctrl_ephid = reply.ctrl_ephid;
                             ctrl_expiry = reply.ctrl_expiry;
                             ms_cert = reply.ms_cert;
@@ -484,7 +489,7 @@ let send_packet t ~src_ephid ~dst_aid ~dst_ephid ~proto ~payload =
         Apna_header.make ~src_aid:att.aid ~src_ephid ~dst_aid ~dst_ephid ()
       in
       let pkt = Packet.make ~header ~proto ~payload in
-      let pkt = Pkt_auth.seal ~auth_key:id.kha.auth pkt in
+      let pkt = Pkt_auth.seal_prepared id.signer pkt in
       t.pkts_sent <- t.pkts_sent + 1;
       if E.enabled E.default then
         E.record E.default

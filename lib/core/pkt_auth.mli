@@ -14,15 +14,19 @@ val seal : auth_key:string -> Apna_net.Packet.t -> Apna_net.Packet.t
 
 val verify : auth_key:string -> Apna_net.Packet.t -> bool
 
-type verifier
-(** An auth key prepared for repeated verification: the HMAC pads are
-    expanded once and the digest buffer is reused, so each {!verify_in}
-    is allocation-free. A verifier holds mutable state — one MAC in
+type prepared
+(** An auth key prepared for repeated use: the HMAC midstates are
+    computed once and the digest buffer is reused, so each {!verify_in}
+    is allocation-free. A prepared key holds mutable state — one MAC in
     flight per value. *)
 
-val make_verifier : auth_key:string -> verifier
+val prepare : auth_key:string -> prepared
 
-val verify_in : scratch:Bytes.t -> verifier -> Apna_net.Packet.t -> bool
+val seal_prepared : prepared -> Apna_net.Packet.t -> Apna_net.Packet.t
+(** {!seal} under a prepared key, byte-identical — how a host seals
+    every packet it sends. *)
+
+val verify_in : scratch:Bytes.t -> prepared -> Apna_net.Packet.t -> bool
 (** [verify_in ~scratch v pkt] is {!verify} with the MAC input assembled
     in [scratch] — the border router passes an arena slot. Falls back to
     the allocating path when [scratch] is smaller than the packet's wire

@@ -1,7 +1,7 @@
 type scheme = Encrypt_then_mac | Gcm
 
 (* Both subkeys are expanded/prepared once per key: the AES schedule at
-   derivation, the HMAC ipad/opad blocks (plus a reusable hash context)
+   derivation, the HMAC ipad/opad midstates (plus a reusable hash context)
    likewise — so per-packet seal/open never re-runs key setup. The
    prepared MAC is mutable state, which keeps a key single-domain. *)
 type key =

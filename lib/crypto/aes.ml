@@ -233,31 +233,48 @@ let decrypt_block k block =
   store st
 
 module Ctr = struct
-  let next_counter block =
-    let b = Bytes.of_string block in
-    let rec bump i =
-      if i < 12 then ()
-      else begin
-        let v = (Char.code (Bytes.get b i) + 1) land 0xff in
-        Bytes.set b i (Char.chr v);
-        if v = 0 then bump (i - 1)
-      end
-    in
-    bump 15;
-    Bytes.unsafe_to_string b
+  (* Big-endian increment of bytes 15..12 with carry; the carry out of
+     byte 12 is dropped, so the counter wraps inside its low 32 bits and
+     the 12-byte prefix never changes. *)
+  let rec bump ctr i =
+    if i >= 12 then begin
+      let v = (Char.code (Bytes.unsafe_get ctr i) + 1) land 0xff in
+      Bytes.unsafe_set ctr i (Char.unsafe_chr v);
+      if v = 0 then bump ctr (i - 1)
+    end
 
-  let keystream ~key ~nonce len =
-    if String.length nonce <> 16 then invalid_arg "Aes.Ctr: nonce size";
-    let out = Buffer.create len in
-    let counter = ref nonce in
-    while Buffer.length out < len do
-      Buffer.add_string out (encrypt_block key !counter);
-      counter := next_counter !counter
-    done;
-    Buffer.sub out 0 len
-
+  (* One 32-byte scratch per call: the counter block in bytes 0..15, its
+     encryption in 16..31. Each keystream block is xored straight into
+     the output, a whole block as two 64-bit words. *)
   let crypt ~key ~nonce data =
-    Apna_util.Ct.xor data (keystream ~key ~nonce (String.length data))
+    if String.length nonce <> 16 then invalid_arg "Aes.Ctr: nonce size";
+    let len = String.length data in
+    let out = Bytes.create len in
+    let scratch = Bytes.create 32 in
+    Bytes.blit_string nonce 0 scratch 0 16;
+    let pos = ref 0 in
+    while !pos + 16 <= len do
+      let i = !pos in
+      encrypt_block_into key ~src:scratch ~src_off:0 ~dst:scratch ~dst_off:16;
+      bump scratch 15;
+      Bytes.set_int64_le out i
+        (Int64.logxor (String.get_int64_le data i) (Bytes.get_int64_le scratch 16));
+      Bytes.set_int64_le out (i + 8)
+        (Int64.logxor (String.get_int64_le data (i + 8)) (Bytes.get_int64_le scratch 24));
+      pos := i + 16
+    done;
+    if !pos < len then begin
+      encrypt_block_into key ~src:scratch ~src_off:0 ~dst:scratch ~dst_off:16;
+      for i = !pos to len - 1 do
+        Bytes.unsafe_set out i
+          (Char.unsafe_chr
+             (Char.code (String.unsafe_get data i)
+             lxor Char.code (Bytes.unsafe_get scratch (16 + i - !pos))))
+      done
+    end;
+    Bytes.unsafe_to_string out
+
+  let keystream ~key ~nonce len = crypt ~key ~nonce (String.make len '\000')
 end
 
 module Cbc_mac = struct

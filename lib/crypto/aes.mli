@@ -31,9 +31,12 @@ module Ctr : sig
   val crypt : key:key -> nonce:string -> string -> string
   (** [crypt ~key ~nonce data] en/de-ciphers [data] (any length) in counter
       mode. [nonce] is the initial 16-byte counter block; the final 4 bytes
-      increment big-endian per block. Encryption and decryption coincide. *)
+      increment big-endian per block and wrap to zero without carrying
+      into byte 11. Encryption and decryption coincide. Allocates only
+      the result and one 32-byte scratch. *)
 
   val keystream : key:key -> nonce:string -> int -> string
+  (** [keystream ~key ~nonce len] is [crypt] over [len] zero bytes. *)
 end
 
 module Cbc_mac : sig

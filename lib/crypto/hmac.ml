@@ -35,54 +35,49 @@ module Sha256 = struct
     let digest_list = Sha256.digest_list
   end)
 
-  (* Prepared key: the ipad/opad blocks are computed once and the hash
-     context and inner-digest scratch are owned by the value, so a MAC
-     over bytes already in a buffer allocates nothing. One context per
-     prepared key means a prepared key is NOT reentrant: a single MAC
-     must finish before the same key starts another (fine for the
+  (* Prepared key: the chaining values after the ipad and opad blocks
+     (midstates) are computed once, so each MAC resumes from them and
+     skips two compressions. The hash context and inner-digest scratch
+     are owned by the value, so a MAC over bytes already in a buffer
+     allocates nothing. The midstates are bare 8-word arrays, not whole
+     contexts: a context carries its own 64-word schedule. One context
+     per prepared key means a prepared key is NOT reentrant: a single
+     MAC must finish before the same key starts another (fine for the
      per-entry keys of the border router's single-domain fast path). *)
   type prepared = {
-    ipad : string;
-    opad : string;
+    istate : int array;
+    ostate : int array;
     ctx : Sha256.ctx;
     inner : Bytes.t;
   }
 
   let prepare ~key =
-    let key =
-      if String.length key > Sha256.block_size then Sha256.digest key else key
-    in
-    let pad b =
-      String.init Sha256.block_size (fun i ->
-          Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor b))
-    in
+    let k = pad_key key in
     {
-      ipad = pad 0x36;
-      opad = pad 0x5c;
+      istate = Sha256.midstate (with_byte 0x36 k);
+      ostate = Sha256.midstate (with_byte 0x5c k);
       ctx = Sha256.init ();
       inner = Bytes.create Sha256.digest_size;
     }
 
-  let mac_into p ~src ~off ~len ~out ~out_off =
-    Sha256.reset p.ctx;
-    Sha256.feed p.ctx p.ipad;
-    Sha256.feed_bytes p.ctx src ~off ~len;
+  (* The inner hash has been fed its message: close it, then run the
+     outer hash over its digest. *)
+  let finish p ~out ~out_off =
     Sha256.finalize_into p.ctx p.inner ~off:0;
-    Sha256.reset p.ctx;
-    Sha256.feed p.ctx p.opad;
+    Sha256.resume p.ctx p.ostate;
     Sha256.feed_bytes p.ctx p.inner ~off:0 ~len:Sha256.digest_size;
     Sha256.finalize_into p.ctx out ~off:out_off
 
+  let mac_into p ~src ~off ~len ~out ~out_off =
+    Sha256.resume p.ctx p.istate;
+    Sha256.feed_bytes p.ctx src ~off ~len;
+    finish p ~out ~out_off
+
   let mac_list_prepared p parts =
-    Sha256.reset p.ctx;
-    Sha256.feed p.ctx p.ipad;
+    Sha256.resume p.ctx p.istate;
     List.iter (Sha256.feed p.ctx) parts;
-    Sha256.finalize_into p.ctx p.inner ~off:0;
-    Sha256.reset p.ctx;
-    Sha256.feed p.ctx p.opad;
-    Sha256.feed_bytes p.ctx p.inner ~off:0 ~len:Sha256.digest_size;
     let out = Bytes.create Sha256.digest_size in
-    Sha256.finalize_into p.ctx out ~off:0;
+    finish p ~out ~out_off:0;
     Bytes.unsafe_to_string out
 end
 

@@ -24,10 +24,11 @@ module Sha256 : sig
   val verify : key:string -> tag:string -> string -> bool
 
   type prepared
-  (** A key with its ipad/opad blocks precomputed and a reusable hash
-      context attached: repeated MACs under the same key skip the
-      per-call key padding and allocate nothing ({!mac_into}). A
-      prepared key is mutable state — one MAC at a time per value. *)
+  (** A key with the SHA-256 midstates after its ipad and opad blocks
+      precomputed and a reusable hash context attached: repeated MACs
+      under the same key skip the per-call key padding and the two pad
+      compressions, and allocate nothing ({!mac_into}). A prepared key
+      is mutable state — one MAC at a time per value. *)
 
   val prepare : key:string -> prepared
 

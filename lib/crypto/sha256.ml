@@ -1,10 +1,16 @@
-(* SHA-256 over native ints masked to 32 bits: on a 64-bit platform every
-   intermediate sum of 32-bit quantities fits without overflow, and masking
-   only at assignment keeps the compression loop branch-free. *)
+(* SHA-256 over native ints holding 32-bit words. On a 64-bit platform
+   every sum of a few 32-bit quantities fits in an int, and the low 32
+   bits of a sum depend only on the low 32 bits of its terms, so only
+   values that are read back as words (the schedule, a and e, the
+   chaining state) are masked; the Σ/σ terms feeding a sum never are. *)
 
 let digest_size = 32
 let block_size = 64
 let mask = 0xffffffff
+
+(* Module-local: without flambda a cross-module array is reloaded through
+   the other module's symbol on every round. *)
+let k = Sha2_constants.sha256_k
 
 type ctx = {
   h : int array; (* 8 state words *)
@@ -25,36 +31,38 @@ let init () =
     sched = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
+(* The compression function. [w] has 64 entries and [h] 8, so array
+   accesses are unchecked; the 16 word loads from [block] keep one bounds
+   check each. Rotations work on the doubled word [xx = x lor (x lsl 32)]:
+   for a 32-bit [x] and [n < 32], the low 32 bits of [xx lsr n] are
+   [rotr x n]. Ch and Maj need no mask because their inputs are 32-bit
+   clean. Unrolling the rounds was measured slower (register spills under
+   ocamlopt without flambda). *)
 let compress w h block off =
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get block (off + (4 * t))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * t) + 3))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let s0 =
-      let x = w.(t - 15) in
-      rotr x 7 lxor rotr x 18 lxor (x lsr 3)
-    in
-    let s1 =
-      let x = w.(t - 2) in
-      rotr x 17 lxor rotr x 19 lxor (x lsr 10)
-    in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  let k = k in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + Sha2_constants.sha256_k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let ee = !e lor (!e lsl 32) in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let aa = !a lor (!a lsl 32) in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -62,21 +70,38 @@ let compress w h block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
 
 let reset ctx =
   Array.blit Sha2_constants.sha256_h 0 ctx.h 0 8;
   ctx.buf_len <- 0;
   ctx.total <- 0;
+  ctx.finalized <- false
+
+let midstate block =
+  if String.length block <> block_size then invalid_arg "Sha256.midstate: block size";
+  let h = Array.copy Sha2_constants.sha256_h in
+  compress (Array.make 64 0) h (Bytes.unsafe_of_string block) 0;
+  h
+
+(* Masking keeps the kernel's 32-bit-clean precondition whatever words a
+   caller hands in. *)
+let resume ctx m =
+  if Array.length m <> 8 then invalid_arg "Sha256.resume: 8 words";
+  for i = 0 to 7 do
+    Array.unsafe_set ctx.h i (Array.unsafe_get m i land mask)
+  done;
+  ctx.buf_len <- 0;
+  ctx.total <- block_size;
   ctx.finalized <- false
 
 let feed_bytes ctx b ~off ~len =
@@ -126,14 +151,10 @@ let finalize_into ctx out ~off =
     Bytes.fill ctx.buf 0 (block_size - 8) '\000'
   end
   else Bytes.fill ctx.buf (bl + 1) (block_size - 8 - (bl + 1)) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.buf (block_size - 1 - i)
-      (Char.chr ((bit_len lsr (8 * i)) land 0xff))
-  done;
+  Bytes.set_int64_be ctx.buf (block_size - 8) (Int64.of_int bit_len);
   compress ctx.sched ctx.h ctx.buf 0;
-  for i = 0 to digest_size - 1 do
-    Bytes.unsafe_set out (off + i)
-      (Char.unsafe_chr ((ctx.h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (off + (4 * i)) (Int32.of_int ctx.h.(i))
   done
 
 let finalize ctx =

@@ -29,6 +29,18 @@ val reset : ctx -> unit
 (** Return [c] to the freshly-initialized state so it can hash again;
     the reusable-context cycle is [reset]/[feed]/[finalize_into]. *)
 
+val midstate : string -> int array
+(** [midstate block] is the 8-word chaining value after hashing the one
+    64-byte [block] — what HMAC stores for its ipad and opad blocks.
+    @raise Invalid_argument unless [block] is 64 bytes. *)
+
+val resume : ctx -> int array -> unit
+(** [resume c m] puts [c] where it would be after hashing the block whose
+    {!midstate} is [m]: 64 bytes counted, ready for the rest of the
+    message. Allocation-free, so [resume]/[feed_bytes]/[finalize_into]
+    is the reusable-context cycle that skips the first block.
+    @raise Invalid_argument unless [m] has 8 words. *)
+
 val digest : string -> string
 val digest_list : string list -> string
 (** [digest_list parts] hashes the concatenation of [parts] without building

@@ -135,6 +135,52 @@ let sha2_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* SHA-256 kernel against the reference compression (Sha256_ref) *)
+
+let words_of s = Array.init 8 (fun i -> Int32.to_int (String.get_int32_be s (4 * i)) land 0xffffffff)
+
+let kernel_tests =
+  [
+    qtest "sha256 kernel = reference, random states" ~count:300
+      QCheck2.Gen.(
+        triple (string_size (return 32)) (string_size (return 64)) (int_range 1 63))
+      (fun (state, block, off) ->
+        (* Resume from an arbitrary state, compress [block] read at a
+           non-zero offset, then the padding block: both compressions
+           start from states the IV never reaches. *)
+        let h = words_of state in
+        let c = Sha256.init () in
+        Sha256.resume c h;
+        Sha256.feed_bytes c (Bytes.of_string (String.make off '!' ^ block)) ~off ~len:64;
+        let expected = Array.copy h in
+        Sha256_ref.compress expected (Bytes.of_string block) 0;
+        Sha256.finalize c = Sha256_ref.finish expected ~tail:"" ~total:128);
+    qtest "sha256 offset feed_bytes = reference" ~count:200
+      QCheck2.Gen.(pair (string_size (int_range 0 300)) (int_range 1 63))
+      (fun (msg, off) ->
+        let c = Sha256.init () in
+        Sha256.feed_bytes c (Bytes.of_string (String.make off '!' ^ msg)) ~off
+          ~len:(String.length msg);
+        Sha256.finalize c = Sha256_ref.digest msg);
+    Alcotest.test_case "sha256 padding boundaries" `Quick (fun () ->
+        List.iter
+          (fun n ->
+            let msg = String.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+            let c = Sha256.init () in
+            String.iter (fun ch -> Sha256.feed c (String.make 1 ch)) msg;
+            let name = Printf.sprintf "%d bytes" n in
+            let oracle = hex_of (Sha256_ref.digest msg) in
+            Alcotest.(check string) (name ^ ", one-shot") oracle (hex_of (Sha256.digest msg));
+            Alcotest.(check string) (name ^ ", incremental") oracle (hex_of (Sha256.finalize c)))
+          [ 55; 56; 63; 64; 65; 119; 120 ]);
+    Alcotest.test_case "sha256 midstate = reference, one block" `Quick (fun () ->
+        let block = String.init 64 (fun i -> Char.chr (0x36 lxor i)) in
+        let expected = Array.copy Sha2_constants.sha256_h in
+        Sha256_ref.compress expected (Bytes.of_string block) 0;
+        Alcotest.(check (array int)) "chaining words" expected (Sha256.midstate block));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* HMAC / HKDF / DRBG *)
 
 let kdf_tests =
@@ -246,6 +292,36 @@ let aes_tests =
         Alcotest.(check bool) "blocks differ" true
           (String.sub ks 0 16 <> String.sub ks 16 16
           && String.sub ks 16 16 <> String.sub ks 32 16));
+    Alcotest.test_case "ctr wrap stays inside bytes 12-15" `Quick (fun () ->
+        let key = Aes.expand (String.make 16 'k') in
+        let prefix = "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b" in
+        let ks = Aes.Ctr.keystream ~key ~nonce:(prefix ^ "\x00\xff\xff\xff\xff") 32 in
+        (* Block 1's counter: bytes 12-15 wrapped to zero, byte 11 still 00. *)
+        check_hex "block 1"
+          (hex_of (Aes.encrypt_block key (prefix ^ "\x00\x00\x00\x00\x00")))
+          (String.sub ks 16 16));
+    Alcotest.test_case "ctr crypt = xor keystream = counter blocks" `Quick (fun () ->
+        let key = Aes.expand (String.make 16 'c') in
+        let nonce = String.make 12 '\x5a' ^ "\xff\xff\xff\xf0" in
+        (* Block i enciphers the nonce with (low 32 bits + i) mod 2^32:
+           1400 B is 88 blocks, so this run crosses the wrap. *)
+        let counter i =
+          let b = Bytes.of_string nonce in
+          Bytes.set_int32_be b 12 (Int32.add (Bytes.get_int32_be b 12) (Int32.of_int i));
+          Bytes.to_string b
+        in
+        let full =
+          String.concat "" (List.init 88 (fun i -> Aes.encrypt_block key (counter i)))
+        in
+        List.iter
+          (fun len ->
+            let data = String.init len (fun i -> Char.chr ((i * 13) land 0xff)) in
+            let ks = Aes.Ctr.keystream ~key ~nonce len in
+            let name = Printf.sprintf "%d bytes" len in
+            check_hex (name ^ ", keystream") (hex_of (String.sub full 0 len)) ks;
+            check_hex (name ^ ", crypt") (hex_of (Apna_util.Ct.xor data ks))
+              (Aes.Ctr.crypt ~key ~nonce data))
+          [ 1; 15; 16; 17; 1400 ]);
     Alcotest.test_case "cbc-mac rejects empty and ragged input" `Quick (fun () ->
         let key = Aes.expand (String.make 16 'k') in
         List.iter
@@ -564,6 +640,19 @@ let util_tests =
 (* Allocation-free variants (the burst fast path): each _into / prepared
    entry point must agree byte-for-byte with its allocating original. *)
 
+(* Top level, so the timed loop captures nothing: any minor word counted
+   is the MAC's own (the midstate resume included). *)
+let mac_into_minor_words () =
+  let p = Hmac.Sha256.prepare ~key:"prepared key" in
+  let src = Bytes.make 1400 's' and out = Bytes.create 32 in
+  Hmac.Sha256.mac_into p ~src ~off:0 ~len:64 ~out ~out_off:0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Hmac.Sha256.mac_into p ~src ~off:0 ~len:(if i land 1 = 0 then 64 else 1400) ~out
+      ~out_off:0
+  done;
+  Gc.minor_words () -. w0
+
 let into_tests =
   let gen_msg = QCheck2.Gen.(string_size (int_range 0 300)) in
   let gen_key = QCheck2.Gen.(string_size (int_range 1 80)) in
@@ -602,6 +691,8 @@ let into_tests =
       (fun (key, parts) ->
         let p = Hmac.Sha256.prepare ~key in
         Hmac.Sha256.mac_list_prepared p parts = Hmac.Sha256.mac_list ~key parts);
+    Alcotest.test_case "hmac mac_into allocates nothing" `Quick (fun () ->
+        Alcotest.(check (float 0.)) "minor words over 1000 MACs" 0.0 (mac_into_minor_words ()));
     qtest "aes encrypt_block_into == encrypt_block (incl. in place)"
       QCheck2.Gen.(pair (string_size (return 16)) (string_size (return 16)))
       (fun (key, block) ->
@@ -629,6 +720,7 @@ let () =
       ("util", util_tests);
       ("bigint", bigint_tests);
       ("sha2", sha2_tests);
+      ("kernel", kernel_tests);
       ("kdf", kdf_tests);
       ("aes", aes_tests);
       ("gcm", gcm_tests);
