@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check linkage-gate recorder-gate clean
+.PHONY: all build test bench check linkage-gate recorder-gate bigint-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -33,6 +33,22 @@ recorder-gate:
 	fi; \
 	echo "recorder-gate: OK (Event is the only flight recorder)"
 
+# Curve and scalar code runs on limbs (Fe25519, Scalar25519). Bigint
+# survives only to derive the SHA-2 round constants; any other use in
+# lib/, bin/ or bench/ would put generic bignum arithmetic back on a hot
+# path. Tests may still use it as an oracle.
+bigint-gate:
+	@violations=$$(grep -rnw 'Bigint' \
+	  lib bin bench \
+	  --include='*.ml' --include='*.mli' \
+	  | grep -v "^lib/crypto/bigint\.ml:" | grep -v "^lib/crypto/sha2_constants\.ml:" || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "bigint-gate: Bigint used outside bigint.ml and sha2_constants.ml:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "bigint-gate: OK (curve and scalar arithmetic stay on limbs)"
+
 all: build
 
 build:
@@ -49,8 +65,8 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage and recorder grep gates.
-check: linkage-gate recorder-gate
+# journal dump and the linkage, recorder and bigint grep gates.
+check: linkage-gate recorder-gate bigint-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -60,7 +76,7 @@ check: linkage-gate recorder-gate
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage and recorder gates clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder and bigint gates clean, BENCH_results.json written and validated)"
 
 clean:
 	dune clean

@@ -52,6 +52,9 @@ let run tier =
     *. 1e6
   in
 
+  (* The §V-A3 claim: one issuing process outpaces the trace's peak
+     demand, so an issuance costs at most 1e6 / peak us. *)
+  let issue_gate = gate "issue_us" per_op_us (At_most (1e6 /. cfg.peak_rate)) in
   line "";
   line "%-38s %12s %14s %10s" "configuration" "us/EphID" "EphIDs/sec" "headroom";
   let row name us =
@@ -60,14 +63,15 @@ let run tier =
   row "this repo: issue (EphID+cert)" per_op_us;
   row "this repo: full request handling" wrapped_us;
   (* Issuance needs no coordination between processes (paper §V-A2); the
-     paper ran 4 parallel workers, so scale the same way. *)
-  row "this repo: issue x4 processes" (per_op_us /. 4.0);
+     paper ran 4 parallel workers. This row divides the measured time by
+     4 and is not itself measured. *)
+  row "this repo: issue, m4 (modelled)" (per_op_us /. 4.0);
   line "%-38s %12.1f %14.0f %9.1fx" "paper (C + AES-NI, 4 cores)" 13.7 72_800.0
     (72_800.0 /. 3_888.0);
   line "";
-  line "shape check: generation rate exceeds the trace's peak demand";
-  line "(%0.0f/s): single-core headroom %.1fx, matched-parallelism headroom %.1fx."
-    cfg.peak_rate (rate /. cfg.peak_rate) (rate *. 4.0 /. cfg.peak_rate);
+  line "shape check: %s: one process issues %.0f EphIDs/s against the trace's peak %.0f flows/s (%.1fx)"
+    (if issue_gate.ok then "reproduced" else "not reproduced")
+    rate cfg.peak_rate (rate /. cfg.peak_rate);
   ( J.Obj
       [
         ("trace_peak_flows_per_s", J.Float peak);
@@ -75,7 +79,7 @@ let run tier =
         ("request_handling_us", J.Float wrapped_us);
         ("issue_per_s", J.Float rate);
       ],
-    [] )
+    [ issue_gate ] )
 
 let experiment =
   { id = "E1"; title = "MS-EPHID-GENERATION"; paper_ref = "§V-A3 (in-text table)"; run }

@@ -418,6 +418,9 @@ let gcm_tests =
 (* ------------------------------------------------------------------ *)
 (* X25519 *)
 
+(* u = 9, the X25519 base point. *)
+let base_u = String.init 32 (fun i -> if i = 0 then '\009' else '\000')
+
 let x25519_tests =
   [
     Alcotest.test_case "rfc7748 vector 1" `Quick (fun () ->
@@ -452,17 +455,79 @@ let x25519_tests =
       (fun (sa, sb) ->
         let pa = X25519.public_of_secret sa and pb = X25519.public_of_secret sb in
         X25519.scalar_mult ~scalar:sa ~point:pb = X25519.scalar_mult ~scalar:sb ~point:pa);
+    Alcotest.test_case "rfc7748 iterated, 1 and 1000" `Quick (fun () ->
+        (* RFC 7748 §5.2: k = u = 9, then (k, u) <- (X25519(k, u), k). *)
+        let k = ref base_u and u = ref base_u in
+        for i = 1 to 1000 do
+          let r = X25519.scalar_mult ~scalar:!k ~point:!u in
+          u := !k;
+          k := r;
+          if i = 1 then
+            check_hex "1 round" "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079" r
+        done;
+        check_hex "1000 rounds" "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51" !k);
+    qtest "public_of_secret == base mult" ~count:50
+      QCheck2.Gen.(string_size (return 32))
+      (fun sk -> X25519.public_of_secret sk = X25519.scalar_mult ~scalar:sk ~point:base_u);
+    qtest "scalar_mult == reference ladder" ~count:20
+      QCheck2.Gen.(pair (string_size (return 32)) (string_size (return 32)))
+      (fun (scalar, point) ->
+        X25519.scalar_mult ~scalar ~point = Curve25519_ref.x25519 ~scalar ~point);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Field arithmetic mod 2^255 - 19 *)
 
-let arb_fe =
+(* Field elements as bytes: random, plus the limb-bound extremes 0, 1,
+   p - 1, p, p + 1 and 2^255 - 1 (the top bit is ignored on decode). *)
+let fe_extremes =
+  List.map hex
+    [
+      "0000000000000000000000000000000000000000000000000000000000000000";
+      "0100000000000000000000000000000000000000000000000000000000000000";
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff";
+      "0000000000000000000000000000000000000000000000000000000000000080";
+    ]
+
+let gen_fe_bytes =
   QCheck2.Gen.(
-    let* s = string_size ~gen:char (return 32) in
-    return (Fe25519.of_bytes s))
+    frequency
+      [ (3, string_size ~gen:char (return 32)); (1, oneofl fe_extremes) ])
+
+let arb_fe = QCheck2.Gen.map Fe25519.of_bytes gen_fe_bytes
+
+(* Fe25519 against the 17-limb reference in fe25519_ref.ml: [f] builds a value from
+   byte inputs in both, and the encodings must match. *)
+module R = Fe25519_ref
+
+let agrees f_new f_ref bs =
+  Fe25519.to_bytes (f_new (List.map Fe25519.of_bytes bs))
+  = R.to_bytes (f_ref (List.map R.of_bytes bs))
+
+let into2 op a b =
+  let r = Fe25519.zero () in
+  op r a b;
+  r
+
+let into1 op a =
+  let r = Fe25519.zero () in
+  op r a;
+  r
+
+(* (p - 5) / 8, the square-root exponent, from Bigint. *)
+let exp_p58 =
+  let p = Bigint.sub (Bigint.shift_left Bigint.one 255) (Bigint.of_int 19) in
+  Bigint.to_bytes_le (fst (Bigint.divmod (Bigint.sub p (Bigint.of_int 5)) (Bigint.of_int 8))) 32
 
 let fe_tests =
+  let g2 = QCheck2.Gen.(list_repeat 2 gen_fe_bytes) in
+  let g4 = QCheck2.Gen.(list_repeat 4 gen_fe_bytes) in
+  let g6 = QCheck2.Gen.(list_repeat 6 gen_fe_bytes) in
+  let two f = function [ a; b ] -> f a b | _ -> assert false in
   [
     qtest "mul commutes" ~count:100 QCheck2.Gen.(pair arb_fe arb_fe)
       (fun (a, b) -> Fe25519.equal (Fe25519.mul a b) (Fe25519.mul b a));
@@ -477,23 +542,25 @@ let fe_tests =
           (Fe25519.mul a (Fe25519.add b c))
           (Fe25519.add (Fe25519.mul a b) (Fe25519.mul a c)));
     qtest "sq equals mul self" ~count:100 arb_fe (fun a ->
-        Fe25519.equal (Fe25519.sq a) (Fe25519.mul a a));
+        let r = Fe25519.zero () in
+        Fe25519.sq_into r a;
+        Fe25519.equal r (Fe25519.mul a a));
     qtest "add/sub inverse" ~count:100 QCheck2.Gen.(pair arb_fe arb_fe)
       (fun (a, b) -> Fe25519.equal (Fe25519.sub (Fe25519.add a b) b) a);
     qtest "neg is additive inverse" ~count:100 arb_fe (fun a ->
         Fe25519.is_zero (Fe25519.add a (Fe25519.neg a)));
-    qtest "addition-chain inversion matches generic" ~count:50 arb_fe (fun a ->
-        Fe25519.is_zero a
-        || Fe25519.equal (Fe25519.invert a) (Fe25519.generic_invert a));
+    qtest "addition-chain inversion matches generic" ~count:50 gen_fe_bytes (fun s ->
+        (* The reference's square-and-multiply a^(p-2). *)
+        let a = Fe25519.of_bytes s in
+        Fe25519.to_bytes (Fe25519.invert a) = R.to_bytes (R.generic_invert (R.of_bytes s)));
     qtest "invert is multiplicative inverse" ~count:50 arb_fe (fun a ->
         Fe25519.is_zero a
         || Fe25519.equal (Fe25519.mul a (Fe25519.invert a)) (Fe25519.one ()));
     qtest "sqrt squares back" ~count:50 arb_fe (fun a ->
         (* a^2 is always a square; its root must square to a^2. *)
-        let a2 = Fe25519.sq a in
-        match Fe25519.sqrt a2 with
-        | Some r -> Fe25519.equal (Fe25519.sq r) a2
-        | None -> false);
+        let a2 = Fe25519.mul a a and r = Fe25519.zero () in
+        Fe25519.sqrt_ratio_into r ~u:a2 ~v:(Fe25519.one ())
+        && Fe25519.equal (Fe25519.mul r r) a2);
     qtest "bytes roundtrip" ~count:100 arb_fe (fun a ->
         Fe25519.equal a (Fe25519.of_bytes (Fe25519.to_bytes a)));
     Alcotest.test_case "canonical encoding reduces mod p" `Quick (fun () ->
@@ -503,6 +570,84 @@ let fe_tests =
             "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"
         in
         Alcotest.(check bool) "p = 0" true (Fe25519.is_zero (Fe25519.of_bytes p_bytes)));
+    qtest "oracle: decode/encode" ~count:300 gen_fe_bytes (fun s ->
+        Fe25519.to_bytes (Fe25519.of_bytes s) = R.to_bytes (R.of_bytes s));
+    qtest "oracle: mul, sq, sq2, mul121666" ~count:300 g2
+      (fun bs ->
+        agrees (two (into2 Fe25519.mul_into)) (two R.mul) bs
+        && agrees (two (fun a _ -> into1 Fe25519.sq_into a)) (two (fun a _ -> R.sq a)) bs
+        && agrees
+             (two (fun a _ -> into1 Fe25519.sq2_into a))
+             (two (fun a _ -> R.mul_small (R.sq a) 2))
+             bs
+        && agrees
+             (two (fun a _ -> into1 Fe25519.mul121666_into a))
+             (two (fun a _ -> R.mul_small a 121666))
+             bs);
+    qtest "oracle: add, sub, neg, inv, pow" ~count:100 g2
+      (fun bs ->
+        agrees (two Fe25519.add) (two R.add) bs
+        && agrees (two Fe25519.sub) (two R.sub) bs
+        && agrees (two (fun a _ -> Fe25519.neg a)) (two (fun a _ -> R.neg a)) bs
+        && agrees (two (fun a _ -> Fe25519.invert a)) (two (fun a _ -> R.invert a)) bs
+        && agrees
+             (two (fun a _ -> into1 Fe25519.pow22523_into a))
+             (two (fun a _ -> R.pow_bytes a exp_p58))
+             bs);
+    qtest "oracle: unreduced sums into mul" ~count:300 g6
+      (fun bs ->
+        (* Uncarried sums and differences of up to three carried elements
+           are valid multiplication inputs. *)
+        let chain3 a b c =
+          let r = into2 Fe25519.add_into a b in
+          Fe25519.sub_into r r c;
+          r
+        in
+        let chain3_ref a b c = R.sub (R.add a b) c in
+        agrees
+          (function
+            | [ a; b; c; d; e; f ] -> into2 Fe25519.mul_into (chain3 a b c) (chain3 d e f)
+            | _ -> assert false)
+          (function
+            | [ a; b; c; d; e; f ] -> R.mul (chain3_ref a b c) (chain3_ref d e f)
+            | _ -> assert false)
+          bs
+        && agrees
+             (function
+               | a :: b :: c :: _ ->
+                   let x = into1 Fe25519.neg_into a in
+                   Fe25519.sub_into x x b;
+                   Fe25519.sub_into x x c;
+                   into1 Fe25519.sq_into x
+               | _ -> assert false)
+             (function
+               | a :: b :: c :: _ -> R.sq (R.sub (R.sub (R.neg a) b) c)
+               | _ -> assert false)
+             bs);
+    qtest "oracle: aliased _into arguments" ~count:100 g4
+      (fun bs ->
+        agrees
+          (function
+            | [ a; b; c; d ] ->
+                Fe25519.mul_into a a b;
+                Fe25519.sq_into c c;
+                Fe25519.mul_into d d d;
+                Fe25519.add_into a a c;
+                Fe25519.mul_into a a d;
+                a
+            | _ -> assert false)
+          (function
+            | [ a; b; c; d ] -> R.mul (R.add (R.mul a b) (R.sq c)) (R.sq d)
+            | _ -> assert false)
+          bs);
+    qtest "cswap swaps on 1 only" ~count:50 QCheck2.Gen.(pair gen_fe_bytes gen_fe_bytes)
+      (fun (sa, sb) ->
+        let a = Fe25519.of_bytes sa and b = Fe25519.of_bytes sb in
+        let ea = Fe25519.to_bytes a and eb = Fe25519.to_bytes b in
+        Fe25519.cswap a b 0;
+        let kept = Fe25519.to_bytes a = ea && Fe25519.to_bytes b = eb in
+        Fe25519.cswap a b 1;
+        kept && Fe25519.to_bytes a = eb && Fe25519.to_bytes b = ea);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -579,6 +724,135 @@ let ed25519_tests =
              ~signature:(Bytes.unsafe_to_string s)));
   ]
 
+(* The two forgeries a lax decoder admits: the base point B as R with
+   s = 1 verifies under the identity public key for every message, and the
+   identity has a canonical and a non-canonical (y = p + 1) encoding. *)
+let identity_forgery = hex "5866666666666666666666666666666666666666666666666666666666666666" ^ hex "0100000000000000000000000000000000000000000000000000000000000000"
+let identity_canonical = hex "0100000000000000000000000000000000000000000000000000000000000000"
+let identity_p_plus_1 = hex "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"
+
+(* L, the group order, from Bigint. *)
+let l_order =
+  Bigint.add (Bigint.shift_left Bigint.one 252)
+    (Bigint.of_decimal "27742317777372353535851937790883648493")
+
+let p25519 = Bigint.sub (Bigint.shift_left Bigint.one 255) (Bigint.of_int 19)
+let big_le s = Bigint.of_bytes_le s
+let le32 n = Bigint.to_bytes_le n 32
+
+let ed25519_strict_tests =
+  [
+    Alcotest.test_case "identity-key forgeries rejected" `Quick (fun () ->
+        List.iter
+          (fun pub ->
+            List.iter
+              (fun msg ->
+                (* The lax reference accepts it, which is the bug. *)
+                Alcotest.(check bool) "reference accepts" true
+                  (Curve25519_ref.verify ~pub ~msg ~signature:identity_forgery);
+                Alcotest.(check bool) "rejected" false
+                  (Ed25519.verify ~pub ~msg ~signature:identity_forgery))
+              [ ""; "any message"; "pay mallory" ])
+          [ identity_canonical; identity_p_plus_1 ]);
+    Alcotest.test_case "small-order R rejected" `Quick (fun () ->
+        (* R = identity and s = k a satisfy sB = R + kA for a real key, so
+           only the small-order check on R rejects it. *)
+        let kp = Curve25519_ref.keypair_of_seed (String.make 32 'r') in
+        let pub = Curve25519_ref.public_key kp and msg = "small-order R" in
+        let k =
+          Scalar25519.reduce (Sha512.digest_list [ identity_canonical; pub; msg ])
+        in
+        let s = Scalar25519.muladd k kp.secret_scalar (String.make 32 '\000') in
+        let signature = identity_canonical ^ s in
+        Alcotest.(check bool) "reference accepts" true
+          (Curve25519_ref.verify ~pub ~msg ~signature);
+        Alcotest.(check bool) "rejected" false (Ed25519.verify ~pub ~msg ~signature));
+    Alcotest.test_case "y >= p rejected, y < p accepted" `Quick (fun () ->
+        (* y = p + 1 and y = 1 name the same point; only y = 1 decodes. *)
+        Alcotest.(check bool) "p + 1" true (Edwards25519.decode identity_p_plus_1 = None);
+        Alcotest.(check bool) "1" true (Edwards25519.decode identity_canonical <> None);
+        Alcotest.(check bool) "identity is small order" true
+          (Edwards25519.is_small_order (Option.get (Edwards25519.decode identity_canonical)));
+        Alcotest.(check bool) "B is not" false (Edwards25519.is_small_order Edwards25519.base));
+    qtest "decode/encode roundtrip" ~count:100
+      QCheck2.Gen.(string_size (return 32))
+      (fun s ->
+        match Edwards25519.decode s with
+        | Some p -> Edwards25519.encode p = s
+        | None -> true);
+    qtest "decode accepts as reference" ~count:500
+      QCheck2.Gen.(
+        oneof
+          [
+            string_size (return 32);
+            return identity_canonical;
+            (* y = 1 with the sign bit set: x = 0 has no negative root. *)
+            return (String.sub identity_canonical 0 31 ^ "\x80");
+          ])
+      (fun s ->
+        (* The reference decoder is lax only about y >= p, so below p the
+           two must accept and refuse the same strings. *)
+        let y = String.sub s 0 31 ^ String.make 1 (Char.chr (Char.code s.[31] land 0x7f)) in
+        Bigint.compare (big_le y) p25519 >= 0
+        || (Edwards25519.decode s <> None) = (Curve25519_ref.decompress s <> None));
+  ]
+
+let scalar_tests =
+  let gen64 = QCheck2.Gen.(string_size (return 64)) in
+  let gen32 = QCheck2.Gen.(string_size (return 32)) in
+  [
+    qtest "reduce == Bigint mod L" ~count:300
+      QCheck2.Gen.(oneof [ gen64; return (String.make 64 '\255'); return (String.make 64 '\000') ])
+      (fun b -> Scalar25519.reduce b = le32 (Bigint.rem (big_le b) l_order));
+    qtest "muladd == Bigint (ab + c) mod L" ~count:300
+      QCheck2.Gen.(
+        triple (oneof [ gen32; return (String.make 32 '\255') ]) gen32 gen32)
+      (fun (a, b, c) ->
+        Scalar25519.muladd a b c
+        = le32 (Bigint.rem (Bigint.add (Bigint.mul (big_le a) (big_le b)) (big_le c)) l_order));
+    qtest "is_canonical == below L" ~count:300
+      QCheck2.Gen.(
+        oneof
+          [
+            gen32;
+            map
+              (fun d ->
+                le32
+                  (if d < 0 then Bigint.sub l_order (Bigint.of_int (-d))
+                   else Bigint.add l_order (Bigint.of_int d)))
+              (int_range (-3) 3);
+          ])
+      (fun s -> Scalar25519.is_canonical s = (Bigint.compare (big_le s) l_order < 0));
+  ]
+
+let ed25519_oracle_tests =
+  let gen_seed_msg =
+    QCheck2.Gen.(pair (string_size (return 32)) (string_size (int_range 0 200)))
+  in
+  [
+    qtest "sign == reference sign" ~count:30 gen_seed_msg (fun (seed, msg) ->
+        let kp = Ed25519.keypair_of_seed seed
+        and kp_ref = Curve25519_ref.keypair_of_seed seed in
+        Ed25519.public_key kp = Curve25519_ref.public_key kp_ref
+        && Ed25519.sign kp msg = Curve25519_ref.sign kp_ref msg);
+    qtest "verify == reference, bit flips" ~count:30
+      QCheck2.Gen.(pair gen_seed_msg (int_range (-1) 767))
+      (fun ((seed, msg), bit) ->
+        (* bit -1 keeps the signature; 0..511 flip a signature bit and
+           512..767 a public-key bit. *)
+        let kp = Ed25519.keypair_of_seed seed in
+        let flip s i =
+          let b = Bytes.of_string s in
+          Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+          Bytes.unsafe_to_string b
+        in
+        let signature = Ed25519.sign kp msg and pub = Ed25519.public_key kp in
+        let signature = if bit >= 0 && bit < 512 then flip signature bit else signature in
+        let pub = if bit >= 512 then flip pub (bit - 512) else pub in
+        let v = Ed25519.verify ~pub ~msg ~signature in
+        v = Curve25519_ref.verify ~pub ~msg ~signature && v = (bit < 0));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* AEAD *)
 
@@ -653,6 +927,34 @@ let mac_into_minor_words () =
   done;
   Gc.minor_words () -. w0
 
+(* Minor words per call of [f], after one warm-up call that forces any
+   lazy table. *)
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Top level for the same reason as mac_into_minor_words. *)
+let fe_into_minor_words () =
+  let a = Fe25519.of_bytes (String.make 32 'a') and b = Fe25519.of_bytes (String.make 32 'b') in
+  let r = Fe25519.zero () in
+  Fe25519.mul_into r a b;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 500 do
+    Fe25519.mul_into r r b;
+    Fe25519.sq_into r r
+  done;
+  Gc.minor_words () -. w0
+
+(* Ceilings at about 1.5x the words measured when they were set (155 per
+   ladder, 2,781 per verify); the 17-limb code allocated ~178k and
+   ~359k. *)
+let x25519_words_ceiling = 250.
+let verify_words_ceiling = 4200.
+
 let into_tests =
   let gen_msg = QCheck2.Gen.(string_size (int_range 0 300)) in
   let gen_key = QCheck2.Gen.(string_size (int_range 1 80)) in
@@ -712,6 +1014,19 @@ let into_tests =
         Aes.Cbc_mac.mac_into ~key:k ~src:(Bytes.of_string msg) ~off:0
           ~len:(String.length msg) ~out ~out_off:0;
         Bytes.to_string out = Aes.Cbc_mac.mac ~key:k msg);
+    Alcotest.test_case "fe mul_into/sq_into allocate 0" `Quick (fun () ->
+        Alcotest.(check (float 0.)) "minor words over 1000 calls" 0.0 (fe_into_minor_words ()));
+    Alcotest.test_case "x25519, verify under word ceilings" `Quick
+      (fun () ->
+        let sk = String.make 32 'k' and pk = X25519.public_of_secret (String.make 32 'p') in
+        let x = words_per_call 20 (fun () -> ignore (X25519.scalar_mult ~scalar:sk ~point:pk)) in
+        let kp = Ed25519.keypair_of_seed (String.make 32 's') in
+        let pub = Ed25519.public_key kp and msg = "allocation gate" in
+        let signature = Ed25519.sign kp msg in
+        let v = words_per_call 20 (fun () -> assert (Ed25519.verify ~pub ~msg ~signature)) in
+        if x > x25519_words_ceiling || v > verify_words_ceiling then
+          Alcotest.failf "x25519 %.0f words/call (ceiling %.0f), verify %.0f (ceiling %.0f)" x
+            x25519_words_ceiling v verify_words_ceiling);
   ]
 
 let () =
@@ -727,6 +1042,9 @@ let () =
       ("x25519", x25519_tests);
       ("fe25519", fe_tests);
       ("ed25519", ed25519_tests);
+      ("strict", ed25519_strict_tests);
+      ("oracle", ed25519_oracle_tests);
+      ("scalar", scalar_tests);
       ("aead", aead_tests);
       ("into", into_tests);
     ]
