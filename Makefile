@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check linkage-gate recorder-gate bigint-gate clean
+.PHONY: all build test bench check linkage-gate recorder-gate bigint-gate scenario-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -49,6 +49,20 @@ bigint-gate:
 	fi; \
 	echo "bigint-gate: OK (curve and scalar arithmetic stay on limbs)"
 
+# One way to build a world: the CLI and the benches get bootstrapped hosts
+# from Apna.Scenario.host, never by calling Host.bootstrap themselves.
+# (Examples may still narrate Fig. 2 with an explicit call.)
+scenario-gate:
+	@violations=$$(grep -rn 'Host\.bootstrap' \
+	  bin bench \
+	  --include='*.ml' --include='*.mli' || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "scenario-gate: Host.bootstrap outside Apna.Scenario:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "scenario-gate: OK (bin/ and bench/ build their worlds with Apna.Scenario)"
+
 all: build
 
 build:
@@ -65,8 +79,8 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage, recorder and bigint grep gates.
-check: linkage-gate recorder-gate bigint-gate
+# journal dump and the linkage, recorder, bigint and scenario grep gates.
+check: linkage-gate recorder-gate bigint-gate scenario-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -76,7 +90,7 @@ check: linkage-gate recorder-gate bigint-gate
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder and bigint gates clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint and scenario gates clean, BENCH_results.json written and validated)"
 
 clean:
 	dune clean

@@ -7,11 +7,10 @@ open Fixtures
 let run tier =
   (* A 10-AS topology: 2 transit ASes in a core, 8 edge ASes, 6 hosts per
      edge AS, flows drawn from the calibrated workload model. *)
-  let net = Network.create ~seed:"e12" () in
   let core = [ 64500; 64501 ] in
   let edges = List.init 8 (fun i -> 64510 + i) in
-  List.iter (fun a -> ignore (Network.add_as net a ())) (core @ edges);
-  Network.connect_as net 64500 64501 ();
+  let net = Scenario.line ~seed:"e12" core in
+  List.iter (fun a -> ignore (Network.add_as net a ())) edges;
   List.iteri (fun i e -> Network.connect_as net (List.nth core (i mod 2)) e ()) edges;
   let wrng = Apna_sim.Rng.create 2026L in
   let hosts =
@@ -19,9 +18,7 @@ let run tier =
       (fun asn ->
         List.init 6 (fun i ->
             let name = Printf.sprintf "h%d-%d" asn i in
-            let h = Network.add_host net ~as_number:asn ~name ~credential:name () in
-            bootstrap [ h ];
-            h))
+            Scenario.host net ~as_number:asn ~name ~credential:name))
       edges
   in
   let host_arr = Array.of_list hosts in
@@ -36,7 +33,7 @@ let run tier =
   Network.run net;
 
   let flows = by_tier tier ~quick:60 ~full:300 in
-  let setup_hist = Apna_sim.Stats.Hist.create ~buckets:1024 ~lo:0.0 ~hi:2.0 () in
+  let setup_hist = Apna_obs.Accum.Hist.create ~buckets:1024 ~lo:0.0 ~hi:2.0 () in
   let delivered = ref 0 and established = ref 0 in
   let wall0 = Sys.time () in
   for _ = 1 to flows do
@@ -50,12 +47,12 @@ let run tier =
       Network.run net;
       if List.length (Host.received dst) > before then begin
         incr delivered;
-        Apna_sim.Stats.Hist.add setup_hist (Network.now_f net -. t0)
+        Apna_obs.Accum.Hist.add setup_hist (Network.now_f net -. t0)
       end
     end
   done;
   let wall = Sys.time () -. wall0 in
-  let ttfb_ms p = Apna_sim.Stats.Hist.percentile setup_hist p *. 1e3 in
+  let ttfb_ms p = Apna_obs.Accum.Hist.percentile setup_hist p *. 1e3 in
   line "";
   line "flows attempted            : %d" flows;
   line "sessions established       : %d" !established;

@@ -22,16 +22,14 @@ let sweep_row ~requests loss =
   let ev = Event.default in
   Event.clear ev;
   Event.set_enabled ev true;
-  let net = Network.create ~seed:(Printf.sprintf "e13-%.2f" loss) () in
-  ignore (Network.add_as net 100 ());
-  ignore (Network.add_as net 200 ());
-  ignore (Network.add_as net 300 ~dns_zone:"example.net" ());
-  Network.connect_as net 100 200 ~link:(Link.make ~faults ()) ();
-  Network.connect_as net 200 300 ~link:(Link.make ~faults ()) ();
+  let net =
+    Scenario.line ~seed:(Printf.sprintf "e13-%.2f" loss) ~dns:(300, "example.net")
+      ~link:(fun () -> Link.make ~faults ())
+      [ 100; 200; 300 ]
+  in
   if loss > 0.0 then Network.set_host_faults net (Some (Link.make_faults ~loss ()));
-  let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-  let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-  bootstrap [ alice; bob ];
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
   Network.run net;
   (* Server publish, client resolve, session establishment — the
      acceptance flow — plus a batch of EphID issuances. *)
@@ -105,13 +103,8 @@ let sweep_row ~requests loss =
     match List.find_opt Session.established (Host.sessions alice) with
     | Some s when loss > 0.0 ->
         let tel = Telemetry.attach net in
-        let eng = Network.engine net in
-        let msgs = 2000 and span_s = 3.0 in
-        for i = 0 to msgs - 1 do
-          Apna_sim.Engine.schedule_in eng
-            ~delay:(span_s *. float_of_int i /. float_of_int msgs)
-            (fun () -> ignore (Host.send alice s (Printf.sprintf "f%04d" i)))
-        done;
+        Scenario.pace net ~n:2000 ~span:3.0 (fun i ->
+            ignore (Host.send alice s (Printf.sprintf "f%04d" i)));
         Network.run net;
         Telemetry.stop tel;
         (Some (Apna_obs.Alert.fired_rules (Telemetry.alerts tel)), Telemetry.export tel)
@@ -151,7 +144,7 @@ let run tier =
       Option.iter
         (fun fired ->
           line "  telemetry at %2.0f%% loss: rules fired: %s" (r.loss *. 100.0)
-            (rules_text fired))
+            (Apna_obs.Alert.rules_text fired))
         r.fired)
     rows;
   (* Acceptance at 10% loss: the control plane converges via retries, and

@@ -9,22 +9,19 @@ module Link = Apna_net.Link
    apart against the loss, over links with [link_faults] (none if
    [None]). *)
 let sweep_row ~n ~copies (label, link_faults) =
-  let net = Network.create ~seed:(Printf.sprintf "e14-%s" label) () in
-  List.iter (fun a -> ignore (Network.add_as net a ())) [ 100; 200; 300 ];
-  let link () =
-    match link_faults with Some faults -> Link.make ~faults () | None -> Link.make ()
+  let net =
+    Scenario.line ~seed:(Printf.sprintf "e14-%s" label)
+      ?link:(Option.map (fun faults () -> Link.make ~faults ()) link_faults)
+      [ 100; 200; 300 ]
   in
-  Network.connect_as net 100 200 ~link:(link ()) ();
-  Network.connect_as net 200 300 ~link:(link ()) ();
-  let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-  let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-  bootstrap [ alice; bob ];
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
   Host.set_ephid_lifetime alice Lifetime.Short;
   Network.run net;
-  let bep = endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
+  let bep = Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
   (* Receive-only remote: the Init retransmits until bob's Accept, so
      establishment itself survives the injected loss. *)
-  let session = connect ~expect_accept:true net alice ~remote:bep.cert in
+  let session = Scenario.connect ~expect_accept:true net alice ~remote:bep.cert in
   let eng = Network.engine net in
   for i = 0 to n - 1 do
     let data = Printf.sprintf "m%03d" i in

@@ -21,15 +21,14 @@ let peer_key = "peer-storm-key"
 (* A retention ISP (AS 100) with one local and one remote customer and a
    live session between them, whose packets race the storm. *)
 let build_net () =
-  let net = Network.create ~seed:"warrant-storm" () in
-  let isp = Network.add_as net 100 ~retention:true () in
-  let _ = Network.add_as net 300 () in
-  Network.connect_as net 100 300 ();
-  let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice@isp" () in
-  let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob" () in
-  bootstrap [ alice; bob ];
-  let bep = endpoint net bob in
-  (net, isp, alice, connect ~data0:"live" net alice ~remote:bep.cert)
+  let net = Scenario.line ~seed:"warrant-storm" ~retention:100 [ 100; 300 ] in
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice@isp" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob" in
+  let bep = Scenario.endpoint net bob in
+  ( net,
+    Network.node_exn net 100,
+    alice,
+    Scenario.connect ~data0:"live" net alice ~remote:bep.cert )
 
 (* A pile of directly issued EphIDs so the retention log has real depth,
    with egress evidence for half of them. *)
@@ -150,25 +149,20 @@ let drain_storm net isp issued =
   let broker = B.for_node isp ~budget:(Budget.create ~capacity:8 ~refill:1 ()) in
   B.register_requester broker ~id:"le-drain" ~role:B.Law_enforcement ~key:le_key
     ~now:(Network.now_unix net);
-  let eng = Network.engine net in
   let requests = 40 and span = 4.0 in
-  for i = 0 to requests - 1 do
-    Apna_sim.Engine.schedule_in eng
-      ~delay:(span *. float_of_int i /. float_of_int requests)
-      (fun () ->
-        ignore
-          (B.handle broker ~now:(Network.now_unix net)
-             (B.Request.sign ~key:le_key
-                ~corr:(Int64.of_int (100_000 + i))
-                ~requester:"le-drain"
-                ~query:(B.Request.Deanonymize (snd issued.(i mod Array.length issued))))))
-  done;
+  Scenario.pace net ~n:requests ~span (fun i ->
+      ignore
+        (B.handle broker ~now:(Network.now_unix net)
+           (B.Request.sign ~key:le_key
+              ~corr:(Int64.of_int (100_000 + i))
+              ~requester:"le-drain"
+              ~query:(B.Request.Deanonymize (snd issued.(i mod Array.length issued))))));
   Network.run net;
   Telemetry.stop tel;
   let fired = Apna_obs.Alert.fired_rules (Telemetry.alerts tel) in
   line "";
   line "telemetry drain storm (%d requests over %.0f s, capacity 8): rules fired: %s"
-    requests span (rules_text fired);
+    requests span (Apna_obs.Alert.rules_text fired);
   (fired, Telemetry.export tel)
 
 let run tier =

@@ -171,11 +171,11 @@ let run tier =
   (* Live endpoints: a full Host.t pair whose prefetcher refills over the
      batch RPC, with a session that exchanges data frames at every
      checkpoint of the replay. *)
-  let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice@scale" () in
-  let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob@scale" () in
-  bootstrap [ alice; bob ];
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice@scale" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob@scale" in
   let session =
-    connect ~data0:"scale-live" net alice ~remote:(endpoint net bob).cert
+    Scenario.connect ~data0:"scale-live" net alice
+      ~remote:(Scenario.endpoint net bob).cert
   in
   (* Telemetry rides the replay's checkpoints: each one advances simulated
      time (the sampler ticks through the advance) and re-arms the tick for

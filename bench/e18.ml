@@ -175,17 +175,15 @@ let campaign_tier ~fraction ~acceptance =
   List.iter
     (fun (label, n) -> line "    %-24s %d events" label n)
     (W.Campaign.count_by_behavior events);
-  let net = Network.create ~seed:(Printf.sprintf "e18-%.4f" fraction) () in
-  let n500 = Network.add_as net 64500 ~aa_limits () in
-  let n501 = Network.add_as net 64501 ~aa_limits () in
-  Network.connect_as net 64500 64501 ();
+  let net =
+    Scenario.line ~seed:(Printf.sprintf "e18-%.4f" fraction) ~aa_limits [ 64500; 64501 ]
+  in
+  let n500 = Network.node_exn net 64500 and n501 = Network.node_exn net 64501 in
   let hosts ?granularity as_number prefix ids =
     List.map
       (fun i ->
         let name = Printf.sprintf "%s%d" prefix i in
-        let h = Network.add_host net ~as_number ~name ~credential:name ?granularity () in
-        bootstrap [ h ];
-        h)
+        Scenario.host ?granularity net ~as_number ~name ~credential:name)
       ids
   in
   (* Legitimate population: clients in the attacker AS (their traffic
@@ -196,25 +194,17 @@ let campaign_tier ~fraction ~acceptance =
   let servers = hosts 64501 "s" (List.init n_servers Fun.id) in
   let victims = hosts 64501 "v" (List.init n_victims Fun.id) in
   Network.run net;
-  let endpoints hs = Array.of_list (List.map (endpoint ~lifetime:Lifetime.Long net) hs) in
+  let endpoints hs =
+    Array.of_list (List.map (Scenario.endpoint ~lifetime:Lifetime.Long net) hs)
+  in
   let server_eps = endpoints servers in
   let victim_eps = endpoints victims in
   (* Victim defence + replay capture: every decrypted frame becomes
      shutoff evidence, and a copy feeds the attacker's replay pool (the
      replayed frames are ones the victims really accepted, so their
      session replay windows are the last line of defence). *)
-  let shutoff_built = ref 0 in
-  let replay_pool : Apna_net.Packet.t list ref = ref [] in
-  List.iter
-    (fun v ->
-      Host.on_data v (fun ~session ~data:_ ->
-          Option.iter
-            (fun evidence ->
-              replay_pool := evidence :: !replay_pool;
-              if Result.is_ok (Host.request_shutoff v ~session ~evidence) then
-                incr shutoff_built)
-            (Host.last_packet v session)))
-    victims;
+  let shutoff_built = ref 0 and replay_pool = ref [] in
+  List.iter (Scenario.auto_shutoff ~pool:replay_pool ~built:shutoff_built) victims;
   (* Real bot hosts only for the unwanted-traffic behavior; replay,
      bruteforce and AA spam are injected at the infrastructure seams the
      way a real attacker would (no cooperating host required). *)
@@ -244,31 +234,17 @@ let campaign_tier ~fraction ~acceptance =
   Event.clear ev;
   Event.set_enabled ev true;
   let tel = Telemetry.attach net in
-  let eng = Network.engine net in
-  let at delay f = Apna_sim.Engine.schedule_in eng ~delay f in
-  (* A session from [h] to [remote] carrying [volume] frames
-     "<tag>-<id>-<k>", the first as 0-RTT data and frame k at [gap k]. *)
-  let flow h ~remote ~tag ~id ~volume ~gap ~sent =
-    let session = ref None in
-    let frame k = Printf.sprintf "%s-%d-%d" tag id k in
-    Host.connect h ~remote ~data0:(frame 0) (fun s -> session := Some s);
-    incr sent;
-    for k = 1 to volume - 1 do
-      at (gap k) (fun () ->
-          Option.iter
-            (fun s ->
-              if Result.is_ok (Host.send h s (frame k)) then incr sent)
-            !session)
-    done
-  in
+  let at delay f = Apna_sim.Engine.schedule_in (Network.engine net) ~delay f in
+  (* Flow frames read "<tag>-<id>-<k>". *)
+  let frame tag id k = Printf.sprintf "%s-%d-%d" tag id k in
   (* Legit workload paced across the campaign window. *)
   let legit_sent = ref 0 and msgs_per_client = 25 in
   let window = trace_cfg.W.Trace.duration_s in
   List.iteri
     (fun i c ->
-      flow c ~remote:server_eps.(i mod n_servers).cert ~tag:"L" ~id:i ~volume:msgs_per_client
+      Scenario.flow net c ~remote:server_eps.(i mod n_servers).cert ~volume:msgs_per_client
         ~gap:(fun k -> window *. float_of_int k /. float_of_int msgs_per_client)
-        ~sent:legit_sent)
+        ~frame:(frame "L" i) ~sent:legit_sent)
     clients;
   (* The campaign itself. *)
   let unwanted_sent = ref 0
@@ -282,32 +258,17 @@ let campaign_tier ~fraction ~acceptance =
       match e.behavior with
       | W.Campaign.Unwanted_traffic ->
           at e.at (fun () ->
-              flow (Hashtbl.find bot_tbl e.host)
-                ~remote:victim_eps.(e.host mod n_victims).cert ~tag:"FLOOD" ~id:e.host
-                ~volume:e.volume
+              Scenario.flow net (Hashtbl.find bot_tbl e.host)
+                ~remote:victim_eps.(e.host mod n_victims).cert ~volume:e.volume
                 ~gap:(fun k -> 0.03 *. float_of_int k)
-                ~sent:unwanted_sent)
+                ~frame:(frame "FLOOD" e.host) ~sent:unwanted_sent)
       | W.Campaign.Replay_flood ->
           at e.at (fun () ->
-              let pool = Array.of_list !replay_pool in
-              if Array.length pool > 0 then
-                for _ = 1 to e.volume do
-                  As_node.submit n500 pool.(!replay_cursor mod Array.length pool);
-                  incr replay_cursor;
-                  incr replayed
-                done)
+              Scenario.replay n500 ~pool:!replay_pool ~cursor:replay_cursor ~volume:e.volume
+                ~sent:replayed)
       | W.Campaign.Ephid_bruteforce ->
           at e.at (fun () ->
-              for _ = 1 to e.volume do
-                let header =
-                  Apna_net.Apna_header.make ~src_aid:(aid_of 64500)
-                    ~src_ephid:(Drbg.generate rng 16) ~dst_aid:(aid_of 64501)
-                    ~dst_ephid:(Drbg.generate rng 16) ()
-                in
-                As_node.submit n500
-                  (Apna_net.Packet.make ~header ~proto:Apna_net.Packet.Data ~payload:"guess");
-                incr bruteforce_sent
-              done)
+              Scenario.bruteforce net n500 ~dst:64501 ~volume:e.volume ~sent:bruteforce_sent)
       | W.Campaign.Shutoff_spam _ ->
           let batch =
             Option.value ~default:[]
@@ -400,7 +361,7 @@ let campaign_tier ~fraction ~acceptance =
     (Array.length propagation);
   line "  revocation list       %d entries; EphID cache %.1f%% hit (%d/%d, %d invalidations)"
     revoked_size (hit_ratio *. 100.0) hits (hits + misses) invalidations;
-  line "  alerts fired          %s" (rules_text fired);
+  line "  alerts fired          %s" (Apna_obs.Alert.rules_text fired);
   if Event.evicted ev > 0 then
     line "  (flight recorder evicted %d events; journey forensics cover the newest window)"
       (Event.evicted ev);

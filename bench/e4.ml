@@ -9,13 +9,9 @@ open Fixtures
 (* A fresh two-AS network with a bootstrapped server (AS 64500, which runs
    the "z" DNS zone) and client (AS 64502). *)
 let run_case name setup =
-  let net = Network.create ~seed:("e4-" ^ name) () in
-  let _ = Network.add_as net 64500 ~dns_zone:"z" () in
-  let _ = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64502 ();
-  let server = Network.add_host net ~as_number:64500 ~name:"srv" ~credential:"s" () in
-  let client = Network.add_host net ~as_number:64502 ~name:"cli" ~credential:"c" () in
-  bootstrap [ server; client ];
+  let net = Scenario.line ~seed:("e4-" ^ name) ~dns:(64500, "z") [ 64500; 64502 ] in
+  let server = Scenario.host net ~as_number:64500 ~name:"srv" ~credential:"s" in
+  let client = Scenario.host net ~as_number:64502 ~name:"cli" ~credential:"c" in
   setup net server client
 
 (* The server publishes "svc.z"; the client resolves it. *)
@@ -41,9 +37,9 @@ let run _tier =
   (* Reference RTT from ping between prewarmed endpoints. *)
   let base_rtt =
     run_case "rtt" (fun net server client ->
-        let sep = endpoint net server in
+        let sep = Scenario.endpoint net server in
         (* Warm the client's EphID pool so we time the wire, not issuance. *)
-        ignore (endpoint net client);
+        ignore (Scenario.endpoint net client);
         let rtt = ref nan in
         Host.ping client ~dst_aid:(Apna_net.Addr.aid_of_int 64500)
           ~dst_ephid:sep.cert.ephid (fun r -> rtt := r);
@@ -54,7 +50,7 @@ let run _tier =
   (* Case A: host-to-host, data on the first packet (0-RTT, §VII-C). *)
   let first_byte_0rtt =
     run_case "0rtt" (fun net server client ->
-        let sep = endpoint net server in
+        let sep = Scenario.endpoint net server in
         first_at net (at_server server) (fun () ->
             Host.connect client ~remote:sep.cert ~data0:"x" (fun _ -> ())))
   in

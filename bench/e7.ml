@@ -19,16 +19,12 @@ let conn_id_of (frame : Session.Frame.f) =
       conn_id
 
 let run_granularity granularity =
-  let net = Network.create ~seed:"e7" () in
-  List.iter (fun a -> ignore (Network.add_as net a ())) [ 64500; 64501; 64502 ];
-  Network.connect_as net 64500 64501 ();
-  Network.connect_as net 64501 64502 ();
+  let net = Scenario.line ~seed:"e7" [ 64500; 64501; 64502 ] in
   let sender =
-    Network.add_host net ~as_number:64500 ~name:"sender" ~credential:"s" ~granularity ()
+    Scenario.host ~granularity net ~as_number:64500 ~name:"sender" ~credential:"s"
   in
-  let receiver = Network.add_host net ~as_number:64502 ~name:"recv" ~credential:"r" () in
-  bootstrap [ sender; receiver ];
-  let rep = endpoint net receiver in
+  let receiver = Scenario.host net ~as_number:64502 ~name:"recv" ~credential:"r" in
+  let rep = Scenario.endpoint net receiver in
   (* The adversary observes all inter-AS packets (tap at the transit link)
      and records source EphIDs per connection. *)
   let observed : (int64, string list) Hashtbl.t = Hashtbl.create 64 in

@@ -103,35 +103,5 @@ let percentile samples p =
     s.(min (n - 1) (n * p / 100))
   end
 
-let bootstrap hosts =
-  List.iter
-    (fun h ->
-      match Host.bootstrap h with
-      | Ok () -> ()
-      | Error e -> failwith ("bootstrap: " ^ Error.to_string e))
-    hosts
-
-(* Requests an EphID endpoint for [host] and runs the network until it
-   lands. *)
-let endpoint ?lifetime ?receive_only net host =
-  let ep = ref None in
-  Host.request_ephid host ?lifetime ?receive_only (fun e -> ep := Some e);
-  Network.run net;
-  match !ep with
-  | Some (e : Host.endpoint) -> e
-  | None -> failwith ("no endpoint issued to " ^ Host.name host)
-
-(* Connects [host] to [remote] and runs the network; the session. *)
-let connect ?data0 ?expect_accept net host ~remote =
-  let session = ref None in
-  Host.connect host ~remote ?data0 ?expect_accept (fun s -> session := Some s);
-  Network.run net;
-  Option.get !session
-
 let rules_json rules =
   J.List (List.map (fun r -> J.Str r) (List.sort String.compare rules))
-
-let rules_text rules =
-  match List.sort String.compare rules with
-  | [] -> "(none)"
-  | rs -> String.concat ", " rs

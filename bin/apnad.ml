@@ -27,6 +27,17 @@ let seed =
     value & opt string "apnad"
     & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic simulation seed.")
 
+(* The client and server most subcommands run: alice in AS 64500, bob in
+   AS 64502. *)
+let alice_and_bob net =
+  let alice = Scenario.host net ~as_number:64500 ~name:"alice" ~credential:"a" in
+  (alice, Scenario.host net ~as_number:64502 ~name:"bob" ~credential:"b")
+
+(* Short frames come back with "-ack" appended. *)
+let ack_short h =
+  Host.on_data h (fun ~session ~data ->
+      if String.length data < 24 then ignore (Host.send h session (data ^ "-ack")))
+
 (* ------------------------------------------------------------------ *)
 (* demo *)
 
@@ -39,18 +50,10 @@ let demo_cmd =
   in
   let run verbose seed hosts flows =
     setup_logs verbose;
-    let net = Network.create ~seed () in
-    let _ = Network.add_as net 64500 () in
-    let _ = Network.add_as net 64501 () in
-    let _ = Network.add_as net 64502 ~dns_zone:"demo.net" () in
-    Network.connect_as net 64500 64501 ();
-    Network.connect_as net 64501 64502 ();
+    let net = Scenario.line ~seed ~dns:(64502, "demo.net") [ 64500; 64501; 64502 ] in
     let make_host asn i =
       let name = Printf.sprintf "h%d-%d" asn i in
-      let h = Network.add_host net ~as_number:asn ~name ~credential:name () in
-      match Host.bootstrap h with
-      | Ok () -> h
-      | Error e -> failwith (Error.to_string e)
+      Scenario.host net ~as_number:asn ~name ~credential:name
     in
     let left = List.init hosts (make_host 64500) in
     let right = List.init hosts (make_host 64502) in
@@ -61,18 +64,14 @@ let demo_cmd =
             if String.length data < 20 then
               ignore (Host.send h session (data ^ "-ack"))))
       right;
-    let endpoints = Hashtbl.create 8 in
-    List.iter
-      (fun h ->
-        Host.request_ephid h (fun ep -> Hashtbl.replace endpoints (Host.name h) ep))
-      right;
-    Network.run net;
-    Printf.printf "issued %d server EphIDs\n" (Hashtbl.length endpoints);
+    let servers = List.map (fun h -> (h, Scenario.endpoint net h)) right in
+    Printf.printf "issued %d server EphIDs\n" (List.length servers);
     let rng = Apna_sim.Rng.create 1L in
     for flow = 1 to flows do
       let src = List.nth left (Apna_sim.Rng.int rng (List.length left)) in
-      let dst = List.nth right (Apna_sim.Rng.int rng (List.length right)) in
-      let ep : Host.endpoint = Hashtbl.find endpoints (Host.name dst) in
+      let dst, (ep : Host.endpoint) =
+        List.nth servers (Apna_sim.Rng.int rng (List.length servers))
+      in
       Printf.printf "flow %d: %s -> %s\n" flow (Host.name src) (Host.name dst);
       Host.connect src ~remote:ep.cert ~data0:(Printf.sprintf "hello-%d" flow)
         (fun _ -> ())
@@ -134,35 +133,12 @@ let ephid_cmd =
 (* A live paced exchange long enough to cross renewal boundaries for the
    chosen lifetime class; reports the survivability counters. *)
 let live_lifetime_run ~seed lifetime =
-  let net = Network.create ~seed () in
-  let _ = Network.add_as net 64500 () in
-  let _ = Network.add_as net 64501 () in
-  let _ = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64501 ();
-  Network.connect_as net 64501 64502 ();
-  let alice =
-    Network.add_host net ~as_number:64500 ~name:"alice" ~credential:"a" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:64502 ~name:"bob" ~credential:"b" ()
-  in
-  List.iter
-    (fun h ->
-      match Host.bootstrap h with
-      | Ok () -> ()
-      | Error e -> failwith (Error.to_string e))
-    [ alice; bob ];
+  let net = Scenario.line ~seed [ 64500; 64501; 64502 ] in
+  let alice, bob = alice_and_bob net in
   Host.set_ephid_lifetime alice lifetime;
   Network.run net;
-  let ep = ref None in
-  Host.request_ephid bob ~lifetime:Lifetime.Long ~receive_only:true (fun e ->
-      ep := Some e);
-  Network.run net;
-  let session = ref None in
-  Host.connect alice ~remote:(Option.get !ep).Host.cert ~expect_accept:true
-    (fun s -> session := Some s);
-  Network.run net;
-  let session = Option.get !session in
+  let ep = Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
+  let session = Scenario.connect ~expect_accept:true net alice ~remote:ep.cert in
   (* Pace the exchange over 3x the class lifetime (capped at one simulated
      hour) so Short crosses several expiry boundaries. *)
   let span_s =
@@ -172,13 +148,8 @@ let live_lifetime_run ~seed lifetime =
            (Lifetime.seconds Lifetime.default_policy lifetime))
   in
   let n = 60 in
-  let eng = Network.engine net in
-  for i = 0 to n - 1 do
-    Apna_sim.Engine.schedule_in eng
-      ~delay:(span_s *. float_of_int i /. float_of_int n)
-      (fun () ->
-        ignore (Host.send alice session (Printf.sprintf "m%03d" i)))
-  done;
+  Scenario.pace net ~n ~span:span_s (fun i ->
+      ignore (Host.send alice session (Printf.sprintf "m%03d" i)));
   Network.run net;
   let got = List.map snd (Host.received bob) in
   let delivered = ref 0 in
@@ -292,39 +263,21 @@ let trace_cmd =
     setup_logs verbose;
     (* Recorder on before the network exists so every hop is captured. *)
     Event.set_enabled Event.default true;
-    let net = Network.create ~seed () in
-    let _ = Network.add_as net 64500 () in
-    let _ = Network.add_as net 64501 () in
-    let _ = Network.add_as net 64502 () in
-    let link () =
-      if loss > 0.0 then
-        Link.make
-          ~faults:
-            (Link.make_faults ~loss ~duplicate:(loss /. 2.0)
-               ~reorder:(loss /. 2.0) ~jitter_ms:1.0 ())
-          ()
-      else Link.make ()
+    let faulty () =
+      Link.make
+        ~faults:
+          (Link.make_faults ~loss ~duplicate:(loss /. 2.0)
+             ~reorder:(loss /. 2.0) ~jitter_ms:1.0 ())
+        ()
     in
-    Network.connect_as net 64500 64501 ~link:(link ()) ();
-    Network.connect_as net 64501 64502 ~link:(link ()) ();
-    let alice =
-      Network.add_host net ~as_number:64500 ~name:"alice" ~credential:"a" ()
+    let net =
+      Scenario.line ~seed
+        ?link:(if loss > 0.0 then Some faulty else None)
+        [ 64500; 64501; 64502 ]
     in
-    let bob =
-      Network.add_host net ~as_number:64502 ~name:"bob" ~credential:"b" ()
-    in
-    List.iter
-      (fun h ->
-        match Host.bootstrap h with
-        | Ok () -> ()
-        | Error e -> failwith (Error.to_string e))
-      [ alice; bob ];
-    let ep = ref None in
-    Host.request_ephid bob (fun e -> ep := Some e);
-    Network.run net;
-    let ep = Option.get !ep in
-    Host.on_data bob (fun ~session ~data ->
-        if String.length data < 24 then ignore (Host.send bob session (data ^ "-ack")));
+    let alice, bob = alice_and_bob net in
+    let ep = Scenario.endpoint net bob in
+    ack_short bob;
     for flow = 1 to flows do
       Host.connect alice ~remote:ep.cert ~data0:(Printf.sprintf "flow-%d" flow)
         (fun _ -> ())
@@ -389,24 +342,12 @@ let shutoff_cmd =
   in
   let run verbose seed waves =
     setup_logs verbose;
-    let net = Network.create ~seed () in
-    let _ = Network.add_as net 64500 () in
-    let _ = Network.add_as net 64502 () in
-    Network.connect_as net 64500 64502 ();
-    let bot = Network.add_host net ~as_number:64500 ~name:"bot" ~credential:"bot" () in
+    let net = Scenario.line ~seed [ 64500; 64502 ] in
+    let bot = Scenario.host net ~as_number:64500 ~name:"bot" ~credential:"bot" in
     let victim =
-      Network.add_host net ~as_number:64502 ~name:"victim" ~credential:"victim" ()
+      Scenario.host net ~as_number:64502 ~name:"victim" ~credential:"victim"
     in
-    List.iter
-      (fun h ->
-        match Host.bootstrap h with
-        | Ok () -> ()
-        | Error e -> failwith (Error.to_string e))
-      [ bot; victim ];
-    let victim_ep = ref None in
-    Host.request_ephid victim (fun ep -> victim_ep := Some ep);
-    Network.run net;
-    let victim_ep = Option.get !victim_ep in
+    let victim_ep = Scenario.endpoint net victim in
     Host.on_data victim (fun ~session ~data:_ ->
         match Host.last_packet victim session with
         | Some evidence ->
@@ -481,35 +422,14 @@ let campaign_cmd =
         drain_interval_s = 0.25;
       }
     in
-    let net = Network.create ~seed () in
-    let n500 = Network.add_as net 64500 ~aa_limits () in
-    let _ = Network.add_as net 64502 ~aa_limits () in
-    Network.connect_as net 64500 64502 ();
-    let boot h =
-      match Host.bootstrap h with
-      | Ok () -> h
-      | Error e -> failwith (Error.to_string e)
-    in
+    let net = Scenario.line ~seed ~aa_limits [ 64500; 64502 ] in
+    let n500 = Network.node_exn net 64500 in
     let victim =
-      boot
-        (Network.add_host net ~as_number:64502 ~name:"victim"
-           ~credential:"victim" ())
+      Scenario.host net ~as_number:64502 ~name:"victim" ~credential:"victim"
     in
-    let victim_ep = ref None in
-    Host.request_ephid victim ~lifetime:Lifetime.Long (fun ep ->
-        victim_ep := Some ep);
-    Network.run net;
-    let victim_ep = Option.get !victim_ep in
-    let replay_pool = ref [] in
-    let built = ref 0 in
-    Host.on_data victim (fun ~session ~data:_ ->
-        match Host.last_packet victim session with
-        | Some evidence -> (
-            replay_pool := evidence :: !replay_pool;
-            match Host.request_shutoff victim ~session ~evidence with
-            | Ok () -> incr built
-            | Error _ -> ())
-        | None -> ());
+    let victim_ep = Scenario.endpoint ~lifetime:Lifetime.Long net victim in
+    let replay_pool = ref [] and built = ref 0 in
+    Scenario.auto_shutoff victim ~pool:replay_pool ~built;
     let bots = Hashtbl.create 16 in
     List.iter
       (fun (e : W.Campaign.event) ->
@@ -517,63 +437,32 @@ let campaign_cmd =
           e.behavior = W.Campaign.Unwanted_traffic
           && not (Hashtbl.mem bots e.host)
         then
+          let name = Printf.sprintf "bot%d" e.host in
           Hashtbl.add bots e.host
-            (boot
-               (Network.add_host net ~as_number:64500
-                  ~name:(Printf.sprintf "bot%d" e.host)
-                  ~credential:(Printf.sprintf "bot%d" e.host)
-                  ~granularity:Granularity.Per_packet ())))
+            (Scenario.host ~granularity:Granularity.Per_packet net
+               ~as_number:64500 ~name ~credential:name))
       events;
     Network.run net;
-    let eng = Network.engine net in
-    let rng = Network.rng net in
-    let aid_of = Apna_net.Addr.aid_of_int in
     let unwanted = ref 0 and replayed = ref 0 and guessed = ref 0 in
     let cursor = ref 0 in
     List.iter
       (fun (e : W.Campaign.event) ->
+        let at f = Apna_sim.Engine.schedule_in (Network.engine net) ~delay:e.at f in
         match e.behavior with
         | W.Campaign.Unwanted_traffic ->
-            let bot = Hashtbl.find bots e.host in
-            Apna_sim.Engine.schedule_in eng ~delay:e.at (fun () ->
-                let session = ref None in
-                Host.connect bot ~remote:victim_ep.cert ~data0:"FLOOD"
-                  (fun s -> session := Some s);
-                incr unwanted;
-                for k = 1 to e.volume - 1 do
-                  Apna_sim.Engine.schedule_in eng
-                    ~delay:(0.05 *. float_of_int k)
-                    (fun () ->
-                      match !session with
-                      | Some s ->
-                          if Host.send bot s "FLOOD" = Ok () then
-                            incr unwanted
-                      | None -> ())
-                done)
+            at (fun () ->
+                Scenario.flow net (Hashtbl.find bots e.host)
+                  ~remote:victim_ep.cert ~volume:e.volume
+                  ~gap:(fun k -> 0.05 *. float_of_int k)
+                  ~frame:(fun _ -> "FLOOD") ~sent:unwanted)
         | W.Campaign.Replay_flood ->
-            Apna_sim.Engine.schedule_in eng ~delay:e.at (fun () ->
-                let pool = Array.of_list !replay_pool in
-                if Array.length pool > 0 then
-                  for _ = 1 to e.volume do
-                    As_node.submit n500 pool.(!cursor mod Array.length pool);
-                    incr cursor;
-                    incr replayed
-                  done)
+            at (fun () ->
+                Scenario.replay n500 ~pool:!replay_pool ~cursor
+                  ~volume:e.volume ~sent:replayed)
         | W.Campaign.Ephid_bruteforce ->
-            Apna_sim.Engine.schedule_in eng ~delay:e.at (fun () ->
-                for _ = 1 to e.volume do
-                  let header =
-                    Apna_net.Apna_header.make ~src_aid:(aid_of 64500)
-                      ~src_ephid:(Apna_crypto.Drbg.generate rng 16)
-                      ~dst_aid:(aid_of 64502)
-                      ~dst_ephid:(Apna_crypto.Drbg.generate rng 16)
-                      ()
-                  in
-                  As_node.submit n500
-                    (Apna_net.Packet.make ~header
-                       ~proto:Apna_net.Packet.Data ~payload:"guess");
-                  incr guessed
-                done)
+            at (fun () ->
+                Scenario.bruteforce net n500 ~dst:64502 ~volume:e.volume
+                  ~sent:guessed)
         | W.Campaign.Shutoff_spam _ ->
             (* The bench (E18) exercises the spam kinds; here the live
                behaviors are enough to show admission under pressure. *)
@@ -648,34 +537,19 @@ let broker_cmd =
   in
   let run verbose seed requests capacity dump tamper =
     setup_logs verbose;
-    let net = Network.create ~seed () in
-    let isp = Network.add_as net 64500 ~retention:true () in
-    let _ = Network.add_as net 64502 () in
-    Network.connect_as net 64500 64502 ();
+    let net = Scenario.line ~seed ~retention:64500 [ 64500; 64502 ] in
+    let isp = Network.node_exn net 64500 in
     let alice =
-      Network.add_host net ~as_number:64500 ~name:"alice"
-        ~credential:"alice@isp" ()
+      Scenario.host net ~as_number:64500 ~name:"alice" ~credential:"alice@isp"
     in
-    let bob =
-      Network.add_host net ~as_number:64502 ~name:"bob" ~credential:"bob" ()
-    in
-    List.iter
-      (fun h ->
-        match Host.bootstrap h with
-        | Ok () -> ()
-        | Error e -> failwith (Error.to_string e))
-      [ alice; bob ];
-    let ep = ref None in
-    Host.request_ephid bob (fun e -> ep := Some e);
-    Network.run net;
+    let bob = Scenario.host net ~as_number:64502 ~name:"bob" ~credential:"bob" in
+    let ep = Scenario.endpoint net bob in
     (* Some traffic so the retention log holds issuance + egress entries. *)
     let captured = ref [] in
     Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
         if pkt.Apna_net.Packet.proto = Apna_net.Packet.Data then
           captured := pkt :: !captured);
-    Host.connect alice ~remote:(Option.get !ep).cert ~data0:"evidence"
-      (fun _ -> ());
-    Network.run net;
+    ignore (Scenario.connect ~data0:"evidence" net alice ~remote:ep.cert);
     let broker =
       B.for_node isp ~budget:(Budget.create ~capacity ~refill:(max 1 (capacity / 4)) ())
     in
@@ -788,35 +662,12 @@ let attack_scenario ~seed ~loss ~rate ~duration ~interval ?frame () =
   let module Link = Apna_net.Link in
   let module B = Apna_broker.Broker in
   let module Budget = Apna_broker.Budget in
-  let net = Network.create ~seed () in
-  let isp = Network.add_as net 64500 ~retention:true () in
-  let _ = Network.add_as net 64501 () in
-  let _ = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64501 ();
-  Network.connect_as net 64501 64502 ();
-  let alice =
-    Network.add_host net ~as_number:64500 ~name:"alice" ~credential:"a" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:64502 ~name:"bob" ~credential:"b" ()
-  in
-  List.iter
-    (fun h ->
-      match Host.bootstrap h with
-      | Ok () -> ()
-      | Error e -> failwith (Error.to_string e))
-    [ alice; bob ];
-  let ep = ref None in
-  Host.request_ephid bob ~lifetime:Lifetime.Long ~receive_only:true (fun e ->
-      ep := Some e);
-  Network.run net;
-  let ep = Option.get !ep in
-  Host.on_data bob (fun ~session ~data ->
-      if String.length data < 24 then ignore (Host.send bob session (data ^ "-ack")));
-  let session = ref None in
-  Host.connect alice ~remote:ep.cert ~expect_accept:true (fun s ->
-      session := Some s);
-  Network.run net;
+  let net = Scenario.line ~seed ~retention:64500 [ 64500; 64501; 64502 ] in
+  let isp = Network.node_exn net 64500 in
+  let alice, bob = alice_and_bob net in
+  let ep = Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
+  ack_short bob;
+  let session = Scenario.connect ~expect_accept:true net alice ~remote:ep.cert in
   (* Handshake done; now degrade the transit path. Re-connecting an
      existing AS pair swaps in the new link, so the flood below rides
      lossy, duplicating links (duplication is what drives the session
@@ -835,15 +686,8 @@ let attack_scenario ~seed ~loss ~rate ~duration ~interval ?frame () =
   let tel = Telemetry.attach ~interval net in
   let eng = Network.engine net in
   (* The flood: [rate] messages/s paced over [duration]. *)
-  let n = max 1 (int_of_float (rate *. duration)) in
-  for i = 0 to n - 1 do
-    Apna_sim.Engine.schedule_in eng
-      ~delay:(duration *. float_of_int i /. float_of_int n)
-      (fun () ->
-        match !session with
-        | Some s -> ignore (Host.send alice s (Printf.sprintf "m%05d" i))
-        | None -> ())
-  done;
+  Scenario.pace net ~n:(max 1 (int_of_float (rate *. duration))) ~span:duration
+    (fun i -> ignore (Host.send alice session (Printf.sprintf "m%05d" i)));
   (* The warrant storm: a tight budget drained in the second half. *)
   let broker =
     B.for_node isp ~budget:(Budget.create ~capacity:6 ~refill:1 ())
@@ -919,11 +763,8 @@ let health_cmd =
     print_string (Apna_obs.Health.render (Telemetry.health tel));
     print_newline ();
     print_string (Apna_obs.Alert.render (Telemetry.alerts tel));
-    let fired = Apna_obs.Alert.fired_rules (Telemetry.alerts tel) in
     Printf.printf "# rules that fired during the run: %s\n"
-      (match List.sort String.compare fired with
-      | [] -> "(none)"
-      | fs -> String.concat ", " fs);
+      (Apna_obs.Alert.(rules_text (fired_rules (Telemetry.alerts tel))));
     match export with
     | None -> ()
     | Some file ->
@@ -970,12 +811,7 @@ let top_cmd =
     if not plain then print_string "\027[2J\027[H";
     print_string (Telemetry.dashboard tel);
     Printf.printf "\nrun complete; rules fired: %s\n"
-      (match
-         List.sort String.compare
-           (Apna_obs.Alert.fired_rules (Telemetry.alerts tel))
-       with
-      | [] -> "(none)"
-      | fs -> String.concat ", " fs)
+      (Apna_obs.Alert.(rules_text (fired_rules (Telemetry.alerts tel))))
   in
   Cmd.v
     (Cmd.info "top"
@@ -1007,7 +843,10 @@ let stats_cmd =
     Event.set_enabled Event.default true;
     let net = Network.create ~seed () in
     (* Telemetry sampler + alert engine riding the same engine; alert-state
-       lines append to the scrape text below. *)
+       lines append to the scrape text below. It attaches before any AS
+       exists, so its alert gauge leads the scrape (series print in
+       registration order) — which is why this world is not a
+       [Scenario.line]. *)
     let tel = Telemetry.attach net in
     Apna_obs.Alert.attach_scrape (Telemetry.alerts tel) M.default;
     let isp = Network.add_as net 64500 ~retention:true () in
@@ -1015,27 +854,12 @@ let stats_cmd =
     let _ = Network.add_as net 64502 () in
     Network.connect_as net 64500 64501 ();
     Network.connect_as net 64501 64502 ();
-    let alice =
-      Network.add_host net ~as_number:64500 ~name:"alice" ~credential:"a" ()
-    in
-    let bob =
-      Network.add_host net ~as_number:64502 ~name:"bob" ~credential:"b" ()
-    in
-    List.iter
-      (fun h ->
-        match Host.bootstrap h with
-        | Ok () -> ()
-        | Error e -> failwith (Error.to_string e))
-      [ alice; bob ];
+    let alice, bob = alice_and_bob net in
     (* Short-lived client EphIDs so the run crosses a renewal boundary and
        the survivability series (migrations, breaker gauge) are live. *)
     Host.set_ephid_lifetime alice Lifetime.Short;
-    let ep = ref None in
-    Host.request_ephid bob ~lifetime:Lifetime.Long (fun e -> ep := Some e);
-    Network.run net;
-    let ep = Option.get !ep in
-    Host.on_data bob (fun ~session ~data ->
-        if String.length data < 24 then ignore (Host.send bob session (data ^ "-ack")));
+    let ep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+    ack_short bob;
     Telemetry.kick tel;
     for flow = 1 to flows do
       Host.connect alice ~remote:ep.cert ~data0:(Printf.sprintf "flow-%d" flow)
@@ -1116,12 +940,7 @@ let stats_cmd =
         (Telemetry.interval tel);
       print_string (Apna_obs.Health.render (Telemetry.health tel));
       Printf.printf "  rules fired: %s\n"
-        (match
-           List.sort String.compare
-             (Apna_obs.Alert.fired_rules (Telemetry.alerts tel))
-         with
-        | [] -> "(none)"
-        | fs -> String.concat ", " fs);
+        (Apna_obs.Alert.(rules_text (fired_rules (Telemetry.alerts tel))));
       print_newline ();
       Printf.printf "# flight recorder stages (%d recorded, %d retained)\n"
         (Event.recorded Event.default)

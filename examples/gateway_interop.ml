@@ -32,10 +32,9 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning);
 
-  let net = Network.create ~seed:"gateway" () in
-  let _client_isp = Network.add_as net 64500 () in
-  let _server_isp = Network.add_as net 64502 ~dns_zone:"example.org" () in
-  Network.connect_as net 64500 64502 ();
+  (* The client's ISP (64500) and the server's (64502, running the
+     example.org zone). *)
+  let net = Scenario.line ~seed:"gateway" ~dns:(64502, "example.org") [ 64500; 64502 ] in
 
   let client_ip = ip 203 0 113 7 in
   let server_ip = ip 198 51 100 80 in

@@ -15,10 +15,8 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning);
 
-  let net = Network.create ~seed:"nat-ap" () in
-  let _home_isp = Network.add_as net 64500 () in
-  let _remote_isp = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64502 ();
+  (* The cafe's ISP (64500) and the server's (64502). *)
+  let net = Scenario.line ~seed:"nat-ap" [ 64500; 64502 ] in
 
   (* The cafe's access point subscribes to the ISP like a single host. *)
   let ap =
@@ -44,16 +42,10 @@ let () =
   let laptop1 = laptop "laptop1" and laptop2 = laptop "laptop2" in
 
   (* A server out on the Internet. *)
-  let server =
-    Network.add_host net ~as_number:64502 ~name:"server" ~credential:"srv@isp" ()
-  in
-  (match Host.bootstrap server with Ok () -> () | Error e -> failwith (Error.to_string e));
+  let server = Scenario.host net ~as_number:64502 ~name:"server" ~credential:"srv@isp" in
   Host.on_data server (fun ~session ~data ->
       ignore (Host.send server session ("echo: " ^ data)));
-  let server_ep = ref None in
-  Host.request_ephid server (fun ep -> server_ep := Some ep);
-  Network.run net;
-  let server_ep = Option.get !server_ep in
+  let server_ep = Scenario.endpoint net server in
 
   (* Both laptops talk to the server through the AP. *)
   Host.connect laptop1 ~remote:server_ep.cert ~data0:"hi from laptop1" (fun _ -> ());

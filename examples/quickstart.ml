@@ -17,12 +17,7 @@ let () =
   Apna_obs.Metrics.(set_enabled default true);
 
   section "Topology: AS64500 -- AS64501 -- AS64502";
-  let net = Network.create ~seed:"quickstart" () in
-  let _as_a = Network.add_as net 64500 () in
-  let _as_t = Network.add_as net 64501 () in
-  let _as_b = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64501 ();
-  Network.connect_as net 64501 64502 ();
+  let net = Scenario.line ~seed:"quickstart" [ 64500; 64501; 64502 ] in
 
   let alice =
     Network.add_host net ~as_number:64500 ~name:"alice" ~credential:"alice@isp-a" ()

@@ -14,23 +14,13 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Error);
 
-  let net = Network.create ~seed:"shutoff" () in
-  let _bot_as = Network.add_as net 64500 () in
-  let _victim_as = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64502 ();
-
-  let bot = Network.add_host net ~as_number:64500 ~name:"bot" ~credential:"bot@isp" () in
+  (* The bot's AS (64500) peers directly with the victim's (64502). *)
+  let net = Scenario.line ~seed:"shutoff" [ 64500; 64502 ] in
+  let bot = Scenario.host net ~as_number:64500 ~name:"bot" ~credential:"bot@isp" in
   let victim =
-    Network.add_host net ~as_number:64502 ~name:"victim" ~credential:"victim@isp" ()
+    Scenario.host net ~as_number:64502 ~name:"victim" ~credential:"victim@isp"
   in
-  List.iter
-    (fun h -> match Host.bootstrap h with Ok () -> () | Error e -> failwith (Error.to_string e))
-    [ bot; victim ];
-
-  let victim_ep = ref None in
-  Host.request_ephid victim (fun ep -> victim_ep := Some ep);
-  Network.run net;
-  let victim_ep = Option.get !victim_ep in
+  let victim_ep = Scenario.endpoint net victim in
 
   let bot_as = Network.node_exn net 64500 in
   let revocations () = Revocation.size (As_node.revoked bot_as) in

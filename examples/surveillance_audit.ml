@@ -20,33 +20,17 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Error);
 
-  let net = Network.create ~seed:"audit" () in
-  let _ = Network.add_as net 64500 () in
-  let _ = Network.add_as net 64501 () in
-  let _ = Network.add_as net 64502 () in
-  Network.connect_as net 64500 64501 ();
-  Network.connect_as net 64501 64502 ();
+  let net = Scenario.line ~seed:"audit" [ 64500; 64501; 64502 ] in
 
   (* Three subscribers of ISP 64500 and a server elsewhere. *)
   let subscribers =
     List.map
       (fun name ->
-        let h =
-          Network.add_host net ~as_number:64500 ~name
-            ~credential:(name ^ "@isp-contract") ()
-        in
-        (match Host.bootstrap h with Ok () -> () | Error e -> failwith (Error.to_string e));
-        h)
+        Scenario.host net ~as_number:64500 ~name ~credential:(name ^ "@isp-contract"))
       [ "ada"; "grace"; "edsger" ]
   in
-  let server =
-    Network.add_host net ~as_number:64502 ~name:"server" ~credential:"srv" ()
-  in
-  (match Host.bootstrap server with Ok () -> () | Error e -> failwith (Error.to_string e));
-  let server_ep = ref None in
-  Host.request_ephid server (fun ep -> server_ep := Some ep);
-  Network.run net;
-  let server_ep = Option.get !server_ep in
+  let server = Scenario.host net ~as_number:64502 ~name:"server" ~credential:"srv" in
+  let server_ep = Scenario.endpoint net server in
 
   (* The observer: taps every inter-AS link. *)
   let recorded = ref [] in

@@ -14,27 +14,20 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning);
 
-  let net = Network.create ~seed:"web" () in
-  let _isp = Network.add_as net 64500 ~dns_zone:"example.net" () in
-  let _eyeball = Network.add_as net 64510 () in
-  Network.connect_as net 64500 64510 ();
-
+  (* The shop's ISP runs the example.net zone; the clients sit in an
+     eyeball network next door. *)
+  let net = Scenario.line ~seed:"web" ~dns:(64500, "example.net") [ 64500; 64510 ] in
   let server =
-    Network.add_host net ~as_number:64500 ~name:"shop-server"
-      ~credential:"shop@isp" ()
+    Scenario.host net ~as_number:64500 ~name:"shop-server" ~credential:"shop@isp"
   in
   let clients =
     List.map
       (fun i ->
-        Network.add_host net ~as_number:64510
+        Scenario.host net ~as_number:64510
           ~name:(Printf.sprintf "client-%d" i)
-          ~credential:(Printf.sprintf "client-%d@eyeball" i)
-          ())
+          ~credential:(Printf.sprintf "client-%d@eyeball" i))
       [ 1; 2; 3 ]
   in
-  List.iter
-    (fun h -> match Host.bootstrap h with Ok () -> () | Error e -> failwith (Error.to_string e))
-    (server :: clients);
 
   (* The server application: a tiny request/response protocol. *)
   Host.on_data server (fun ~session ~data ->

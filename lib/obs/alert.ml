@@ -108,6 +108,11 @@ let firing t =
 
 let has_fired t name = Hashtbl.mem t.fired name
 let fired_rules t = Hashtbl.fold (fun k () acc -> k :: acc) t.fired []
+
+let rules_text rules =
+  match List.sort String.compare rules with
+  | [] -> "(none)"
+  | rs -> String.concat ", " rs
 let history t = List.rev t.history
 
 (* ---- predicate evaluation ---- *)

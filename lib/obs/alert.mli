@@ -89,6 +89,10 @@ val has_fired : t -> string -> bool
 
 val fired_rules : t -> string list
 
+val rules_text : string list -> string
+(** Rule names sorted and comma-separated, or ["(none)"] — how reports
+    print {!fired_rules}. *)
+
 val render : t -> string
 (** Alert-state lines: a [# ALERTS ...] summary plus one
     [apna_alert{rule=..,series=..,severity=..,state=..} code] line per

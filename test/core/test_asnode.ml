@@ -10,16 +10,7 @@ let ok_or_fail what = function
 let aid = Apna_net.Addr.aid_of_int
 
 let make_world ?(seed = "asnode") () =
-  let net = Network.create ~seed () in
-  let _ = Network.add_as net 100 ~dns_zone:"z.test" () in
-  let _ = Network.add_as net 300 () in
-  Network.connect_as net 100 300 ();
-  net
-
-let bootstrapped net ~as_number ~name =
-  let host = Network.add_host net ~as_number ~name ~credential:(name ^ "-tok") () in
-  ok_or_fail (name ^ " bootstrap") (Host.bootstrap host);
-  host
+  Scenario.line ~seed ~dns:(100, "z.test") [ 100; 300 ]
 
 let asnode_tests =
   [
@@ -34,7 +25,7 @@ let asnode_tests =
     Alcotest.test_case "garbage control payload to MS is ignored" `Quick
       (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
         let node = Network.node_exn net 100 in
         let ms_ephid = (Option.get (Host.ms_cert alice)).ephid in
         let header =
@@ -56,11 +47,8 @@ let asnode_tests =
           (Management.issued_count (As_node.management node)));
     Alcotest.test_case "no-route feedback reaches the sender" `Quick (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let ep = ref None in
-        Host.request_ephid alice (fun e -> ep := Some e);
-        Network.run net;
-        let ep = Option.get !ep in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+        let ep = Scenario.endpoint net alice in
         (* Destination AS 999 does not exist. *)
         let header =
           Apna_net.Apna_header.make ~src_aid:(aid 100)
@@ -82,12 +70,9 @@ let asnode_tests =
         | r :: _ -> Alcotest.failf "wrong reason %s" (Icmp.reason_to_string r)));
     Alcotest.test_case "drop reasons are itemized" `Quick (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
         let node = Network.node_exn net 100 in
-        let ep = ref None in
-        Host.request_ephid alice (fun e -> ep := Some e);
-        Network.run net;
-        let ep = Option.get !ep in
+        let ep = Scenario.endpoint net alice in
         (* One bad-MAC drop, one expired drop. *)
         let header =
           Apna_net.Apna_header.make ~src_aid:(aid 100)
@@ -137,16 +122,10 @@ let host_error_tests =
         | Ok _ -> Alcotest.fail "stranger accepted"));
     Alcotest.test_case "send on an unknown session fails" `Quick (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
-        let session = ref None in
-        Host.connect alice ~remote:bep.cert ~data0:"x" (fun s -> session := Some s);
-        Network.run net;
-        let s = Option.get !session in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" in
+        let bep = Scenario.endpoint net bob in
+        let s = Scenario.connect ~data0:"x" net alice ~remote:bep.cert in
         ok_or_fail "close" (Host.close alice s);
         Network.run net;
         (match Host.send alice s "after close" with
@@ -156,12 +135,9 @@ let host_error_tests =
     Alcotest.test_case "connect to an expired certificate is refused locally"
       `Quick (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bep = ref None in
-        Host.request_ephid bob ~lifetime:Lifetime.Short (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" in
+        let bep = Scenario.endpoint ~lifetime:Lifetime.Short net bob in
         Network.advance_time net 120.0;
         let fired = ref false in
         Host.connect alice ~remote:bep.cert ~data0:"late" (fun _ -> fired := true);
@@ -186,12 +162,9 @@ let stress_tests =
         Alcotest.(check int) "all fired" 100_000 !fired);
     Alcotest.test_case "many sessions on one pair stay isolated" `Slow (fun () ->
         let net = make_world ~seed:"many" () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" in
+        let bep = Scenario.endpoint net bob in
         let n = 50 in
         for i = 1 to n do
           Host.connect alice ~remote:bep.cert ~data0:(Printf.sprintf "s%d" i)

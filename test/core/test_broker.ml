@@ -396,22 +396,13 @@ let e2e_tests =
   [
     Alcotest.test_case "wire request to the broker service EphID" `Quick
       (fun () ->
-        let net = Network.create ~seed:"broker-e2e" () in
-        let isp = Network.add_as net 100 ~retention:true () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300 ();
+        let net = Scenario.line ~seed:"broker-e2e" ~retention:100 [ 100; 300 ] in
+        let isp = Network.node_exn net 100 in
         let alice =
-          Network.add_host net ~as_number:100 ~name:"alice"
-            ~credential:"alice@isp" ()
+          Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice@isp"
         in
-        let bob =
-          Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob" ()
-        in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob" in
+        let bep = Scenario.endpoint net bob in
         let broker = B.for_node isp in
         B.register_requester broker ~id:"le" ~role:B.Law_enforcement ~key:le_key
           ~now:0;
@@ -420,8 +411,7 @@ let e2e_tests =
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.Apna_net.Packet.proto = Apna_net.Packet.Data then
               captured := Some pkt);
-        Host.connect alice ~remote:(Option.get !bep).cert ~data0:"evidence"
-          (fun _ -> ());
+        Host.connect alice ~remote:bep.cert ~data0:"evidence" (fun _ -> ());
         Network.run net;
         let evidence = Option.get !captured in
         (* The LE principal mails its request to the ISP's broker EphID
@@ -431,7 +421,7 @@ let e2e_tests =
           B.Request.sign ~key:le_key ~corr:42L ~requester:"le"
             ~query:(B.Request.Attribute_packet evidence.header.mac)
         in
-        let bob_ephid = (Option.get !bep).cert.Cert.ephid in
+        let bob_ephid = bep.cert.Cert.ephid in
         let header =
           Apna_net.Apna_header.make ~src_aid:(aid 300)
             ~src_ephid:(Ephid.to_bytes bob_ephid) ~dst_aid:(aid 100)

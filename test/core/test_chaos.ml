@@ -17,26 +17,14 @@ let qtest ?(count = 20) name gen f =
    with a fault model on every inter-AS link and, optionally, on the
    host<->BR access links. *)
 let make_world ?(seed = "chaos") ?link_faults ?host_faults () =
-  let net = Network.create ~seed () in
-  let _ = Network.add_as net 100 () in
-  let _ = Network.add_as net 200 () in
-  let _ = Network.add_as net 300 ~dns_zone:"example.net" () in
-  let link () =
-    match link_faults with
-    | Some faults -> Link.make ~faults ()
-    | None -> Link.make ()
+  let net =
+    Scenario.line ~seed ~dns:(300, "example.net")
+      ?link:(Option.map (fun faults () -> Link.make ~faults ()) link_faults)
+      [ 100; 200; 300 ]
   in
-  Network.connect_as net 100 200 ~link:(link ()) ();
-  Network.connect_as net 200 300 ~link:(link ()) ();
   Network.set_host_faults net host_faults;
-  let alice =
-    Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" ()
-  in
-  ok_or_fail "alice bootstrap" (Host.bootstrap alice);
-  ok_or_fail "bob bootstrap" (Host.bootstrap bob);
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" in
   (net, alice, bob)
 
 (* ~10% loss plus duplication and reorder jitter: the acceptance scenario. *)
@@ -124,25 +112,15 @@ let convergence_tests =
       (fun () ->
         (* A slow link with a one-frame queue: a burst must overflow it. *)
         let faults = Link.make_faults ~queue_frames:1 () in
-        let net = Network.create ~seed:"chaos-queue" () in
-        let _ = Network.add_as net 100 () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300
-          ~link:(Link.make ~capacity_gbps:0.000002 ~faults ())
-          ();
-        let alice =
-          Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" ()
+        let net =
+          Scenario.line ~seed:"chaos-queue"
+            ~link:(fun () -> Link.make ~capacity_gbps:0.000002 ~faults ())
+            [ 100; 300 ]
         in
-        let bob =
-          Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" ()
-        in
-        ok_or_fail "alice bootstrap" (Host.bootstrap alice);
-        ok_or_fail "bob bootstrap" (Host.bootstrap bob);
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
         Network.run net;
-        let ep = ref None in
-        Host.request_ephid bob (fun e -> ep := Some e);
-        Network.run net;
-        let remote = (Option.get !ep).Host.cert in
+        let remote = (Scenario.endpoint net bob).cert in
         (* data0 rides the Init frame, which is admitted while the burst
            behind it overflows the one-frame queue. *)
         Host.connect alice ~remote ~data0:"first" (fun session ->

@@ -11,22 +11,7 @@ let aid = Apna_net.Addr.aid_of_int
 let hid = Apna_net.Addr.hid_of_int
 
 let make_world ?(seed = "deploy") () =
-  let net = Network.create ~seed () in
-  let _ = Network.add_as net 100 () in
-  let _ = Network.add_as net 300 ~dns_zone:"example.net" () in
-  Network.connect_as net 100 300 ();
-  net
-
-let bootstrapped net ~as_number ~name =
-  let host = Network.add_host net ~as_number ~name ~credential:(name ^ "-tok") () in
-  ok_or_fail (name ^ " bootstrap") (Host.bootstrap host);
-  host
-
-let fresh_endpoint net host =
-  let ep = ref None in
-  Host.request_ephid host (fun e -> ep := Some e);
-  Network.run net;
-  Option.get !ep
+  Scenario.line ~seed ~dns:(300, "example.net") [ 100; 300 ]
 
 (* ------------------------------------------------------------------ *)
 (* §VII-A: receive-only EphIDs and the client-server handshake *)
@@ -35,8 +20,8 @@ let dns_e2e_tests =
   [
     Alcotest.test_case "publish, resolve, connect, reply" `Quick (fun () ->
         let net = make_world () in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let client = bootstrapped net ~as_number:100 ~name:"client" in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let client = Scenario.host net ~as_number:100 ~name:"client" ~credential:"client-tok" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session ("resp:" ^ data)));
         let published = ref false in
@@ -60,8 +45,8 @@ let dns_e2e_tests =
     Alcotest.test_case "server answers from a serving EphID, not the published one"
       `Quick (fun () ->
         let net = make_world () in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let client = bootstrapped net ~as_number:100 ~name:"client" in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let client = Scenario.host net ~as_number:100 ~name:"client" ~credential:"client-tok" in
         Host.publish server ~name:"svc.example.net" (fun () -> ());
         Network.run net;
         let dns_cert =
@@ -83,8 +68,8 @@ let dns_e2e_tests =
     Alcotest.test_case "post-accept data flows both ways (0.5-RTT queue)" `Quick
       (fun () ->
         let net = make_world () in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let client = bootstrapped net ~as_number:100 ~name:"client" in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let client = Scenario.host net ~as_number:100 ~name:"client" ~credential:"client-tok" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session (String.uppercase_ascii data)));
         Host.publish server ~name:"svc.example.net" (fun () -> ());
@@ -108,8 +93,10 @@ let dns_e2e_tests =
         (* Receive-only EphIDs never source packets, so no one can present
            evidence against them (§VII-A): a fabricated request fails. *)
         let net = make_world () in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let attacker = bootstrapped net ~as_number:100 ~name:"attacker" in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let attacker =
+          Scenario.host net ~as_number:100 ~name:"attacker" ~credential:"attacker-tok"
+        in
         Host.publish server ~name:"svc.example.net" (fun () -> ());
         Network.run net;
         let dns_cert =
@@ -120,7 +107,7 @@ let dns_e2e_tests =
             record := r);
         Network.run net;
         let record = Option.get !record in
-        let attacker_ep = fresh_endpoint net attacker in
+        let attacker_ep = Scenario.endpoint net attacker in
         (* Fabricate "evidence": a packet claiming the receive-only EphID
            as source, self-addressed to the attacker. *)
         let header =
@@ -177,10 +164,10 @@ let ap_tests =
       (fun () ->
         let net, _ap, internal = ap_world () in
         let laptop = internal "laptop" in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session ("pong:" ^ data)));
-        let server_ep = fresh_endpoint net server in
+        let server_ep = Scenario.endpoint net server in
         Host.connect laptop ~remote:server_ep.cert ~data0:"ping" (fun _ -> ());
         Network.run net;
         Alcotest.(check (list string)) "round trip" [ "pong:ping" ]
@@ -188,13 +175,9 @@ let ap_tests =
     Alcotest.test_case "AS sees the AP's HID, never the device" `Quick (fun () ->
         let net, ap, internal = ap_world () in
         let laptop = internal "laptop" in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let server_ep = fresh_endpoint net server in
-        let session = ref None in
-        Host.connect laptop ~remote:server_ep.cert ~data0:"x" (fun s ->
-            session := Some s);
-        Network.run net;
-        let s = Option.get !session in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let server_ep = Scenario.endpoint net server in
+        let s = Scenario.connect ~data0:"x" net laptop ~remote:server_ep.cert in
         let laptop_ephid = (Session.local_cert s).ephid in
         (* The issuing AS decrypts the EphID to... the AP's identity. *)
         let node = Network.node_exn net 100 in
@@ -214,8 +197,8 @@ let ap_tests =
     Alcotest.test_case "two devices, isolated identities" `Quick (fun () ->
         let net, ap, internal = ap_world () in
         let l1 = internal "laptop1" and l2 = internal "laptop2" in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let server_ep = fresh_endpoint net server in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let server_ep = Scenario.endpoint net server in
         let s1 = ref None and s2 = ref None in
         Host.connect l1 ~remote:server_ep.cert ~data0:"1" (fun s -> s1 := Some s);
         Host.connect l2 ~remote:server_ep.cert ~data0:"2" (fun s -> s2 := Some s);
@@ -230,8 +213,8 @@ let ap_tests =
       (fun () ->
         let net, _ap, internal = ap_world () in
         let laptop = internal "laptop" in
-        let server = bootstrapped net ~as_number:300 ~name:"server" in
-        let server_ep = fresh_endpoint net server in
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+        let server_ep = Scenario.endpoint net server in
         (* Inject a packet with a made-up source EphID through the
            laptop's attachment (i.e. the AP's router). *)
         let att = Option.get (Host.attachment laptop) in

@@ -10,28 +10,9 @@ let ok_or_fail what = function
 
 (* A 3-AS line: AS100 (alice) — AS200 (transit) — AS300 (bob, runs DNS). *)
 let make_world ?(seed = "e2e") () =
-  let net = Network.create ~seed () in
-  let _a = Network.add_as net 100 () in
-  let _t = Network.add_as net 200 () in
-  let _b = Network.add_as net 300 ~dns_zone:"example.net" () in
-  Network.connect_as net 100 200 ();
-  Network.connect_as net 200 300 ();
-  let alice =
-    Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice-token" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob-token" ()
-  in
-  ok_or_fail "alice bootstrap" (Host.bootstrap alice);
-  ok_or_fail "bob bootstrap" (Host.bootstrap bob);
-  (net, alice, bob)
-
-let get_endpoint host =
-  (* Synchronously obtain a data-plane EphID by running the sim. *)
-  let result = ref None in
-  Host.request_ephid host (fun ep -> result := Some ep);
-  (match Host.attachment host with Some _ -> () | None -> Alcotest.fail "attach");
-  result
+  let net = Scenario.line ~seed ~dns:(300, "example.net") [ 100; 200; 300 ] in
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+  (net, alice, Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token")
 
 let basic_tests =
   [
@@ -43,7 +24,8 @@ let basic_tests =
         Alcotest.(check bool) "has MS cert" true (Host.ms_cert alice <> None));
     Alcotest.test_case "ephid issuance round trip" `Quick (fun () ->
         let net, alice, _bob = make_world () in
-        let ep = get_endpoint alice in
+        let ep = ref None in
+        Host.request_ephid alice (fun e -> ep := Some e);
         Network.run net;
         match !ep with
         | None -> Alcotest.fail "no EphID issued"
@@ -61,9 +43,7 @@ let basic_tests =
               (Result.is_error (Ephid.parse (As_node.keys other) endpoint.cert.ephid)));
     Alcotest.test_case "encrypted end-to-end data (0-RTT)" `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let bob_ep = Scenario.endpoint net bob in
         Host.connect alice ~remote:bob_ep.cert ~data0:"hello bob" (fun _session -> ());
         Network.run net;
         (match Host.received bob with
@@ -72,9 +52,7 @@ let basic_tests =
             Alcotest.failf "bob received %d messages" (List.length other)));
     Alcotest.test_case "bidirectional session data" `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let bob_ep = Scenario.endpoint net bob in
         (* Bob echoes everything back uppercased. *)
         Host.on_data bob (fun ~session ~data ->
             ignore (Host.send bob session (String.uppercase_ascii data)));
@@ -86,9 +64,7 @@ let basic_tests =
         | other -> Alcotest.failf "alice received %d messages" (List.length other)));
     Alcotest.test_case "multiple messages flow in order" `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let bob_ep = Scenario.endpoint net bob in
         Host.connect alice ~remote:bob_ep.cert ~data0:"m0" (fun session ->
             for i = 1 to 5 do
               ignore (Host.send alice session (Printf.sprintf "m%d" i))
@@ -99,9 +75,7 @@ let basic_tests =
           [ "m0"; "m1"; "m2"; "m3"; "m4"; "m5" ] got);
     Alcotest.test_case "ping measures a plausible rtt" `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let bob_ep = Scenario.endpoint net bob in
         let rtt = ref nan in
         Host.ping alice ~dst_aid:(Apna_net.Addr.aid_of_int 300)
           ~dst_ephid:bob_ep.cert.ephid (fun r -> rtt := r);
@@ -111,9 +85,7 @@ let basic_tests =
         Alcotest.(check bool) "rtt sane" true (!rtt >= 0.02 && !rtt < 1.0));
     Alcotest.test_case "icmp unreachable on expired destination" `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let bob_ep = Scenario.endpoint net bob in
         (* Let bob's EphID (medium lifetime, 900 s) expire, then connect. *)
         Network.advance_time net 1000.0;
         Host.connect alice ~remote:bob_ep.cert ~data0:"too late" (fun _ -> ());
@@ -134,9 +106,7 @@ let shutoff_tests =
   [
     Alcotest.test_case "victim shuts off attacker" `Quick (fun () ->
         let net, attacker, victim = make_world () in
-        let victim_ep = get_endpoint victim in
-        Network.run net;
-        let victim_ep = Option.get !victim_ep in
+        let victim_ep = Scenario.endpoint net victim in
         let victim_session = ref None in
         Host.on_data victim (fun ~session ~data:_ -> victim_session := Some session);
         let attacker_session = ref None in
@@ -163,9 +133,7 @@ let shutoff_tests =
         Alcotest.(check int) "no more floods" 2 (List.length (Host.received victim)));
     Alcotest.test_case "shutoff with forged signature is refused" `Quick (fun () ->
         let net, attacker, victim = make_world () in
-        let victim_ep = get_endpoint victim in
-        Network.run net;
-        let victim_ep = Option.get !victim_ep in
+        let victim_ep = Scenario.endpoint net victim in
         let victim_session = ref None in
         Host.on_data victim (fun ~session ~data:_ -> victim_session := Some session);
         Host.connect attacker ~remote:victim_ep.cert ~data0:"x" (fun _ -> ());
@@ -203,9 +171,7 @@ let shutoff_tests =
         (* A third host that merely observed a packet cannot get it shut
            off: it does not own the destination EphID (§VI-C). *)
         let net, attacker, victim = make_world () in
-        let victim_ep = get_endpoint victim in
-        Network.run net;
-        let victim_ep = Option.get !victim_ep in
+        let victim_ep = Scenario.endpoint net victim in
         let victim_session = ref None in
         Host.on_data victim (fun ~session ~data:_ -> victim_session := Some session);
         Host.connect attacker ~remote:victim_ep.cert ~data0:"x" (fun _ -> ());
@@ -213,9 +179,7 @@ let shutoff_tests =
         let vic_s = Option.get !victim_session in
         let evidence = Option.get (Host.last_packet victim vic_s) in
         (* Bystander has its own valid cert but signs with its own key. *)
-        let bystander_ep = get_endpoint attacker in
-        Network.run net;
-        let bystander_ep = Option.get !bystander_ep in
+        let bystander_ep = Scenario.endpoint net attacker in
         let forged =
           Msgs.Shutoff_request
             {
@@ -244,9 +208,7 @@ let lifecycle_tests =
     Alcotest.test_case "close tears down both ends and releases the EphID"
       `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let bob_ep = Scenario.endpoint net bob in
         let session = ref None in
         Host.connect alice ~remote:bob_ep.cert ~data0:"hi" (fun s -> session := Some s);
         Network.run net;
@@ -265,13 +227,8 @@ let lifecycle_tests =
         (* Two clients on one server EphID: the first Fin must not release
            it under the second connection; the last one does. *)
         let net, alice, bob = make_world () in
-        let carol =
-          Network.add_host net ~as_number:100 ~name:"carol" ~credential:"carol-token" ()
-        in
-        ok_or_fail "carol bootstrap" (Host.bootstrap carol);
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
+        let carol = Scenario.host net ~as_number:100 ~name:"carol" ~credential:"carol-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let open_session client data0 =
           let session = ref None in
           Host.connect client ~remote:bob_ep.cert ~data0 (fun s -> session := Some s);
@@ -302,19 +259,11 @@ let lifecycle_tests =
         Alcotest.(check bool) "bob dropped the EphID" false (bob_holds ()));
     Alcotest.test_case "spoofed fin does not kill a session" `Quick (fun () ->
         let net, alice, bob = make_world () in
-        let bob_ep = get_endpoint bob in
-        Network.run net;
-        let bob_ep = Option.get !bob_ep in
-        let session = ref None in
-        Host.connect alice ~remote:bob_ep.cert ~data0:"hi" (fun s -> session := Some s);
-        Network.run net;
-        let s = Option.get !session in
+        let bob_ep = Scenario.endpoint net bob in
+        let s = Scenario.connect ~data0:"hi" net alice ~remote:bob_ep.cert in
         (* Mallory forges a Fin with the right conn id but no session key. *)
-        let mallory = Network.add_host net ~as_number:100 ~name:"mallory" ~credential:"m" () in
-        ok_or_fail "mallory" (Host.bootstrap mallory);
-        let mep = get_endpoint mallory in
-        Network.run net;
-        let mep = Option.get !mep in
+        let mallory = Scenario.host net ~as_number:100 ~name:"mallory" ~credential:"m" in
+        let mep = Scenario.endpoint net mallory in
         let forged =
           Session.Frame.Fin
             { conn_id = Session.conn_id s; seq = 99L; sealed = String.make 24 'F' }

@@ -157,23 +157,13 @@ let notice_tests =
   [
     Alcotest.test_case "host learns which application was shut off" `Quick
       (fun () ->
-        let net = Network.create ~seed:"notice" () in
-        let _ = Network.add_as net 100 () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300 ();
+        let net = Scenario.line ~seed:"notice" [ 100; 300 ] in
         let bot =
-          Network.add_host net ~as_number:100 ~name:"bot" ~credential:"bot"
-            ~granularity:(Granularity.Per_application "default") ()
+          Scenario.host ~granularity:(Granularity.Per_application "default") net
+            ~as_number:100 ~name:"bot" ~credential:"bot"
         in
-        let victim =
-          Network.add_host net ~as_number:300 ~name:"victim" ~credential:"v" ()
-        in
-        ok_or_fail "bot" (Host.bootstrap bot);
-        ok_or_fail "victim" (Host.bootstrap victim);
-        let vep = ref None in
-        Host.request_ephid victim (fun e -> vep := Some e);
-        Network.run net;
-        let vep = Option.get !vep in
+        let victim = Scenario.host net ~as_number:300 ~name:"victim" ~credential:"v" in
+        let vep = Scenario.endpoint net victim in
         let vs = ref None in
         Host.on_data victim (fun ~session ~data:_ -> vs := Some session);
         (* The bot's "malware" app floods; its "browser" app behaves. *)
@@ -200,10 +190,7 @@ let aas_tests =
   [
     Alcotest.test_case "downstream AS customers mix into the upstream set"
       `Quick (fun () ->
-        let net = Network.create ~seed:"aas" () in
-        let _isp = Network.add_as net 100 () in
-        let _remote = Network.add_as net 300 () in
-        Network.connect_as net 100 300 ();
+        let net = Scenario.line ~seed:"aas" [ 100; 300 ] in
         (* The downstream AS (no APNA deployment of its own) attaches to
            the ISP exactly like a NAT-mode device (§VIII-E: "a downstream
            AS can be viewed as a connection-sharing device"). *)
@@ -224,16 +211,10 @@ let aas_tests =
               ok_or_fail name (Host.bootstrap h);
               h)
         in
-        let server =
-          Network.add_host net ~as_number:300 ~name:"server" ~credential:"srv" ()
-        in
-        ok_or_fail "server" (Host.bootstrap server);
+        let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"srv" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session ("ok:" ^ data)));
-        let sep = ref None in
-        Host.request_ephid server (fun e -> sep := Some e);
-        Network.run net;
-        let sep = Option.get !sep in
+        let sep = Scenario.endpoint net server in
         List.iteri
           (fun i c ->
             Host.connect c ~remote:sep.cert ~data0:(string_of_int i) (fun _ -> ()))
@@ -284,17 +265,12 @@ let transport_tests =
         let _ = Network.add_as net 300 () in
         Network.connect_as net 100 200 ();
         Network.connect_as net 200 300 ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
         Host.on_data bob (fun ~session ~data ->
             ignore (Host.send bob session ("gre:" ^ data)));
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
-        Host.connect alice ~remote:(Option.get !bep).cert ~data0:"tunneled"
-          (fun _ -> ());
+        let bep = Scenario.endpoint net bob in
+        Host.connect alice ~remote:bep.cert ~data0:"tunneled" (fun _ -> ());
         Network.run net;
         Alcotest.(check (list string)) "round trip over GRE" [ "gre:tunneled" ]
           (List.map snd (Host.received alice)));
@@ -306,18 +282,10 @@ let transport_tests =
 let release_tests =
   [
     Alcotest.test_case "released EphID stops working at egress" `Quick (fun () ->
-        let net = Network.create ~seed:"release" () in
-        let _ = Network.add_as net 100 () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300 ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
+        let net = Scenario.line ~seed:"release" [ 100; 300 ] in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+        let bep = Scenario.endpoint net bob in
         let session = ref None in
         Host.connect alice ~remote:bep.cert ~data0:"before" (fun s -> session := Some s);
         Network.run net;
@@ -341,16 +309,10 @@ let release_tests =
         Network.run net;
         Alcotest.(check int) "no more delivery" 1 (List.length (Host.received bob)));
     Alcotest.test_case "cannot release someone else's EphID" `Quick (fun () ->
-        let net = Network.create ~seed:"release2" () in
-        let _ = Network.add_as net 100 () in
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        let mallory = Network.add_host net ~as_number:100 ~name:"mallory" ~credential:"m" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "mallory" (Host.bootstrap mallory);
-        let aep = ref None in
-        Host.request_ephid alice (fun e -> aep := Some e);
-        Network.run net;
-        let aep = Option.get !aep in
+        let net = Scenario.line ~seed:"release2" [ 100 ] in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let mallory = Scenario.host net ~as_number:100 ~name:"mallory" ~credential:"m" in
+        let aep = Scenario.endpoint net alice in
         (* Mallory asks the MS to release Alice's EphID, with her own kHA. *)
         let node = Network.node_exn net 100 in
         let mallory_kha = Option.get (Host.kha mallory) in
@@ -379,19 +341,12 @@ let mtu_tests =
   [
     Alcotest.test_case "oversize packet triggers frag-needed feedback" `Quick
       (fun () ->
-        let net = Network.create ~seed:"mtu" () in
-        let _ = Network.add_as net 100 () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300
-          ~link:(Apna_net.Link.make ~mtu:600 ()) ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
+        let net =
+          Scenario.line ~seed:"mtu" ~link:(fun () -> Apna_net.Link.make ~mtu:600 ()) [ 100; 300 ]
+        in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+        let bep = Scenario.endpoint net bob in
         (* The Init with 1000 bytes of 0-RTT data exceeds the 600 B MTU. *)
         Host.connect alice ~remote:bep.cert ~data0:(String.make 1000 'x')
           (fun _ -> ());
@@ -403,18 +358,12 @@ let mtu_tests =
               (mtu > 0 && mtu <= 600)
         | [] -> Alcotest.fail "no frag-needed feedback"));
     Alcotest.test_case "fitting retry is delivered" `Quick (fun () ->
-        let net = Network.create ~seed:"mtu2" () in
-        let _ = Network.add_as net 100 () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300 ~link:(Apna_net.Link.make ~mtu:600 ()) ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
+        let net =
+          Scenario.line ~seed:"mtu2" ~link:(fun () -> Apna_net.Link.make ~mtu:600 ()) [ 100; 300 ]
+        in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+        let bep = Scenario.endpoint net bob in
         Host.connect alice ~remote:bep.cert ~data0:(String.make 1000 'x')
           (fun _ -> ());
         Network.run net;
@@ -487,23 +436,15 @@ let audit_tests =
     Alcotest.test_case "lawful targeted request end to end" `Quick (fun () ->
         (* A retention-enabled ISP answers: "did this packet leave your
            network, and which subscriber sent it?" *)
-        let net = Network.create ~seed:"lawful" () in
-        let _ = Network.add_as net 100 ~retention:true () in
-        let _ = Network.add_as net 300 () in
-        Network.connect_as net 100 300 ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice@isp" () in
-        let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
-        let bep = ref None in
-        Host.request_ephid bob (fun e -> bep := Some e);
-        Network.run net;
+        let net = Scenario.line ~seed:"lawful" ~retention:100 [ 100; 300 ] in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice@isp" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob" in
+        let bep = Scenario.endpoint net bob in
         (* The investigator holds one captured packet. *)
         let captured = ref None in
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.proto = Apna_net.Packet.Data then captured := Some pkt);
-        Host.connect alice ~remote:(Option.get !bep).cert ~data0:"evidence"
-          (fun _ -> ());
+        Host.connect alice ~remote:bep.cert ~data0:"evidence" (fun _ -> ());
         Network.run net;
         let pkt = Option.get !captured in
         let isp = Network.node_exn net 100 in
@@ -597,14 +538,9 @@ let encrypted_icmp_tests =
         let _ = Network.add_as net 100 () in
         let _ = Network.add_as net 300 ~icmp_encryption:true () in
         Network.connect_as net 100 300 ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        let bob = Network.add_host net ~as_number:300 ~name:"bob" ~credential:"b" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
-        let bep = ref None in
-        Host.request_ephid bob ~lifetime:Lifetime.Short (fun e -> bep := Some e);
-        Network.run net;
-        let bep = Option.get !bep in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+        let bep = Scenario.endpoint ~lifetime:Lifetime.Short net bob in
         (* A first exchange lets AS300 observe alice's certificate. *)
         let session = ref None in
         Host.connect alice ~remote:bep.cert ~data0:"warm-up" (fun s -> session := Some s);
@@ -642,8 +578,7 @@ let encrypted_icmp_tests =
         let _ = Network.add_as net 100 () in
         let _ = Network.add_as net 300 ~icmp_encryption:true () in
         Network.connect_as net 100 300 ();
-        let alice = Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a" () in
-        ok_or_fail "alice" (Host.bootstrap alice);
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         (* Ping a genuine AS300 EphID bound to an unregistered host: no
            certificate was ever observed for alice's ping source, so the
            feedback arrives in the clear — and still reaches her. *)

@@ -12,10 +12,6 @@ module Journey = Apna_obs.Journey
 module Json = Apna_obs.Json
 module Chrome_trace = Apna_obs.Chrome_trace
 
-let ok_or_fail what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
-
 (* The e2e line topology — alice@AS100, transit AS200, bob@AS300 — with an
    optional fault model on the first inter-AS link only, so the control
    plane (all intra-AS) bootstraps cleanly even under total loss. *)
@@ -31,23 +27,9 @@ let make_world ?first_hop_faults () =
   in
   Network.connect_as net 100 200 ~link:first_link ();
   Network.connect_as net 200 300 ();
-  let alice =
-    Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" ()
-  in
-  ok_or_fail "alice bootstrap" (Host.bootstrap alice);
-  ok_or_fail "bob bootstrap" (Host.bootstrap bob);
-  let ep = ref None in
-  Host.request_ephid bob (fun e -> ep := Some e);
-  Network.run net;
-  let ep =
-    match !ep with
-    | Some e -> e
-    | None -> Alcotest.fail "bob got no EphID"
-  in
-  (net, alice, ep)
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" in
+  (net, alice, Scenario.endpoint net bob)
 
 (* Record only the scenario under test: the world above is built with the
    recorder off, so bootstrap and EphID traffic leave no events behind. *)

@@ -63,21 +63,11 @@ let heap_tests =
    entries examined, and it must not grow with how many endpoints the
    host holds. *)
 let endpoint_removal_cost () =
-  let net = Network.create ~seed:"scale-endpoints" () in
-  let _ = Network.add_as net 100 () in
-  let h =
-    Network.add_host net ~as_number:100 ~name:"h" ~credential:"h@scale" ()
-  in
-  ok_or_fail "bootstrap" (Host.bootstrap h);
+  let net = Scenario.line ~seed:"scale-endpoints" [ 100 ] in
+  let h = Scenario.host net ~as_number:100 ~name:"h" ~credential:"h@scale" in
   Network.run net;
-  let grab () =
-    let ep = ref None in
-    Host.request_ephid h (fun e -> ep := Some e);
-    Network.run net;
-    Option.get !ep
-  in
   let cost_with n =
-    let eps = List.init n (fun _ -> grab ()) in
+    let eps = List.init n (fun _ -> Scenario.endpoint net h) in
     let victim = List.nth eps (n / 2) in
     ok_or_fail "release" (Host.release_endpoint h victim);
     Network.run net;
@@ -330,22 +320,19 @@ let batch_equivalence_tests =
    network, and the grants enter the endpoint index. *)
 
 let prefetch_uses_batch () =
-  let net = Network.create ~seed:"scale-prefetch" () in
-  let as_node = Network.add_as net 100 () in
+  let net = Scenario.line ~seed:"scale-prefetch" [ 100 ] in
+  let as_node = Network.node_exn net 100 in
   let h =
-    Network.add_host net ~as_number:100 ~name:"p" ~credential:"p@scale"
-      ~granularity:Granularity.Per_packet ()
+    Scenario.host ~granularity:Granularity.Per_packet net ~as_number:100 ~name:"p"
+      ~credential:"p@scale"
   in
-  ok_or_fail "bootstrap" (Host.bootstrap h);
   Network.run net;
   (* The prefetcher backs per-packet sources and refills on demand, when
      the first flow draws a fresh EphID: a loopback session forces the
      draw. *)
-  let ep = ref None in
-  Host.request_ephid h (fun e -> ep := Some e);
-  Network.run net;
+  let ep = Scenario.endpoint net h in
   let session = ref None in
-  Host.connect h ~remote:(Option.get !ep).cert ~data0:"warm" (fun s ->
+  Host.connect h ~remote:ep.cert ~data0:"warm" (fun s ->
       session := Some s);
   Network.run net;
   Alcotest.(check bool) "session established" true (!session <> None);

@@ -15,26 +15,7 @@ let ok_or_fail what = function
 
 (* Two hosts in AS100 (attacker-adjacent), one in AS300. *)
 let make_world ?(seed = "sec") () =
-  let net = Network.create ~seed () in
-  let _ = Network.add_as net 100 () in
-  let _ = Network.add_as net 200 () in
-  let _ = Network.add_as net 300 ~dns_zone:"example.net" () in
-  Network.connect_as net 100 200 ();
-  Network.connect_as net 200 300 ();
-  net
-
-let bootstrapped net ~as_number ~name =
-  let host =
-    Network.add_host net ~as_number ~name ~credential:(name ^ "-token") ()
-  in
-  ok_or_fail (name ^ " bootstrap") (Host.bootstrap host);
-  host
-
-let fresh_endpoint net host =
-  let ep = ref None in
-  Host.request_ephid host (fun e -> ep := Some e);
-  Network.run net;
-  Option.get !ep
+  Scenario.line ~seed ~dns:(300, "example.net") [ 100; 200; 300 ]
 
 (* ------------------------------------------------------------------ *)
 (* §VI-A: attacking source accountability *)
@@ -46,11 +27,13 @@ let accountability_tests =
         (* Mallory sniffs Alice's EphID on their shared segment and uses it
            as her source — but she cannot produce Alice's per-packet MAC. *)
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let _mallory = bootstrapped net ~as_number:100 ~name:"mallory" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let alice_ep = fresh_endpoint net alice in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let _mallory =
+          Scenario.host net ~as_number:100 ~name:"mallory" ~credential:"mallory-token"
+        in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let alice_ep = Scenario.endpoint net alice in
+        let bob_ep = Scenario.endpoint net bob in
         let node = Network.node_exn net 100 in
         let header =
           Apna_net.Apna_header.make ~src_aid:(aid 100)
@@ -84,10 +67,10 @@ let accountability_tests =
     Alcotest.test_case "identity minting: new identity revokes the old" `Quick
       (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
-        let old_ep = fresh_endpoint net alice in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
+        let old_ep = Scenario.endpoint net alice in
         (* Alice re-authenticates for a second identity: the AS revokes the
            first HID and every EphID bound to it (§VI-A). *)
         ok_or_fail "re-bootstrap" (Host.bootstrap alice);
@@ -114,9 +97,9 @@ let accountability_tests =
         (* The destination AS can hand any delivered packet to the source
            AS, which recovers the sender — accountability end to end. *)
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let captured = ref [] in
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.proto = Apna_net.Packet.Data then captured := pkt :: !captured);
@@ -145,9 +128,9 @@ let privacy_tests =
   [
     Alcotest.test_case "observer learns only the AID pair" `Quick (fun () ->
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let captured = ref [] in
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.proto = Apna_net.Packet.Data then captured := pkt :: !captured);
@@ -178,9 +161,9 @@ let privacy_tests =
            compromising one EphID's key exposes only that session
            (§IV-D, §VI-B). *)
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let sealed_frames = ref [] in
         (* Tap only the first link: the same frame crosses two links. *)
         Network.set_tap net (fun ~from ~to_:_ pkt ->
@@ -221,9 +204,9 @@ let privacy_tests =
            decrypts recorded session traffic: the session key came from
            ephemeral X25519 keys that were never sent and are gone. *)
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let recorded = ref [] in
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.proto = Apna_net.Packet.Data then
@@ -269,9 +252,9 @@ let privacy_tests =
            verify under AS300's key, and the transit AS cannot sign as
            AS300. *)
         let net = make_world () in
-        let _alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let _alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let transit = Network.node_exn net 200 in
         let mitm_keys = Keys.make_ephid_keys (Drbg.create ~seed:"mitm") in
         (* Forgery 1: claim AID 300 — signature check fails. *)
@@ -303,10 +286,10 @@ let privacy_tests =
            EphID cannot tell which flows share a sender: all source EphIDs
            are distinct and pairwise dissimilar. *)
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let carol = bootstrapped net ~as_number:100 ~name:"carol" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let carol = Scenario.host net ~as_number:100 ~name:"carol" ~credential:"carol-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let srcs = ref [] in
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.proto = Apna_net.Packet.Data then
@@ -350,17 +333,14 @@ let privacy_tests =
            payloads are AEAD-sealed; verify the public key bytes never
            appear in any control packet on the wire. *)
         let net = make_world () in
-        let alice = bootstrapped net ~as_number:100 ~name:"alice" in
-        let bob = bootstrapped net ~as_number:300 ~name:"bob" in
-        let bob_ep = fresh_endpoint net bob in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-token" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
+        let bob_ep = Scenario.endpoint net bob in
         let control = ref [] in
         Network.set_tap net (fun ~from:_ ~to_:_ pkt ->
             if pkt.proto = Apna_net.Packet.Control then
               control := Apna_net.Packet.to_bytes pkt :: !control);
-        let ep = ref None in
-        Host.request_ephid alice (fun e -> ep := Some e);
-        Network.run net;
-        let ep = Option.get !ep in
+        let ep = Scenario.endpoint net alice in
         ignore bob_ep;
         let contains_needle haystack needle =
           let nl = String.length needle and hl = String.length haystack in

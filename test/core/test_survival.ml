@@ -83,25 +83,13 @@ let breaker_tests =
    chaos suite's rough fault mix on both inter-AS links when asked. *)
 
 let make_world ?(seed = "survival") ?link_faults () =
-  let net = Network.create ~seed () in
-  let _ = Network.add_as net 100 () in
-  let _ = Network.add_as net 200 () in
-  let _ = Network.add_as net 300 () in
-  let link () =
-    match link_faults with
-    | Some faults -> Link.make ~faults ()
-    | None -> Link.make ()
+  let net =
+    Scenario.line ~seed
+      ?link:(Option.map (fun faults () -> Link.make ~faults ()) link_faults)
+      [ 100; 200; 300 ]
   in
-  Network.connect_as net 100 200 ~link:(link ()) ();
-  Network.connect_as net 200 300 ~link:(link ()) ();
-  let alice =
-    Network.add_host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" ()
-  in
-  ok_or_fail "alice bootstrap" (Host.bootstrap alice);
-  ok_or_fail "bob bootstrap" (Host.bootstrap bob);
+  let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"alice-tok" in
+  let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-tok" in
   Network.run net;
   (net, alice, bob)
 
@@ -262,21 +250,11 @@ let brownout_tests =
             if !blackhole && pkt.Packet.proto = Packet.Control then incr eaten
             else Host.deliver carol pkt)
           ~credential:"carol-tok" ();
-        let dave =
-          Network.add_host net ~as_number:100 ~name:"dave" ~credential:"dave-tok"
-            ()
-        in
         ok_or_fail "carol bootstrap" (Host.bootstrap carol);
-        ok_or_fail "dave bootstrap" (Host.bootstrap dave);
+        let dave = Scenario.host net ~as_number:100 ~name:"dave" ~credential:"dave-tok" in
         Network.run net;
-        let dep = ref None in
-        Host.request_ephid dave (fun e -> dep := Some e);
-        Network.run net;
-        let session = ref None in
-        Host.connect carol ~remote:(Option.get !dep).Host.cert ~data0:"hello"
-          (fun s -> session := Some s);
-        Network.run net;
-        let session = Option.get !session in
+        let dep = Scenario.endpoint net dave in
+        let session = Scenario.connect ~data0:"hello" net carol ~remote:dep.Host.cert in
         Alcotest.(check bool) "warm" true
           (List.mem "hello" (List.map snd (Host.received dave)));
         (* Outage: every MS reply to carol vanishes. The per-packet sends
@@ -326,26 +304,15 @@ let bounds_tests =
   [
     Alcotest.test_case "stale prefetched EphIDs are discarded at dequeue"
       `Quick (fun () ->
-        let net = Network.create ~seed:"survival-stale" () in
-        let _ = Network.add_as net 100 () in
+        let net = Scenario.line ~seed:"survival-stale" [ 100 ] in
         let alice =
-          Network.add_host net ~as_number:100 ~name:"alice" ~credential:"a"
-            ~granularity:Granularity.Per_packet ()
+          Scenario.host ~granularity:Granularity.Per_packet net ~as_number:100
+            ~name:"alice" ~credential:"a"
         in
-        let bob =
-          Network.add_host net ~as_number:100 ~name:"bob" ~credential:"b" ()
-        in
-        ok_or_fail "alice" (Host.bootstrap alice);
-        ok_or_fail "bob" (Host.bootstrap bob);
+        let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
         Network.run net;
-        let bep = ref None in
-        Host.request_ephid bob ~lifetime:Lifetime.Long (fun e -> bep := Some e);
-        Network.run net;
-        let session = ref None in
-        Host.connect alice ~remote:(Option.get !bep).Host.cert ~data0:"early"
-          (fun s -> session := Some s);
-        Network.run net;
-        let session = Option.get !session in
+        let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+        let session = Scenario.connect ~data0:"early" net alice ~remote:bep.Host.cert in
         (* One data send warms the per-packet prefetch stock. *)
         ignore (Host.send alice session "warm");
         Network.run net;

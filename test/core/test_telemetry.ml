@@ -20,36 +20,17 @@ let contains text needle =
    window, which is exactly the signature the replay-flood rule watches. *)
 let replay_flood_net () =
   let module Link = Apna_net.Link in
-  let net = Network.create ~seed:"telemetry-test" () in
-  let _ = Network.add_as net 64500 () in
-  let _ = Network.add_as net 64501 () in
-  Network.connect_as net 64500 64501 ();
-  let alice =
-    Network.add_host net ~as_number:64500 ~name:"alice" ~credential:"a" ()
-  in
-  let bob =
-    Network.add_host net ~as_number:64501 ~name:"bob" ~credential:"b" ()
-  in
-  List.iter
-    (fun h ->
-      match Host.bootstrap h with
-      | Ok () -> ()
-      | Error e -> failwith (Error.to_string e))
-    [ alice; bob ];
-  let ep = ref None in
-  Host.request_ephid bob ~lifetime:Lifetime.Long ~receive_only:true (fun e ->
-      ep := Some e);
-  Network.run net;
-  let session = ref None in
-  Host.connect alice ~remote:(Option.get !ep).cert ~expect_accept:true
-    (fun s -> session := Some s);
-  Network.run net;
+  let net = Scenario.line ~seed:"telemetry-test" [ 64500; 64501 ] in
+  let alice = Scenario.host net ~as_number:64500 ~name:"alice" ~credential:"a" in
+  let bob = Scenario.host net ~as_number:64501 ~name:"bob" ~credential:"b" in
+  let ep = Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
+  let session = Scenario.connect ~expect_accept:true net alice ~remote:ep.cert in
   (* Swap in a heavily-duplicating link for the flood itself. *)
   Network.connect_as net 64500 64501
     ~link:
       (Link.make ~faults:(Link.make_faults ~duplicate:0.5 ()) ())
     ();
-  (net, alice, Option.get !session)
+  (net, alice, session)
 
 let flood net alice session ~msgs ~span_s =
   let eng = Network.engine net in
