@@ -88,13 +88,42 @@ end)
 
 (* One in-flight round-trip request. Replies are matched by correlation id,
    never by arrival order, so loss/duplication/reordering cannot mis-pair a
-   reply with another request's continuation. *)
+   reply with another request's continuation. Timers cannot be cancelled,
+   so each checks [settled] on the request it was armed for (answered,
+   abandoned, or dropped with its connection) — never a lookup by key. *)
 type rpc = {
   what : string;
-  resend : unit -> unit;
-  on_reply : Msgs.t -> unit;
-  on_timeout : unit -> unit;
+  mutable resend : unit -> unit;
+  mutable on_timeout : unit -> unit;
   mutable attempts : int;
+  mutable settled : bool;
+}
+
+(* Everything the host keeps about one connection, created and dropped
+   together with its session. *)
+type conn = {
+  session : Session.t;
+  mutable local : endpoint;  (* Source of our frames; signs shutoffs. *)
+  mutable queued_rev : string list;  (* Sent before the Accept (0.5-RTT). *)
+  mutable last_packet : Packet.t option;  (* Shutoff evidence (Fig. 5). *)
+  (* Initiator: the Init, retransmitted until the server's Accept.
+     Receiver: the cached Accept, re-sent verbatim on a duplicate Init. *)
+  mutable accept_wait : rpc option;
+  mutable accept_resend : (unit -> unit) option;
+  (* Migrating side: the Rekey, retransmitted until the peer's Rekey_ack.
+     Peer side: the cached ack, re-sent verbatim on a duplicate Rekey. *)
+  mutable rekey : rpc option;
+  mutable rekey_ack_resend : (unit -> unit) option;
+  (* Issuance or Rekey in flight; guards against starting another. *)
+  mutable migrating : bool;
+  (* One frame that died on the peer's expired/revoked EphID, re-sent once
+     when the peer's Rekey lands. *)
+  mutable pending_retx : string option;
+  (* Last ICMP-driven recovery (simulated time): a cooldown bounds how
+     often ambiguous feedback may trigger a migration. *)
+  mutable recovery_last : float;
+  (* Forgotten: work still in flight (a migration's issuance) stops. *)
+  mutable closed : bool;
 }
 
 type t = {
@@ -118,33 +147,27 @@ type t = {
   (* Prefetched one-shot EphIDs for per-packet sources. *)
   prefetched : endpoint Queue.t;
   mutable prefetch_inflight : int;
-  (* In-flight control-plane round trips (EphID issuance, DNS), keyed by
-     correlation id. *)
-  rpcs : rpc I64_tbl.t;
+  (* Per-packet sources already used, oldest first: indexed until expiry,
+     so encrypted ICMP about a packet they sent can still be opened. *)
+  spent : endpoint Queue.t;
+  (* In-flight control-plane round trips (EphID issuance, DNS) and their
+     reply continuations, keyed by correlation id. *)
+  rpcs : (rpc * (Msgs.t -> unit)) I64_tbl.t;
   mutable next_corr : int64;
-  (* Initiator sessions awaiting the server's Accept, keyed by connection
-     id (which doubles as the Init/Accept correlation id). *)
-  accept_waits : rpc I64_tbl.t;
-  (* Ping retransmission state, keyed by the echo ident. *)
-  ping_rpcs : rpc I64_tbl.t;
+  (* Echo requests awaiting a reply, keyed by ident: when the first copy
+     went out, the continuation, and the retransmission. *)
+  pending_pings : (int, float * (float -> unit) * rpc) Hashtbl.t;
+  mutable next_ping_ident : int;
   mutable rpc_retries : int;
   mutable rpc_timeouts : int;
-  (* Receiver-side Init idempotency: serving-EphID issuance in flight for a
-     connection, and the cached Accept to re-send verbatim on a
-     retransmitted Init. *)
-  init_in_progress : unit I64_tbl.t;
-  accept_resend : (unit -> unit) I64_tbl.t;
-  sessions_by_conn : Session.t I64_tbl.t;
-  (* Local endpoint backing each connection, for shutoff signatures and
-     queued 0.5-RTT data. *)
-  local_by_conn : endpoint I64_tbl.t;
-  (* Connections in [local_by_conn] per endpoint (raw EphID bytes), so a
-     close knows in O(1) whether a shared endpoint is still in use. *)
+  (* Live connections, keyed by connection id — the session demux. *)
+  conns : conn I64_tbl.t;
+  (* Connections per endpoint (raw EphID bytes), so a close knows in O(1)
+     whether a shared endpoint is still in use. *)
   conns_by_ephid : (string, int) Hashtbl.t;
-  queued_data : string Queue.t I64_tbl.t;
-  (* Most recent raw data packet per connection: the evidence a victim
-     presents in a shutoff request (Fig. 5). *)
-  last_packet_by_conn : Packet.t I64_tbl.t;
+  (* Receiver-side Init idempotency: serving-EphID issuance in flight for
+     a connection that has no session yet. *)
+  init_in_progress : unit I64_tbl.t;
   mutable data_handler : session:Session.t -> data:string -> unit;
   mutable received_rev : (int64 * string) list;
   (* Ring of the last [unreachable_cap] ICMP unreachable reasons, oldest
@@ -154,8 +177,6 @@ type t = {
   (* Shutoff notices from the AS: revoked EphID and, when the granularity
      policy allows it, the application behind it (§VIII-A). *)
   mutable revocation_notices_rev : (Ephid.t * string option) list;
-  pending_pings : (int, float * (float -> unit)) Hashtbl.t;
-  mutable next_ping_ident : int;
   mutable ephid_requests : int;
   mutable pkts_sent : int;
   (* Server policy: accept 0-RTT data arriving under a receive-only EphID's
@@ -168,20 +189,6 @@ type t = {
   mutable ephid_lifetime : Lifetime.t;
   mutable renewal_margin : int;
   breaker : Breaker.t;
-  (* Connections with a migration in flight (issuance or unacked Rekey);
-     doubles as the per-conn guard against re-triggering. *)
-  migrating : unit I64_tbl.t;
-  (* Rekey retransmission until the peer's Rekey_ack, keyed by conn id. *)
-  rekey_rpcs : rpc I64_tbl.t;
-  (* Receiver-side Rekey idempotency: cached ack re-sent verbatim when a
-     duplicate Rekey arrives. *)
-  rekey_ack_resend : (unit -> unit) I64_tbl.t;
-  (* One-slot stash of a frame that died on the peer's expired/revoked
-     EphID, retransmitted once when the peer's Rekey lands. *)
-  pending_retx : string I64_tbl.t;
-  (* Last reactive recovery per connection (simulated time), bounding how
-     often ambiguous ICMP feedback may trigger a migration. *)
-  recovery_last : float I64_tbl.t;
   (* Raw EphID bytes named in a shutoff Revocation_notice: sessions bound
      to them must never auto-recover (the shutoff would be defeated). *)
   shutoff_inhibited : (string, unit) Hashtbl.t;
@@ -218,37 +225,27 @@ let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
       pool_waiters = Hashtbl.create 4;
       prefetched = Queue.create ();
       prefetch_inflight = 0;
+      spent = Queue.create ();
       rpcs = I64_tbl.create 8;
       next_corr = 0L;
-      accept_waits = I64_tbl.create 8;
-      ping_rpcs = I64_tbl.create 4;
+      pending_pings = Hashtbl.create 4;
+      next_ping_ident = 1;
       rpc_retries = 0;
       rpc_timeouts = 0;
-      init_in_progress = I64_tbl.create 4;
-      accept_resend = I64_tbl.create 4;
-      sessions_by_conn = I64_tbl.create 8;
-      local_by_conn = I64_tbl.create 8;
+      conns = I64_tbl.create 8;
       conns_by_ephid = Hashtbl.create 8;
-      queued_data = I64_tbl.create 8;
-      last_packet_by_conn = I64_tbl.create 8;
+      init_in_progress = I64_tbl.create 4;
       data_handler = (fun ~session:_ ~data:_ -> ());
       received_rev = [];
       unreachables_q = Queue.create ();
       mtu_hints_rev = [];
       revocation_notices_rev = [];
-      pending_pings = Hashtbl.create 4;
-      next_ping_ident = 1;
       ephid_requests = 0;
       pkts_sent = 0;
       accept_zero_rtt = true;
       ephid_lifetime = Lifetime.Medium;
       renewal_margin = 30;
       breaker;
-      migrating = I64_tbl.create 4;
-      rekey_rpcs = I64_tbl.create 4;
-      rekey_ack_resend = I64_tbl.create 4;
-      pending_retx = I64_tbl.create 4;
-      recovery_last = I64_tbl.create 4;
       shutoff_inhibited = Hashtbl.create 4;
       migrations = 0;
       recoveries = 0;
@@ -289,26 +286,41 @@ let remove_endpoint t (ep : endpoint) =
   t.last_endpoint_op_cost <- 1;
   Hashtbl.remove t.endpoints_by_ephid (ephid_raw ep)
 
-(* Every write to [local_by_conn] goes through these two, keeping
-   [conns_by_ephid] in step. [unbind_local] returns the endpoint the
-   connection was bound to and how many other connections still use it. *)
-let unbind_local t conn_id =
-  match I64_tbl.find_opt t.local_by_conn conn_id with
-  | None -> None
-  | Some ep ->
-      I64_tbl.remove t.local_by_conn conn_id;
-      let raw = ephid_raw ep in
-      let others = Hashtbl.find t.conns_by_ephid raw - 1 in
-      if others > 0 then Hashtbl.replace t.conns_by_ephid raw others
-      else Hashtbl.remove t.conns_by_ephid raw;
-      Some (ep, others)
+(* Every change of a connection's [local] goes through these two, keeping
+   [conns_by_ephid] in step. [unbind] returns how many other connections
+   still use the endpoint. *)
+let unbind t ep =
+  let raw = ephid_raw ep in
+  let others = Hashtbl.find t.conns_by_ephid raw - 1 in
+  if others > 0 then Hashtbl.replace t.conns_by_ephid raw others
+  else Hashtbl.remove t.conns_by_ephid raw;
+  others
 
-let bind_local t conn_id ep =
-  ignore (unbind_local t conn_id);
-  I64_tbl.replace t.local_by_conn conn_id ep;
+let bind t ep =
   let raw = ephid_raw ep in
   Hashtbl.replace t.conns_by_ephid raw
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.conns_by_ephid raw))
+
+let add_conn t session local =
+  bind t local;
+  let c =
+    {
+      session;
+      local;
+      queued_rev = [];
+      last_packet = None;
+      accept_wait = None;
+      accept_resend = None;
+      rekey = None;
+      rekey_ack_resend = None;
+      migrating = false;
+      pending_retx = None;
+      recovery_last = neg_infinity;
+      closed = false;
+    }
+  in
+  I64_tbl.replace t.conns (Session.conn_id session) c;
+  c
 
 let received t = List.rev t.received_rev
 let unreachables t = List.of_seq (Queue.to_seq t.unreachables_q)
@@ -316,8 +328,12 @@ let unreachable_total t = t.unreachable_total
 let mtu_hints t = List.rev t.mtu_hints_rev
 let revocation_notices t = List.rev t.revocation_notices_rev
 let on_data t f = t.data_handler <- f
-let sessions t = I64_tbl.fold (fun _ s acc -> s :: acc) t.sessions_by_conn []
-let last_packet t session = I64_tbl.find_opt t.last_packet_by_conn (Session.conn_id session)
+let sessions t = I64_tbl.fold (fun _ c acc -> c.session :: acc) t.conns []
+
+let last_packet t session =
+  Option.bind (I64_tbl.find_opt t.conns (Session.conn_id session)) (fun c ->
+      c.last_packet)
+
 let set_zero_rtt_policy t accept = t.accept_zero_rtt <- accept
 let ephid_requests_sent t = t.ephid_requests
 let packets_sent t = t.pkts_sent
@@ -338,8 +354,9 @@ let note_brownout t =
   M.Counter.incr m_brownout
 
 let pending_rpc_count t =
-  I64_tbl.length t.rpcs + I64_tbl.length t.accept_waits
-  + I64_tbl.length t.ping_rpcs + I64_tbl.length t.rekey_rpcs
+  let count slot = if Option.is_some slot then 1 else 0 in
+  I64_tbl.fold (fun _ c n -> n + count c.accept_wait + count c.rekey) t.conns
+    (I64_tbl.length t.rpcs + Hashtbl.length t.pending_pings)
 
 let require_att t =
   match t.att with
@@ -350,6 +367,11 @@ let require_identity t =
   match t.identity with
   | Some id -> Ok id
   | None -> Error (Error.Rejected "host is not bootstrapped")
+
+(* Every certificate a peer presents is checked against its issuing AS. *)
+let verify_peer_cert t cert =
+  Result.bind (require_att t) (fun att ->
+      Trust.verify_cert att.trust ~now:(att.now ()) cert)
 
 let warn t what = function
   | Ok _ -> ()
@@ -367,59 +389,69 @@ let fresh_corr t = t.next_corr <- Int64.add t.next_corr 1L; t.next_corr
 let rpc_schedule t =
   match t.att with Some { schedule = Some f; _ } -> Some f | _ -> None
 
-(* A settled rpc leaves its last timer armed; it finds no table entry and
-   does nothing (the engine has no cancellation). *)
-let rec arm_rpc t tbl key (rpc : rpc) =
+(* Answered, timed out, or its connection is gone: later duplicates become
+   orphans. The engine holds the record until its last timer fires, so the
+   callbacks (and the payloads and continuations they hold) go now. *)
+let settle rpc =
+  rpc.settled <- true;
+  rpc.resend <- ignore;
+  rpc.on_timeout <- ignore
+
+let rec arm_rpc t (rpc : rpc) =
   match rpc_schedule t with
   | None -> ()
   | Some sched ->
       let delay =
         rpc_timeout_s *. (rpc_backoff ** float_of_int (rpc.attempts - 1))
       in
-      sched ~delay (fun () -> rpc_timer_fired t tbl key)
+      sched ~delay (fun () -> rpc_timer_fired t rpc)
 
-and rpc_timer_fired t tbl key =
-  match I64_tbl.find_opt tbl key with
-  | None -> ()
-  | Some rpc ->
-      if rpc.attempts >= rpc_max_attempts then begin
-        I64_tbl.remove tbl key;
-        t.rpc_timeouts <- t.rpc_timeouts + 1;
-        M.Counter.incr m_rpc_timeouts;
-        Logs.warn (fun m ->
-            m "%s: %s: no reply after %d attempts" t.host_name rpc.what
-              rpc.attempts);
-        rpc.on_timeout ()
-      end
-      else begin
-        rpc.attempts <- rpc.attempts + 1;
-        t.rpc_retries <- t.rpc_retries + 1;
-        M.Counter.incr m_rpc_retries;
-        rpc.resend ();
-        arm_rpc t tbl key rpc
-      end
+and rpc_timer_fired t rpc =
+  if rpc.settled then ()
+  else if rpc.attempts >= rpc_max_attempts then begin
+    let on_timeout = rpc.on_timeout in
+    settle rpc;
+    t.rpc_timeouts <- t.rpc_timeouts + 1;
+    M.Counter.incr m_rpc_timeouts;
+    Logs.warn (fun m ->
+        m "%s: %s: no reply after %d attempts" t.host_name rpc.what
+          rpc.attempts);
+    on_timeout ()
+  end
+  else begin
+    rpc.attempts <- rpc.attempts + 1;
+    t.rpc_retries <- t.rpc_retries + 1;
+    M.Counter.incr m_rpc_retries;
+    rpc.resend ();
+    arm_rpc t rpc
+  end
 
-let start_rpc t tbl key ~what ?(on_reply = fun (_ : Msgs.t) -> ()) ~resend
-    ~on_timeout () =
-  let rpc = { what; resend; on_reply; on_timeout; attempts = 1 } in
-  I64_tbl.replace tbl key rpc;
+(* [store] files the request where its reply will look for it ([rpcs],
+   [pending_pings] or its connection's record) before the first copy goes
+   out, as a reply may arrive synchronously; [on_timeout] takes it out. *)
+let start_rpc t ~what ~resend ~on_timeout store =
+  let rpc = { what; resend; on_timeout; attempts = 1; settled = false } in
+  store rpc;
   resend ();
-  arm_rpc t tbl key rpc
+  arm_rpc t rpc
 
-(* Remove a pending rpc (reply arrived through another path); later
-   duplicates become orphans. *)
-let settle_rpc tbl key = I64_tbl.remove tbl key
-
-let dispatch_reply t ~what corr msg =
-  match I64_tbl.find_opt t.rpcs corr with
-  | Some rpc ->
+let start_corr_rpc t corr ~what ~resend ~on_reply ~on_timeout =
+  start_rpc t ~what ~resend
+    ~on_timeout:(fun () ->
       I64_tbl.remove t.rpcs corr;
-      rpc.on_reply msg
+      on_timeout ())
+    (fun rpc -> I64_tbl.replace t.rpcs corr (rpc, on_reply))
+
+let dispatch_reply t corr msg =
+  match I64_tbl.find_opt t.rpcs corr with
+  | Some (rpc, on_reply) ->
+      I64_tbl.remove t.rpcs corr;
+      settle rpc;
+      on_reply msg
   | None ->
       M.Counter.incr m_rpc_orphans;
       Logs.debug (fun m ->
-          m "%s: %s reply with no pending request (corr %Ld)" t.host_name what
-            corr)
+          m "%s: reply with no pending request (corr %Ld)" t.host_name corr)
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap (Fig. 2, host side) *)
@@ -501,48 +533,54 @@ let send_packet t ~src_ephid ~dst_aid ~dst_ephid ~proto ~payload =
 (* ------------------------------------------------------------------ *)
 (* EphID acquisition (Fig. 3, host side) *)
 
-let request_ephid_r t ?lifetime ?(receive_only = false) k =
+let send_to_ms t id payload =
+  send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
+    ~dst_aid:id.ms_cert.aid
+    ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
+    ~proto:Packet.Control ~payload
+
+(* One issuance round trip, single or batched. [keys] draws the key
+   material, [request] seals it into the request and [read] turns the
+   MS's reply into the caller's result. *)
+let issue t ~what ?lifetime ~keys ~request ~read k =
   let lifetime = Option.value lifetime ~default:t.ephid_lifetime in
   match (require_att t, require_identity t) with
   | Error e, _ | _, Error e -> k (Error e)
-  | Ok att, Ok id when not (Breaker.acquire t.breaker ~now:(att.now_f ())) ->
-      ignore id;
+  | Ok att, Ok _ when not (Breaker.acquire t.breaker ~now:(att.now_f ())) ->
       (* Fail fast while the breaker is open: callers apply their brownout
          fallback instead of burning a full timeout ladder per request. *)
       k (Error (Error.Rejected "EphID issuance circuit breaker open"))
   | Ok att, Ok id ->
-      let keys = Keys.make_ephid_keys t.rng in
+      let keys = keys () in
       let corr = fresh_corr t in
-      let msg =
-        Management.Client.make_request ~rng:t.rng ~corr ~kha:id.kha ~keys
-          ~lifetime
-      in
       (* Retransmits reuse the serialized request: same key/nonce/plaintext
          seals to the same bytes, and the MS treats each copy as a fresh
          (idempotent-enough) issuance — the host keeps only the one it
          pairs by correlation id. *)
-      let payload = Msgs.to_bytes msg in
-      t.ephid_requests <- t.ephid_requests + 1;
-      let resend () =
-        warn t "request_ephid send"
-          (send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-             ~dst_aid:id.ms_cert.aid
-             ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-             ~proto:Packet.Control ~payload)
+      let payload =
+        Msgs.to_bytes (request ~rng:t.rng ~corr ~kha:id.kha ~keys ~lifetime)
       in
-      start_rpc t t.rpcs corr ~what:"EphID request" ~resend
+      t.ephid_requests <- t.ephid_requests + 1;
+      start_corr_rpc t corr ~what
+        ~resend:(fun () -> warn t (what ^ " send") (send_to_ms t id payload))
         ~on_reply:(fun msg ->
           Breaker.success t.breaker;
-          match Management.Client.read_reply ~kha:id.kha msg with
-          | Error e -> k (Error e)
-          | Ok cert ->
-              let endpoint = { cert; keys; receive_only } in
-              add_endpoint t endpoint;
-              k (Ok endpoint))
+          k (read ~kha:id.kha keys msg))
         ~on_timeout:(fun () ->
           Breaker.failure t.breaker ~now:(att.now_f ());
           k (Error (Error.Timeout "EphID issuance")))
-        ()
+
+let request_ephid_r t ?lifetime ?(receive_only = false) k =
+  issue t ~what:"EphID request" ?lifetime
+    ~keys:(fun () -> Keys.make_ephid_keys t.rng)
+    ~request:Management.Client.make_request
+    ~read:(fun ~kha keys msg ->
+      Management.Client.read_reply ~kha msg
+      |> Result.map (fun cert ->
+             let endpoint = { cert; keys; receive_only } in
+             add_endpoint t endpoint;
+             endpoint))
+    k
 
 let request_ephid t ?lifetime ?receive_only k =
   request_ephid_r t ?lifetime ?receive_only (function
@@ -553,49 +591,25 @@ let request_ephid t ?lifetime ?receive_only k =
    [count] grants. The prefetcher uses this to refill its whole stock per
    round trip instead of [count] independent request/reply exchanges. *)
 let request_ephid_batch_r t ~count ?lifetime k =
-  let lifetime = Option.value lifetime ~default:t.ephid_lifetime in
-  match (require_att t, require_identity t) with
-  | Error e, _ | _, Error e -> k (Error e)
-  | Ok att, Ok id when not (Breaker.acquire t.breaker ~now:(att.now_f ())) ->
-      ignore id;
-      k (Error (Error.Rejected "EphID issuance circuit breaker open"))
-  | Ok att, Ok id ->
-      let keys = List.init count (fun _ -> Keys.make_ephid_keys t.rng) in
-      let corr = fresh_corr t in
-      let msg =
-        Management.Client.make_batch_request ~rng:t.rng ~corr ~kha:id.kha
-          ~keys ~lifetime
-      in
-      let payload = Msgs.to_bytes msg in
-      t.ephid_requests <- t.ephid_requests + 1;
-      let resend () =
-        warn t "batch request send"
-          (send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-             ~dst_aid:id.ms_cert.aid
-             ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-             ~proto:Packet.Control ~payload)
-      in
-      start_rpc t t.rpcs corr ~what:"EphID batch request" ~resend
-        ~on_reply:(fun msg ->
-          Breaker.success t.breaker;
-          match Management.Client.read_batch_reply ~kha:id.kha msg with
-          | Error e -> k (Error e)
-          | Ok certs when List.length certs <> count ->
-              k (Error (Error.Malformed "batch reply count mismatch"))
-          | Ok certs ->
-              (* Certificates arrive in request order: pair them back with
-                 the key material they certify. *)
-              let endpoints =
-                List.map2
-                  (fun cert keys -> { cert; keys; receive_only = false })
-                  certs keys
-              in
-              List.iter (add_endpoint t) endpoints;
-              k (Ok endpoints))
-        ~on_timeout:(fun () ->
-          Breaker.failure t.breaker ~now:(att.now_f ());
-          k (Error (Error.Timeout "EphID batch issuance")))
-        ()
+  issue t ~what:"EphID batch request" ?lifetime
+    ~keys:(fun () -> List.init count (fun _ -> Keys.make_ephid_keys t.rng))
+    ~request:Management.Client.make_batch_request
+    ~read:(fun ~kha keys msg ->
+      match Management.Client.read_batch_reply ~kha msg with
+      | Error e -> Error e
+      | Ok certs when List.length certs <> count ->
+          Error (Error.Malformed "batch reply count mismatch")
+      | Ok certs ->
+          (* Certificates arrive in request order: pair them back with
+             the key material they certify. *)
+          let endpoints =
+            List.map2
+              (fun cert keys -> { cert; keys; receive_only = false })
+              certs keys
+          in
+          List.iter (add_endpoint t) endpoints;
+          Ok endpoints)
+    k
 
 let release_endpoint t (endpoint : endpoint) =
   match require_identity t with
@@ -606,18 +620,15 @@ let release_endpoint t (endpoint : endpoint) =
           ~ephid:endpoint.cert.Cert.ephid
       in
       remove_endpoint t endpoint;
-      Hashtbl.iter
-        (fun key (e : endpoint) ->
-          if Cert.equal e.cert endpoint.cert then Hashtbl.remove t.pools key)
-        (Hashtbl.copy t.pools);
+      Hashtbl.filter_map_inplace
+        (fun _ (e : endpoint) ->
+          if Cert.equal e.cert endpoint.cert then None else Some e)
+        t.pools;
       (* A deliberate release means sessions bound to this EphID must die
          with it: inhibit ICMP-driven recovery, exactly as for a shutoff. *)
       Hashtbl.replace t.shutoff_inhibited
         (Ephid.to_bytes endpoint.cert.Cert.ephid) ();
-      send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-        ~dst_aid:id.ms_cert.aid
-        ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-        ~proto:Packet.Control ~payload:(Msgs.to_bytes msg)
+      send_to_ms t id (Msgs.to_bytes msg)
 
 (* ------------------------------------------------------------------ *)
 (* Granularity-driven source selection *)
@@ -688,31 +699,22 @@ let rec refill_prefetch t =
   let stock = Queue.length t.prefetched + t.prefetch_inflight in
   if stock < prefetch_target && is_bootstrapped t then begin
     let want = prefetch_target - stock in
-    if want = 1 then begin
-      t.prefetch_inflight <- t.prefetch_inflight + 1;
-      request_ephid_r t (function
-        | Error e ->
-            t.prefetch_inflight <- t.prefetch_inflight - 1;
-            warn t "prefetch" (Error e)
-        | Ok endpoint ->
-            t.prefetch_inflight <- t.prefetch_inflight - 1;
-            Queue.add endpoint t.prefetched;
-            refill_prefetch t)
-    end
-    else begin
-      (* Refill the whole deficit with one batched round trip: the MS
-         validates the control EphID once and amortizes its DRBG pool
-         across the grants. *)
-      t.prefetch_inflight <- t.prefetch_inflight + want;
-      request_ephid_batch_r t ~count:want (function
-        | Error e ->
-            t.prefetch_inflight <- t.prefetch_inflight - want;
-            warn t "prefetch" (Error e)
+    (* A larger deficit is refilled with one batched round trip: the MS
+       validates the control EphID once and amortizes its DRBG pool across
+       the grants. *)
+    let request k =
+      if want = 1 then
+        request_ephid_r t (fun r -> k (Result.map (fun ep -> [ ep ]) r))
+      else request_ephid_batch_r t ~count:want k
+    in
+    t.prefetch_inflight <- t.prefetch_inflight + want;
+    request (fun result ->
+        t.prefetch_inflight <- t.prefetch_inflight - want;
+        match result with
+        | Error e -> warn t "prefetch" (Error e)
         | Ok endpoints ->
-            t.prefetch_inflight <- t.prefetch_inflight - want;
             List.iter (fun ep -> Queue.add ep t.prefetched) endpoints;
             refill_prefetch t)
-    end
   end
 
 (* Discard-at-dequeue: stock prefetched long ago may have aged past the
@@ -736,17 +738,28 @@ let rec pop_usable_prefetched t =
     end
   end
 
+(* A per-packet source is used once, then waits in [spent] for its
+   certificate to expire. Sources are spent in roughly the order they
+   expire, so checking only the oldest keeps pruning O(1) amortised. *)
+let rec prune_spent t =
+  match Queue.peek_opt t.spent with
+  | Some ep when not (still_valid t ep) ->
+      ignore (Queue.pop t.spent);
+      remove_endpoint t ep;
+      prune_spent t
+  | _ -> ()
+
 let take_fresh_source t k =
+  let spend endpoint =
+    Queue.add endpoint t.spent;
+    prune_spent t;
+    refill_prefetch t;
+    k (Ok endpoint)
+  in
   match pop_usable_prefetched t with
-  | Some endpoint ->
-      refill_prefetch t;
-      k (Ok endpoint)
+  | Some endpoint -> spend endpoint
   | None ->
-      request_ephid_r t (function
-        | Error e -> k (Error e)
-        | Ok endpoint ->
-            refill_prefetch t;
-            k (Ok endpoint))
+      request_ephid_r t (function Ok ep -> spend ep | Error e -> k (Error e))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions *)
@@ -761,33 +774,29 @@ let send_frame t ~(endpoint : endpoint) ~remote:(remote_cert : Cert.t) frame =
     ~proto:Packet.Data
     ~payload:(Session.Frame.to_bytes frame)
 
+(* One removal drops everything the host keeps about the connection; its
+   pending requests are settled so their timers stay quiet. *)
 let forget_session t conn_id =
-  let bound = unbind_local t conn_id in
-  I64_tbl.remove t.sessions_by_conn conn_id;
-  I64_tbl.remove t.last_packet_by_conn conn_id;
-  I64_tbl.remove t.queued_data conn_id;
-  settle_rpc t.accept_waits conn_id;
-  I64_tbl.remove t.accept_resend conn_id;
-  I64_tbl.remove t.init_in_progress conn_id;
-  settle_rpc t.rekey_rpcs conn_id;
-  I64_tbl.remove t.migrating conn_id;
-  I64_tbl.remove t.rekey_ack_resend conn_id;
-  I64_tbl.remove t.pending_retx conn_id;
-  I64_tbl.remove t.recovery_last conn_id;
-  (* Per-flow EphIDs die with their flow: preemptively release the backing
-     EphID once no other connection is bound to it, unless it is pooled
-     (per-host/per-application) or receive-only (§VIII-G2: hosts manage
-     their EphID pool). *)
-  match bound with
-  | Some (endpoint, 0) ->
-      let pooled =
-        Hashtbl.fold
-          (fun _ (e : endpoint) acc -> acc || Cert.equal e.cert endpoint.cert)
-          t.pools false
-      in
-      if (not pooled) && not endpoint.receive_only then
-        warn t "close: release" (release_endpoint t endpoint)
-  | None | Some _ -> ()
+  match I64_tbl.find_opt t.conns conn_id with
+  | None -> ()
+  | Some c ->
+      I64_tbl.remove t.conns conn_id;
+      c.closed <- true;
+      Option.iter settle c.accept_wait;
+      Option.iter settle c.rekey;
+      (* Per-flow EphIDs die with their flow: preemptively release the
+         backing EphID once no other connection is bound to it, unless it
+         is pooled (per-host/per-application) or receive-only (§VIII-G2:
+         hosts manage their EphID pool). *)
+      let endpoint = c.local in
+      if unbind t endpoint = 0 then begin
+        let pooled =
+          Seq.exists (fun (e : endpoint) -> Cert.equal e.cert endpoint.cert)
+            (Hashtbl.to_seq_values t.pools)
+        in
+        if (not pooled) && not endpoint.receive_only then
+          warn t "close: release" (release_endpoint t endpoint)
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Mid-session EphID migration: a live session outlives the EphID that
@@ -799,26 +808,23 @@ let forget_session t conn_id =
 
 let inhibited t (ep : endpoint) = Hashtbl.mem t.shutoff_inhibited (ephid_raw ep)
 
-let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
-    () =
-  let conn_id = Session.conn_id session in
-  if I64_tbl.mem t.migrating conn_id then ()
-  else begin
-    I64_tbl.replace t.migrating conn_id ();
+let migrate_session t c ~reason ?(and_then = fun (_ : endpoint) -> ()) () =
+  if not c.migrating then begin
+    c.migrating <- true;
+    let session = c.session in
+    let conn_id = Session.conn_id session in
     let since = E.start E.default in
     request_ephid_r t (fun result ->
         match result with
         | Error e ->
             (* Brownout: keep riding the current endpoint until its hard
                expiry; the next send or ICMP retriggers the migration. *)
-            I64_tbl.remove t.migrating conn_id;
+            c.migrating <- false;
             note_brownout t;
             warn t "migrate: issuance" (Error e)
         | Ok fresh ->
-            if not (I64_tbl.mem t.sessions_by_conn conn_id) then
-              (* Session closed while the issuance was in flight. *)
-              I64_tbl.remove t.migrating conn_id
-            else begin
+            (* Unless the session closed while the issuance was in flight. *)
+            if not c.closed then begin
               let seq, sealed = Session.seal session "" in
               let frame =
                 Session.Frame.Rekey { conn_id; cert = fresh.cert; seq; sealed }
@@ -828,10 +834,12 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                   ~local_keys:fresh.keys
               with
               | Error e ->
-                  I64_tbl.remove t.migrating conn_id;
+                  c.migrating <- false;
                   warn t "migrate: rekey" (Error e)
               | Ok () ->
-                  bind_local t conn_id fresh;
+                  ignore (unbind t c.local);
+                  bind t fresh;
+                  c.local <- fresh;
                   t.migrations <- t.migrations + 1;
                   M.Counter.incr m_migrations;
                   Logs.info (fun m ->
@@ -843,11 +851,8 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                         ~key:(E.key_of_string (Printf.sprintf "conn:%Ld" conn_id))
                         ~since
                         (E.Migrate
-                           {
-                             aid = Addr.aid_to_int att.aid;
-                             host = t.host_name;
-                             reason;
-                           })
+                           { aid = Addr.aid_to_int att.aid; host = t.host_name;
+                             reason })
                   | _ -> ());
                   let resend () =
                     (* The frame bytes are fixed (re-sealing would advance
@@ -857,10 +862,11 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                       (send_frame t ~endpoint:fresh
                          ~remote:(Session.remote_cert session) frame)
                   in
-                  start_rpc t t.rekey_rpcs conn_id ~what:"session rekey"
-                    ~resend
-                    ~on_timeout:(fun () -> I64_tbl.remove t.migrating conn_id)
-                    ();
+                  start_rpc t ~what:"session rekey" ~resend
+                    ~on_timeout:(fun () ->
+                      c.rekey <- None;
+                      c.migrating <- false)
+                    (fun rpc -> c.rekey <- Some rpc);
                   and_then fresh
             end)
   end
@@ -868,163 +874,129 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
 (* Proactive renewal: checked on the traffic path (send/receive) rather
    than on long-armed timers, so a simulation driven to quiescence is not
    dragged forward to every session's renewal horizon. *)
-let maybe_migrate t session =
+let maybe_migrate t c =
   match t.att with
   | None -> ()
   | Some att ->
-      let conn_id = Session.conn_id session in
+      let ep = c.local in
       if
-        Session.established session
-        && (not (I64_tbl.mem t.migrating conn_id))
-        && I64_tbl.mem t.sessions_by_conn conn_id
-      then
-        match I64_tbl.find_opt t.local_by_conn conn_id with
-        | Some ep
-          when ep.cert.Cert.expiry <= att.now () + t.renewal_margin
-               && (not ep.receive_only)
-               && not (inhibited t ep) ->
-            migrate_session t session ~reason:"renewal-margin" ()
-        | _ -> ()
+        Session.established c.session
+        && (not c.migrating)
+        && ep.cert.Cert.expiry <= att.now () + t.renewal_margin
+        && (not ep.receive_only)
+        && (not (inhibited t ep))
+        && not c.closed
+      then migrate_session t c ~reason:"renewal-margin" ()
 
-let maintain_sessions t =
-  I64_tbl.iter (fun _ session -> maybe_migrate t session) t.sessions_by_conn
+let maintain_sessions t = I64_tbl.iter (fun _ c -> maybe_migrate t c) t.conns
 
 let connect t ~remote ?(data0 = "") ?app ?(expect_accept = false) k =
-  match require_att t with
-  | Error e -> warn t "connect" (Error e)
-  | Ok att ->
-      let now = att.now () in
-      (match Trust.verify_cert att.trust ~now remote with
-      | Error e -> warn t "connect: peer certificate" (Error e)
-      | Ok () ->
-          with_source_endpoint t ?app (function
-            | Error e -> warn t "connect: source EphID" (Error e)
-            | Ok endpoint -> begin
-              let conn_id = fresh_conn_id t in
-              (* [expect_accept] marks a connection to a receive-only EphID
-                 (the DNS record says so): the session stays unestablished
-                 — later sends queue for 0.5-RTT — until the server's
-                 Accept rekeys it onto the serving EphID (§VII-A/C). The
-                 0-RTT [data0] still goes out under the receive-only key. *)
-              match
-                Session.create ~conn_id ~initiator:true
-                  ~local_cert:endpoint.cert ~local_keys:endpoint.keys
-                  ~remote_cert:remote ~await_accept:expect_accept ()
-              with
-              | Error e -> warn t "connect: session" (Error e)
-              | Ok session ->
-                  I64_tbl.replace t.sessions_by_conn conn_id session;
-                  bind_local t conn_id endpoint;
-                  let seq, sealed = Session.seal session data0 in
-                  (* Retransmits must reuse the sealed frame — sealing again
-                     would advance the send sequence. The connection id is
-                     the Init/Accept correlation id. *)
-                  let frame =
-                    Session.Frame.Init
-                      { conn_id; cert = endpoint.cert; seq; sealed }
-                  in
-                  let send_init () =
-                    warn t "connect: init" (send_frame t ~endpoint ~remote frame)
-                  in
-                  if expect_accept then
-                    start_rpc t t.accept_waits conn_id ~what:"session accept"
-                      ~resend:send_init
-                      ~on_timeout:(fun () ->
-                        warn t "connect"
-                          (Error (Error.Timeout "session accept"));
-                        forget_session t conn_id)
-                      ()
-                  else send_init ();
-                  k session
-            end))
+  match verify_peer_cert t remote with
+  | Error e -> warn t "connect: peer certificate" (Error e)
+  | Ok () ->
+      with_source_endpoint t ?app (function
+        | Error e -> warn t "connect: source EphID" (Error e)
+        | Ok endpoint -> begin
+            let conn_id = fresh_conn_id t in
+            (* [expect_accept] marks a connection to a receive-only EphID
+               (the DNS record says so): the session stays unestablished —
+               later sends queue for 0.5-RTT — until the server's Accept
+               rekeys it onto the serving EphID (§VII-A/C). The 0-RTT
+               [data0] still goes out under the receive-only key. *)
+            match
+              Session.create ~conn_id ~initiator:true ~local_cert:endpoint.cert
+                ~local_keys:endpoint.keys ~remote_cert:remote
+                ~await_accept:expect_accept ()
+            with
+            | Error e -> warn t "connect: session" (Error e)
+            | Ok session ->
+                let c = add_conn t session endpoint in
+                let seq, sealed = Session.seal session data0 in
+                (* Retransmits must reuse the sealed frame — sealing again
+                   would advance the send sequence. The connection id is the
+                   Init/Accept correlation id. *)
+                let frame =
+                  Session.Frame.Init
+                    { conn_id; cert = endpoint.cert; seq; sealed }
+                in
+                let send_init () =
+                  warn t "connect: init" (send_frame t ~endpoint ~remote frame)
+                in
+                if expect_accept then
+                  start_rpc t ~what:"session accept" ~resend:send_init
+                    ~on_timeout:(fun () ->
+                      c.accept_wait <- None;
+                      warn t "connect" (Error (Error.Timeout "session accept"));
+                      forget_session t conn_id)
+                    (fun rpc -> c.accept_wait <- Some rpc)
+                else send_init ();
+                k session
+          end)
 
 let send t session data =
-  if not (Session.established session) then begin
-    (* §VII-C: before the server's Accept, either send 0-RTT under the
-       receive-only key (connect's data0) or queue for 0.5-RTT. *)
-    let conn_id = Session.conn_id session in
-    let q =
-      match I64_tbl.find_opt t.queued_data conn_id with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          I64_tbl.replace t.queued_data conn_id q;
-          q
-    in
-    Queue.add data q;
-    Ok ()
-  end
-  else begin
-    let conn_id = Session.conn_id session in
-    match I64_tbl.find_opt t.local_by_conn conn_id with
-    | None -> Error (Error.Rejected "unknown session")
-    | Some endpoint ->
-        let remote = Session.remote_cert session in
-        let seq, sealed = Session.seal session data in
-        let frame = Session.Frame.Data { conn_id; seq; sealed } in
-        let result =
-          if Granularity.equal t.gran Granularity.Per_packet then begin
-            (* Fresh source EphID for every packet (§VIII-A): strongest
-               unlinkability; the connection id does the demultiplexing. *)
-            take_fresh_source t (function
-                | Error e ->
-                    (* Brownout: no fresh EphID to be had — stretch the
-                       effective granularity to per-flow (reuse the bound
-                       endpoint) rather than blackhole the send. *)
-                    if still_valid t endpoint && not (inhibited t endpoint)
-                    then begin
-                      note_brownout t;
-                      warn t "send(per-packet brownout)"
-                        (send_frame t ~endpoint ~remote frame)
-                    end
-                    else warn t "send(per-packet)" (Error e)
-                | Ok fresh ->
-                    warn t "send(per-packet)"
-                      (send_frame t ~endpoint:fresh ~remote frame));
-            Ok ()
-          end
-          else send_frame t ~endpoint ~remote frame
-        in
-        (* After the frame is out (sealed under the pre-migration key),
-           check whether this session's source EphID is due for renewal. *)
-        maybe_migrate t session;
-        result
-  end
-
-let flush_queued t session =
   let conn_id = Session.conn_id session in
-  match I64_tbl.find_opt t.queued_data conn_id with
-  | None -> ()
-  | Some q ->
-      I64_tbl.remove t.queued_data conn_id;
-      Queue.iter (fun data -> warn t "flush" (send t session data)) q
+  match I64_tbl.find_opt t.conns conn_id with
+  | None -> Error (Error.Rejected "unknown session")
+  | Some c when not (Session.established session) ->
+      (* §VII-C: before the server's Accept, either send 0-RTT under the
+         receive-only key (connect's data0) or queue for 0.5-RTT. *)
+      c.queued_rev <- data :: c.queued_rev;
+      Ok ()
+  | Some c ->
+      let endpoint = c.local in
+      let remote = Session.remote_cert session in
+      let seq, sealed = Session.seal session data in
+      let frame = Session.Frame.Data { conn_id; seq; sealed } in
+      let result =
+        if Granularity.equal t.gran Granularity.Per_packet then begin
+          (* Fresh source EphID for every packet (§VIII-A): strongest
+             unlinkability; the connection id does the demultiplexing. *)
+          take_fresh_source t (function
+              | Error e ->
+                  (* Brownout: no fresh EphID to be had — stretch the
+                     effective granularity to per-flow (reuse the bound
+                     endpoint) rather than blackhole the send. *)
+                  if still_valid t endpoint && not (inhibited t endpoint)
+                  then begin
+                    note_brownout t;
+                    warn t "send(per-packet brownout)"
+                      (send_frame t ~endpoint ~remote frame)
+                  end
+                  else warn t "send(per-packet)" (Error e)
+              | Ok fresh ->
+                  warn t "send(per-packet)"
+                    (send_frame t ~endpoint:fresh ~remote frame));
+          Ok ()
+        end
+        else send_frame t ~endpoint ~remote frame
+      in
+      (* After the frame is out (sealed under the pre-migration key),
+         check whether this session's source EphID is due for renewal. *)
+      maybe_migrate t c;
+      result
 
 (* ------------------------------------------------------------------ *)
 (* Session teardown *)
 
 let close t session =
   let conn_id = Session.conn_id session in
-  match I64_tbl.find_opt t.local_by_conn conn_id with
+  match I64_tbl.find_opt t.conns conn_id with
   | None -> Error (Error.Rejected "unknown session")
-  | Some endpoint ->
+  | Some c ->
       let seq, sealed = Session.seal session "" in
       let result =
-        send_frame t ~endpoint ~remote:(Session.remote_cert session)
+        send_frame t ~endpoint:c.local ~remote:(Session.remote_cert session)
           (Session.Frame.Fin { conn_id; seq; sealed })
       in
       forget_session t conn_id;
       result
 
-let handle_fin t ~conn_id ~seq ~sealed =
-  match I64_tbl.find_opt t.sessions_by_conn conn_id with
-  | None -> ()
-  | Some session -> begin
-      (* Only an authenticated close tears the session down: a spoofed Fin
-         must not be able to kill someone's connection. *)
-      match open_sealed_counted session ~seq ~sealed with
-      | Ok _ -> forget_session t conn_id
-      | Error e -> warn t "fin" (Error e)
-    end
+(* Only an authenticated close tears the session down: a spoofed Fin must
+   not be able to kill someone's connection. *)
+let handle_fin t c ~seq ~sealed =
+  match open_sealed_counted c.session ~seq ~sealed with
+  | Ok _ -> forget_session t (Session.conn_id c.session)
+  | Error e -> warn t "fin" (Error e)
 
 (* ------------------------------------------------------------------ *)
 (* Server role (§VII-A) *)
@@ -1039,10 +1011,9 @@ let dns_request t ~what ~dns ~(client : endpoint) ~corr msg k =
          ~dst_ephid:(Ephid.to_bytes dns.Cert.ephid)
          ~proto:Packet.Control ~payload)
   in
-  start_rpc t t.rpcs corr ~what ~resend
+  start_corr_rpc t corr ~what ~resend
     ~on_reply:(fun reply -> k (Ok reply))
     ~on_timeout:(fun () -> k (Error (Error.Timeout what)))
-    ()
 
 (* DNS exchanges are fronted by a dedicated client endpoint (requested on
    demand and cached): its key material seals the query, and using it as
@@ -1149,9 +1120,6 @@ let ping t ~dst_aid ~dst_ephid k =
         | Ok endpoint ->
           let ident = t.next_ping_ident in
           t.next_ping_ident <- t.next_ping_ident + 1;
-          (* The RTT clock starts at the first transmission; a reply to a
-             retransmitted echo reports the total elapsed time. *)
-          Hashtbl.replace t.pending_pings ident (att.now_f (), k);
           let payload =
             Icmp.to_bytes (Icmp.Echo_request { ident; data = "apna-ping" })
           in
@@ -1162,18 +1130,20 @@ let ping t ~dst_aid ~dst_ephid k =
                  ~dst_aid ~dst_ephid:(Ephid.to_bytes dst_ephid)
                  ~proto:Packet.Icmp ~payload)
           in
-          start_rpc t t.ping_rpcs (Int64.of_int ident) ~what:"ping" ~resend
+          (* The RTT clock starts at the first transmission; a reply to a
+             retransmitted echo reports the total elapsed time. *)
+          start_rpc t ~what:"ping" ~resend
             ~on_timeout:(fun () -> Hashtbl.remove t.pending_pings ident)
-            ())
+            (fun rpc ->
+              Hashtbl.replace t.pending_pings ident (att.now_f (), k, rpc)))
 
 (* ------------------------------------------------------------------ *)
 (* Shutoff (victim side, Fig. 5) *)
 
 let request_shutoff t ~session ~evidence =
-  let conn_id = Session.conn_id session in
-  match I64_tbl.find_opt t.local_by_conn conn_id with
+  match I64_tbl.find_opt t.conns (Session.conn_id session) with
   | None -> Error (Error.Rejected "unknown session")
-  | Some endpoint ->
+  | Some { local = endpoint; _ } ->
       let peer = Session.remote_cert session in
       let msg =
         Shutoff.make_request ~packet:evidence ~dst_cert:endpoint.cert
@@ -1193,205 +1163,171 @@ let request_shutoff t ~session ~evidence =
 let local_endpoint_for t raw_ephid =
   Hashtbl.find_opt t.endpoints_by_ephid raw_ephid
 
-let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
-  match require_att t with
-  | Error e -> warn t "init" (Error e)
-  | Ok att ->
-      if I64_tbl.mem t.init_in_progress conn_id then
-        (* Retransmitted Init while the serving EphID is still being
-           issued: the Accept will go out when it arrives. *)
-        ()
-      else if I64_tbl.mem t.sessions_by_conn conn_id then begin
-        (* Retransmitted Init for a live connection: re-send the cached
-           Accept verbatim (its seal must not be recomputed) and never
-           re-deliver the 0-RTT data. *)
-        match I64_tbl.find_opt t.accept_resend conn_id with
-        | Some resend -> resend ()
-        | None -> ()
-      end
-      else begin
-      match Trust.verify_cert att.trust ~now:(att.now ()) cert with
-      | Error e -> warn t "init: client certificate" (Error e)
-      | Ok () -> begin
-          match local_endpoint_for t pkt.header.dst_ephid with
-          | None -> Logs.warn (fun m -> m "%s: init for unknown EphID" t.host_name)
-          | Some local -> begin
-              match
-                Session.create ~conn_id ~initiator:false ~local_cert:local.cert
-                  ~local_keys:local.keys ~remote_cert:cert ()
-              with
-              | Error e -> warn t "init: session" (Error e)
-              | Ok session ->
-                  (* 0-RTT data, sealed under the key for the EphID the
-                     client targeted (the receive-only one for servers). *)
-                  let data0 =
-                    match open_sealed_counted session ~seq ~sealed with
-                    | Ok data -> Some data
-                    | Error e ->
-                        warn t "init: 0-rtt" (Error e);
-                        None
-                  in
-                  if local.receive_only then begin
-                    (* §VII-A: never source traffic from a receive-only
-                       EphID — answer from a fresh serving EphID and move
-                       the session onto it. *)
-                    I64_tbl.replace t.init_in_progress conn_id ();
-                    request_ephid_r t (fun result ->
-                        I64_tbl.remove t.init_in_progress conn_id;
-                        match result with
-                        | Error e -> warn t "init: serving EphID" (Error e)
-                        | Ok serving -> begin
-                        match
-                          Session.create ~conn_id ~initiator:false
-                            ~local_cert:serving.cert ~local_keys:serving.keys
-                            ~remote_cert:cert ()
-                        with
-                        | Error e -> warn t "init: serving session" (Error e)
-                        | Ok session' ->
-                            I64_tbl.replace t.sessions_by_conn conn_id session';
-                            bind_local t conn_id serving;
-                            let seq, sealed = Session.seal session' "" in
-                            let accept_frame =
-                              Session.Frame.Accept
-                                { conn_id; cert = serving.cert; seq; sealed }
-                            in
-                            let resend () =
-                              warn t "init: accept"
-                                (send_frame t ~endpoint:serving ~remote:cert
-                                   accept_frame)
-                            in
-                            (* A lost Accept is recovered by the client's
-                               Init retransmission hitting the cache. *)
-                            I64_tbl.replace t.accept_resend conn_id resend;
-                            resend ();
-                            if t.accept_zero_rtt then
-                              Option.iter
-                                (fun d -> if d <> "" then deliver_data t session' d)
-                                data0
-                            else
-                              Logs.debug (fun m ->
-                                  m "%s: 0-RTT data refused by policy" t.host_name)
-                        end)
-                  end
-                  else begin
-                    I64_tbl.replace t.sessions_by_conn conn_id session;
-                    bind_local t conn_id local;
-                    Option.iter (fun d -> if d <> "" then deliver_data t session d) data0
-                  end
-            end
-        end
-      end
+let handle_init t (pkt : Packet.t) conn ~conn_id ~(cert : Cert.t) ~seq ~sealed =
+  let session_on (local : endpoint) =
+    Session.create ~conn_id ~initiator:false ~local_cert:local.cert
+      ~local_keys:local.keys ~remote_cert:cert ()
+  in
+  let deliver0 session = function
+    | Some data when data <> "" -> deliver_data t session data
+    | _ -> ()
+  in
+  match conn with
+  | _ when I64_tbl.mem t.init_in_progress conn_id ->
+      (* Retransmitted Init while the serving EphID is still being issued:
+         the Accept will go out when it arrives. *)
+      ()
+  | Some c ->
+      (* Retransmitted Init for a live connection: re-send the cached
+         Accept verbatim (its seal must not be recomputed) and never
+         re-deliver the 0-RTT data. *)
+      c.last_packet <- Some pkt;
+      Option.iter (fun resend -> resend ()) c.accept_resend
+  | None -> (
+      match
+        (verify_peer_cert t cert, local_endpoint_for t pkt.header.dst_ephid)
+      with
+      | Error e, _ -> warn t "init: client certificate" (Error e)
+      | Ok (), None ->
+          Logs.warn (fun m -> m "%s: init for unknown EphID" t.host_name)
+      | Ok (), Some local -> (
+          match session_on local with
+          | Error e -> warn t "init: session" (Error e)
+          | Ok session ->
+              (* 0-RTT data, sealed under the key for the EphID the client
+                 targeted (the receive-only one for servers). *)
+              let data0 =
+                match open_sealed_counted session ~seq ~sealed with
+                | Ok data -> Some data
+                | Error e ->
+                    warn t "init: 0-rtt" (Error e);
+                    None
+              in
+              if not local.receive_only then begin
+                (add_conn t session local).last_packet <- Some pkt;
+                deliver0 session data0
+              end
+              else begin
+                (* §VII-A: never source traffic from a receive-only EphID —
+                   answer from a fresh serving EphID and move the session
+                   onto it. *)
+                I64_tbl.replace t.init_in_progress conn_id ();
+                request_ephid_r t (fun result ->
+                    I64_tbl.remove t.init_in_progress conn_id;
+                    match Result.map (fun ep -> (ep, session_on ep)) result with
+                    | Error e -> warn t "init: serving EphID" (Error e)
+                    | Ok (_, Error e) ->
+                        warn t "init: serving session" (Error e)
+                    | Ok (serving, Ok session') ->
+                        let c = add_conn t session' serving in
+                        c.last_packet <- Some pkt;
+                        let seq, sealed = Session.seal session' "" in
+                        let accept_frame =
+                          Session.Frame.Accept
+                            { conn_id; cert = serving.cert; seq; sealed }
+                        in
+                        let resend () =
+                          warn t "init: accept"
+                            (send_frame t ~endpoint:serving ~remote:cert
+                               accept_frame)
+                        in
+                        (* A lost Accept is recovered by the client's Init
+                           retransmission hitting the cache. *)
+                        c.accept_resend <- Some resend;
+                        resend ();
+                        if t.accept_zero_rtt then deliver0 session' data0
+                        else
+                          Logs.debug (fun m ->
+                              m "%s: 0-RTT data refused by policy" t.host_name))
+              end))
 
-let handle_accept t ~conn_id ~(cert : Cert.t) ~seq:_ ~sealed:_ =
-  match (I64_tbl.find_opt t.sessions_by_conn conn_id, require_att t) with
-  | None, _ -> Logs.warn (fun m -> m "%s: accept for unknown conn" t.host_name)
-  | _, Error e -> warn t "accept" (Error e)
-  | Some session, Ok att ->
-      if Session.established session then begin
-        (* Duplicate (retransmitted) Accept: the first one already rekeyed
-           this session; rekeying again would reset the replay window and
-           send sequence mid-connection. *)
-        if not (Cert.equal (Session.remote_cert session) cert) then
-          Logs.warn (fun m ->
-              m "%s: conflicting accept for established conn ignored"
-                t.host_name)
-      end
-      else begin
-        match Trust.verify_cert att.trust ~now:(att.now ()) cert with
-        | Error e -> warn t "accept: serving certificate" (Error e)
-        | Ok () -> begin
-            match Session.rekey session ~remote_cert:cert with
-            | Error e -> warn t "accept: rekey" (Error e)
-            | Ok () ->
-                (* Cancel the Init retransmission loop. *)
-                settle_rpc t.accept_waits conn_id;
-                flush_queued t session
-          end
-      end
+let handle_accept t c ~(cert : Cert.t) =
+  let session = c.session in
+  if Session.established session then begin
+    (* Duplicate (retransmitted) Accept: the first one already rekeyed this
+       session; rekeying again would reset the replay window and send
+       sequence mid-connection. *)
+    if not (Cert.equal (Session.remote_cert session) cert) then
+      Logs.warn (fun m ->
+          m "%s: conflicting accept for established conn ignored" t.host_name)
+  end
+  else begin
+    match
+      Result.bind (verify_peer_cert t cert) (fun () ->
+          Session.rekey session ~remote_cert:cert)
+    with
+    | Error e -> warn t "accept" (Error e)
+    | Ok () ->
+        (* Cancel the Init retransmission loop and send what was queued
+           for 0.5-RTT. *)
+        Option.iter settle c.accept_wait;
+        c.accept_wait <- None;
+        let queued = List.rev c.queued_rev in
+        c.queued_rev <- [];
+        List.iter (fun data -> warn t "flush" (send t session data)) queued
+  end
 
 (* Peer side of a migration. Idempotency mirrors Init/Accept: a duplicate
    Rekey (the peer retransmitting because our ack was lost) is recognised
    by its certificate already being the session's remote and answered by
    re-sending the cached ack verbatim. *)
-let handle_rekey t ~conn_id ~(cert : Cert.t) ~seq ~sealed =
-  match (I64_tbl.find_opt t.sessions_by_conn conn_id, require_att t) with
-  | None, _ -> Logs.warn (fun m -> m "%s: rekey for unknown conn" t.host_name)
-  | _, Error e -> warn t "rekey" (Error e)
-  | Some session, Ok att ->
-      if Cert.equal (Session.remote_cert session) cert then begin
-        match I64_tbl.find_opt t.rekey_ack_resend conn_id with
-        | Some resend -> resend ()
-        | None -> ()
-      end
-      else begin
-        match Trust.verify_cert att.trust ~now:(att.now ()) cert with
-        | Error e -> warn t "rekey: certificate" (Error e)
-        | Ok () -> begin
-            (* Authenticate under the current (or grace-window) key before
-               applying: only the session's owner can migrate it. *)
-            match open_sealed_counted session ~seq ~sealed with
-            | Error e -> warn t "rekey: auth" (Error e)
-            | Ok _ -> begin
-                match Session.rekey session ~remote_cert:cert with
-                | Error e -> warn t "rekey: apply" (Error e)
-                | Ok () -> begin
-                    match I64_tbl.find_opt t.local_by_conn conn_id with
-                    | None -> ()
-                    | Some local ->
-                        let aseq, asealed = Session.seal session "" in
-                        let ack =
-                          Session.Frame.Rekey_ack
-                            { conn_id; seq = aseq; sealed = asealed }
-                        in
-                        let resend () =
-                          warn t "rekey: ack"
-                            (send_frame t ~endpoint:local ~remote:cert ack)
-                        in
-                        I64_tbl.replace t.rekey_ack_resend conn_id resend;
-                        resend ();
-                        (* A frame of ours died on the peer's old EphID:
-                           one bounded retransmission at its new address. *)
-                        (match I64_tbl.find_opt t.pending_retx conn_id with
-                        | Some payload ->
-                            I64_tbl.remove t.pending_retx conn_id;
-                            warn t "rekey: retransmit"
-                              (send_packet t ~src_ephid:(ephid_raw local)
-                                 ~dst_aid:cert.aid
-                                 ~dst_ephid:(Ephid.to_bytes cert.ephid)
-                                 ~proto:Packet.Data ~payload)
-                        | None -> ());
-                        (* The peer renewing is a hint our own side may be
-                           near the same horizon. *)
-                        maybe_migrate t session
-                  end
-              end
-          end
-      end
+let handle_rekey t c ~(cert : Cert.t) ~seq ~sealed =
+  let session = c.session in
+  if Cert.equal (Session.remote_cert session) cert then
+    Option.iter (fun resend -> resend ()) c.rekey_ack_resend
+  else begin
+    match
+      Result.bind (verify_peer_cert t cert) (fun () ->
+          (* Authenticate under the current (or grace-window) key before
+             applying: only the session's owner can migrate it. *)
+          Result.bind (open_sealed_counted session ~seq ~sealed) (fun _ ->
+              Session.rekey session ~remote_cert:cert))
+    with
+    | Error e -> warn t "rekey" (Error e)
+    | Ok () ->
+        let local = c.local in
+        let aseq, asealed = Session.seal session "" in
+        let ack =
+          Session.Frame.Rekey_ack
+            { conn_id = Session.conn_id session; seq = aseq; sealed = asealed }
+        in
+        let resend () =
+          warn t "rekey: ack" (send_frame t ~endpoint:local ~remote:cert ack)
+        in
+        c.rekey_ack_resend <- Some resend;
+        resend ();
+        (* A frame of ours died on the peer's old EphID: one bounded
+           retransmission at its new address. *)
+        Option.iter
+          (fun payload ->
+            c.pending_retx <- None;
+            warn t "rekey: retransmit"
+              (send_packet t ~src_ephid:(ephid_raw local) ~dst_aid:cert.aid
+                 ~dst_ephid:(Ephid.to_bytes cert.ephid) ~proto:Packet.Data
+                 ~payload))
+          c.pending_retx;
+        (* The peer renewing is a hint our own side may be near the same
+           horizon. *)
+        maybe_migrate t c
+  end
 
-let handle_rekey_ack t ~conn_id ~seq ~sealed =
-  match I64_tbl.find_opt t.sessions_by_conn conn_id with
-  | None -> ()
-  | Some session -> begin
-      (* Sealed under the post-migration key: proof the peer applied it. *)
-      match open_sealed_counted session ~seq ~sealed with
-      | Error e -> warn t "rekey ack" (Error e)
-      | Ok _ ->
-          settle_rpc t.rekey_rpcs conn_id;
-          I64_tbl.remove t.migrating conn_id
-    end
+let handle_rekey_ack t c ~seq ~sealed =
+  (* Sealed under the post-migration key: proof the peer applied it. *)
+  match open_sealed_counted c.session ~seq ~sealed with
+  | Error e -> warn t "rekey ack" (Error e)
+  | Ok _ ->
+      Option.iter settle c.rekey;
+      c.rekey <- None;
+      c.migrating <- false
 
-let handle_data_frame t ~conn_id ~seq ~sealed =
-  match I64_tbl.find_opt t.sessions_by_conn conn_id with
-  | None -> Logs.warn (fun m -> m "%s: data for unknown conn" t.host_name)
-  | Some session -> begin
-      match open_sealed_counted session ~seq ~sealed with
-      | Error e -> warn t "data" (Error e)
-      | Ok data ->
-          deliver_data t session data;
-          (* Receive-path renewal check keeps a mostly-listening endpoint
-             (a server) migrating on the client's traffic. *)
-          maybe_migrate t session
-    end
+let handle_data_frame t c ~seq ~sealed =
+  match open_sealed_counted c.session ~seq ~sealed with
+  | Error e -> warn t "data" (Error e)
+  | Ok data ->
+      deliver_data t c.session data;
+      (* Receive-path renewal check keeps a mostly-listening endpoint (a
+         server) migrating on the client's traffic. *)
+      maybe_migrate t c
 
 (* ---- reactive recovery (ICMP-driven) ---- *)
 
@@ -1426,11 +1362,10 @@ let invalidate_endpoint t raw =
   Queue.transfer keep t.prefetched;
   t.last_endpoint_op_cost <- !cost
 
-(* All session frames lead with tag(1) ‖ conn_id(8). *)
-let conn_of_quoted quoted =
-  if String.length quoted >= 9 && Char.code quoted.[0] <= 5 then
-    Some (String.get_int64_be quoted 1)
-  else None
+let frame_conn_id : Session.Frame.f -> int64 = function
+  | Init { conn_id; _ } | Accept { conn_id; _ } | Data { conn_id; _ }
+  | Fin { conn_id; _ } | Rekey { conn_id; _ } | Rekey_ack { conn_id; _ } ->
+      conn_id
 
 let recovery_cooldown_s = 5.0
 
@@ -1441,52 +1376,45 @@ let recovery_cooldown_s = 5.0
    quoted frame once), a remote AS means the peer's EphID failed ingress
    (stash the frame; one retransmission when the peer's Rekey lands). *)
 let try_recover t (pkt : Packet.t) ~reason ~quoted =
-  match (conn_of_quoted quoted, t.att) with
-  | None, _ | _, None -> ()
-  | Some conn_id, Some att -> begin
-      match I64_tbl.find_opt t.sessions_by_conn conn_id with
+  match (Session.Frame.of_bytes quoted, t.att) with
+  | Error _, _ | _, None -> ()
+  | Ok frame, Some att -> begin
+      match I64_tbl.find_opt t.conns (frame_conn_id frame) with
       | None -> ()
-      | Some session ->
+      | Some c ->
           let dead_raw = pkt.header.dst_ephid in
           if Hashtbl.mem t.shutoff_inhibited dead_raw then
             (* Shut off: recovering would defeat the revocation (Fig. 5). *)
             ()
           else if Addr.aid_equal pkt.header.src_aid att.aid then begin
             invalidate_endpoint t dead_raw;
-            let recently =
-              match I64_tbl.find_opt t.recovery_last conn_id with
-              | Some ts -> att.now_f () -. ts < recovery_cooldown_s
-              | None -> false
-            in
-            if not recently then begin
-              I64_tbl.replace t.recovery_last conn_id (att.now_f ());
+            if att.now_f () -. c.recovery_last >= recovery_cooldown_s then begin
+              c.recovery_last <- att.now_f ();
               t.recoveries <- t.recoveries + 1;
               M.Counter.incr m_recoveries;
               let retransmit (ep : endpoint) =
-                let remote = Session.remote_cert session in
+                let remote = Session.remote_cert c.session in
                 warn t "recover: retransmit"
                   (send_packet t ~src_ephid:(ephid_raw ep)
                      ~dst_aid:remote.Cert.aid
                      ~dst_ephid:(Ephid.to_bytes remote.Cert.ephid)
                      ~proto:Packet.Data ~payload:quoted)
               in
-              let bound = I64_tbl.find_opt t.local_by_conn conn_id in
-              match bound with
-              | Some ep when String.equal (ephid_raw ep) dead_raw ->
-                  (* The session's own binding died: migrate, then send the
-                     quoted frame once from the fresh EphID. The peer opens
-                     it through the grace window. *)
-                  migrate_session t session
-                    ~reason:(Icmp.reason_label reason) ~and_then:retransmit ()
-              | Some ep when still_valid t ep ->
-                  (* A per-packet source died but the binding is alive:
-                     retransmit from it (momentary per-flow degradation). *)
-                  retransmit ep
-              | _ -> ()
+              let bound = c.local in
+              if String.equal (ephid_raw bound) dead_raw then
+                (* The session's own binding died: migrate, then send the
+                   quoted frame once from the fresh EphID. The peer opens
+                   it through the grace window. *)
+                migrate_session t c ~reason:(Icmp.reason_label reason)
+                  ~and_then:retransmit ()
+              else if still_valid t bound then
+                (* A per-packet source died but the binding is alive:
+                   retransmit from it (momentary per-flow degradation). *)
+                retransmit bound
             end
           end
-          else if not (I64_tbl.mem t.pending_retx conn_id) then
-            I64_tbl.replace t.pending_retx conn_id quoted
+          else if Option.is_none c.pending_retx then
+            c.pending_retx <- Some quoted
     end
 
 let rec handle_icmp t (pkt : Packet.t) =
@@ -1522,9 +1450,9 @@ let rec handle_icmp t (pkt : Packet.t) =
     end
   | Ok (Icmp.Echo_reply { ident; _ }) -> begin
       match (Hashtbl.find_opt t.pending_pings ident, require_att t) with
-      | Some (t0, k), Ok att ->
+      | Some (t0, k, rpc), Ok att ->
           Hashtbl.remove t.pending_pings ident;
-          settle_rpc t.ping_rpcs (Int64.of_int ident);
+          settle rpc;
           k (att.now_f () -. t0)
       | _ -> ()
     end
@@ -1542,12 +1470,11 @@ let deliver t (pkt : Packet.t) =
   | Packet.Control -> begin
       match Msgs.of_bytes pkt.payload with
       | Error e -> warn t "control" (Error e)
-      | Ok (Msgs.Ephid_reply { corr; _ } as msg) ->
-          dispatch_reply t ~what:"EphID" corr msg
-      | Ok (Msgs.Ephid_batch_reply { corr; _ } as msg) ->
-          dispatch_reply t ~what:"EphID batch" corr msg
-      | Ok (Msgs.Dns_reply { corr; _ } as msg) ->
-          dispatch_reply t ~what:"DNS" corr msg
+      | Ok
+          (( Msgs.Ephid_reply { corr; _ }
+           | Msgs.Ephid_batch_reply { corr; _ }
+           | Msgs.Dns_reply { corr; _ } ) as msg) ->
+          dispatch_reply t corr msg
       | Ok (Msgs.Revocation_notice { ephid }) -> begin
           match Ephid.of_bytes ephid with
           | Error e -> warn t "revocation notice" (Error (Error.Malformed e))
@@ -1578,19 +1505,29 @@ let deliver t (pkt : Packet.t) =
   | Packet.Data -> begin
       match Session.Frame.of_bytes pkt.payload with
       | Error e -> warn t "frame" (Error e)
-      | Ok (Session.Frame.Init { conn_id; cert; seq; sealed }) ->
-          I64_tbl.replace t.last_packet_by_conn conn_id pkt;
-          handle_init t pkt ~conn_id ~cert ~seq ~sealed
-      | Ok (Session.Frame.Accept { conn_id; cert; seq; sealed }) ->
-          handle_accept t ~conn_id ~cert ~seq ~sealed
-      | Ok (Session.Frame.Data { conn_id; seq; sealed }) ->
-          I64_tbl.replace t.last_packet_by_conn conn_id pkt;
-          handle_data_frame t ~conn_id ~seq ~sealed
-      | Ok (Session.Frame.Fin { conn_id; seq; sealed }) ->
-          handle_fin t ~conn_id ~seq ~sealed
-      | Ok (Session.Frame.Rekey { conn_id; cert; seq; sealed }) ->
-          handle_rekey t ~conn_id ~cert ~seq ~sealed
-      | Ok (Session.Frame.Rekey_ack { conn_id; seq; sealed }) ->
-          handle_rekey_ack t ~conn_id ~seq ~sealed
+      | Ok frame -> begin
+          (* The session demux: one lookup, and nothing is kept for a
+             connection the host does not have. *)
+          let conn_id = frame_conn_id frame in
+          let unknown what =
+            Logs.warn (fun m -> m "%s: %s for unknown conn" t.host_name what)
+          in
+          match (frame, I64_tbl.find_opt t.conns conn_id) with
+          | Init { cert; seq; sealed; _ }, conn ->
+              handle_init t pkt conn ~conn_id ~cert ~seq ~sealed
+          | Accept _, None -> unknown "accept"
+          | Rekey _, None -> unknown "rekey"
+          | Data _, None -> unknown "data"
+          | (Fin _ | Rekey_ack _), None -> ()
+          | Accept { cert; _ }, Some c -> handle_accept t c ~cert
+          | Data { seq; sealed; _ }, Some c ->
+              c.last_packet <- Some pkt;
+              handle_data_frame t c ~seq ~sealed
+          | Fin { seq; sealed; _ }, Some c -> handle_fin t c ~seq ~sealed
+          | Rekey { cert; seq; sealed; _ }, Some c ->
+              handle_rekey t c ~cert ~seq ~sealed
+          | Rekey_ack { seq; sealed; _ }, Some c ->
+              handle_rekey_ack t c ~seq ~sealed
+        end
     end
   | Packet.Icmp -> handle_icmp t pkt

@@ -122,10 +122,15 @@ val connect :
     connection id); on exhaustion the session is forgotten. *)
 
 val send : t -> Session.t -> string -> (unit, Error.t) result
-(** Sends a data frame on an established session. Under
-    {!Granularity.Per_packet} every frame goes out under a fresh source
-    EphID from the prefetched pool (falling back to the session's bound
-    endpoint — per-flow degradation — during an issuance brownout). Sending
+(** Sends a data frame on an established session; before the server's
+    [Accept], the data is queued and goes out (0.5-RTT) when it arrives.
+    [Error (Rejected _)] when the host no longer has the session (closed,
+    or its [Accept] never came). Under {!Granularity.Per_packet} every
+    frame goes out under a fresh source EphID from the prefetched pool
+    (falling back to the session's bound endpoint — per-flow degradation —
+    during an issuance brownout). A spent source stays in {!endpoints}
+    until its certificate expires, so encrypted ICMP about its packet can
+    still be opened, and is dropped at the next send after that. Sending
     also runs the proactive renewal check: once the session's source EphID
     is inside the renewal margin, a migration starts in the background. *)
 
@@ -256,5 +261,7 @@ val rpc_timeouts : t -> int
 (** Round trips abandoned with [Error.Timeout]. *)
 
 val pending_rpc_count : t -> int
-(** In-flight round trips (issuance/DNS, awaited Accepts, pings) — 0 once
-    every continuation has fired. *)
+(** In-flight round trips: EphID issuance and DNS requests, pings, and for
+    each connection an awaited [Accept] or an unacknowledged [Rekey]. A
+    request stops counting when its reply lands, when it times out, or
+    when its connection closes — 0 once every continuation has fired. *)

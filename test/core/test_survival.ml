@@ -226,6 +226,33 @@ let migration_tests =
           (List.map snd (Host.received bob));
         Alcotest.(check int) "no recovery" 0 (Host.recoveries alice);
         Alcotest.(check int) "no migration" 0 (Host.migrations alice));
+    Alcotest.test_case "a settled Rekey's timer leaves the next one alone"
+      `Quick (fun () ->
+        (* Every send migrates (the renewal margin exceeds any lifetime),
+           and sends come 100 ms apart: each Rekey is acked after one
+           60 ms round trip, well before its first 250 ms timer fires —
+           by which time the next Rekey on the same connection is in
+           flight. That timer must not retransmit the newer request. *)
+        let net =
+          Scenario.line ~seed:"survival-stale-timer"
+            ~link:(fun () -> Link.make ~propagation_ms:30.0 ())
+            [ 100; 200 ]
+        in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:200 ~name:"bob" ~credential:"b" in
+        Network.run net;
+        let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+        let session = Scenario.connect ~data0:"hello" net alice ~remote:bep.Host.cert in
+        Host.set_renewal_margin alice 1_000_000;
+        let n = 40 in
+        Scenario.pace net ~n ~span:(0.1 *. float_of_int n) (fun i ->
+            ignore (Host.send alice session (Printf.sprintf "m%02d" i)));
+        Network.run net;
+        Alcotest.(check int) "every send migrated" n (Host.migrations alice);
+        Alcotest.(check int) "no retransmission without loss" 0
+          (Host.rpc_retries alice);
+        Alcotest.(check int) "all delivered" (n + 1) (List.length (Host.received bob));
+        Alcotest.(check int) "alice quiescent" 0 (Host.pending_rpc_count alice));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -356,6 +383,67 @@ let bounds_tests =
           (List.for_all
              (fun r -> r = Icmp.No_route)
              (Host.unreachables ringo)));
+    Alcotest.test_case "frames for unknown connections are not kept" `Quick
+      (fun () ->
+        (* Anyone holding a valid EphID can address frames to connection
+           ids the host never had; none of them may stay behind. *)
+        let sink =
+          Host.create ~name:"sink"
+            ~rng:(Apna_crypto.Drbg.create ~seed:"survival-sink") ()
+        in
+        let header =
+          Apna_header.make ~src_aid:(Addr.aid_of_int 64500)
+            ~src_ephid:(String.make 16 '\002')
+            ~dst_aid:(Addr.aid_of_int 64501)
+            ~dst_ephid:(String.make 16 '\003') ()
+        in
+        let frames = 10_000 in
+        let words () = Obj.reachable_words (Obj.repr sink) in
+        let before = words () in
+        for i = 1 to frames do
+          let frame =
+            Session.Frame.Data
+              { conn_id = Int64.of_int i; seq = 1L; sealed = String.make 32 'x' }
+          in
+          Host.deliver sink
+            (Packet.make ~header ~proto:Packet.Data
+               ~payload:(Session.Frame.to_bytes frame))
+        done;
+        let grown = words () - before in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words for %d frames" grown frames)
+          true (grown < frames));
+    Alcotest.test_case "spent per-packet sources leave the index at expiry"
+      `Quick (fun () ->
+        let net = Scenario.line ~seed:"survival-spent" [ 100 ] in
+        let alice =
+          Scenario.host ~granularity:Granularity.Per_packet net ~as_number:100
+            ~name:"alice" ~credential:"a"
+        in
+        let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
+        Network.run net;
+        let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+        (* The session's bound endpoint is Long-lived, so it never
+           migrates; every per-packet source after it is Short (60 s). *)
+        Host.set_ephid_lifetime alice Lifetime.Long;
+        let session = Scenario.connect ~data0:"hello" net alice ~remote:bep.Host.cert in
+        Host.set_ephid_lifetime alice Lifetime.Short;
+        (* One send a second for four lifetimes. At any moment the index
+           may hold the sources spent in the last lifetime, the prefetch
+           stock (8) and the one bound endpoint — not every source ever
+           spent. *)
+        let per_lifetime = 60 and lifetimes = 4 in
+        let n = per_lifetime * lifetimes in
+        let peak = ref 0 in
+        Scenario.pace net ~n ~span:(float_of_int n) (fun i ->
+            ignore (Host.send alice session (Printf.sprintf "p%03d" i));
+            peak := max !peak (List.length (Host.endpoints alice)));
+        Network.run net;
+        Alcotest.(check int) "all delivered" (n + 1) (List.length (Host.received bob));
+        let bound = per_lifetime + 8 + 1 in
+        Alcotest.(check bool)
+          (Printf.sprintf "peak %d endpoints <= %d" !peak bound)
+          true (!peak <= bound));
   ]
 
 let () =
