@@ -16,6 +16,7 @@ let sweep_row ~n ~copies (label, link_faults) =
   in
   let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
   let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+  let inbox = Scenario.inbox bob in
   Host.set_ephid_lifetime alice Lifetime.Short;
   Network.run net;
   let bep = Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
@@ -32,7 +33,7 @@ let sweep_row ~n ~copies (label, link_faults) =
     done
   done;
   Network.run net;
-  let got = List.map snd (Host.received bob) in
+  let got = inbox () in
   let delivered =
     List.length
       (List.filter (fun i -> List.mem (Printf.sprintf "m%03d" i) got) (List.init n Fun.id))

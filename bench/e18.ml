@@ -198,6 +198,7 @@ let campaign_tier ~fraction ~acceptance =
     Array.of_list (List.map (Scenario.endpoint ~lifetime:Lifetime.Long net) hs)
   in
   let server_eps = endpoints servers in
+  let inboxes = List.map Scenario.inbox servers in
   let victim_eps = endpoints victims in
   (* Victim defence + replay capture: every decrypted frame becomes
      shutoff evidence, and a copy feeds the attacker's replay pool (the
@@ -298,16 +299,15 @@ let campaign_tier ~fraction ~acceptance =
   Event.set_enabled ev false;
   (* ---- Measurements ---------------------------------------------- *)
   let legit_delivered =
-    List.concat_map (fun s -> List.map snd (Host.received s)) servers
+    List.concat_map (fun inbox -> inbox ()) inboxes
     |> List.filter (fun d -> String.length d > 0 && d.[0] = 'L')
     |> List.length
   in
   let delivery_ratio =
     if !legit_sent = 0 then 1.0 else float_of_int legit_delivered /. float_of_int !legit_sent
   in
-  let unwanted_delivered =
-    List.fold_left (fun acc v -> acc + List.length (Host.received v)) 0 victims
-  in
+  (* auto_shutoff keeps every frame a victim decrypts in the pool. *)
+  let unwanted_delivered = List.length !replay_pool in
   let drops_by_reason = drop_deltas drop_base in
   let drops_total = List.fold_left (fun acc (_, n) -> acc + n) 0 drops_by_reason in
   let dropped_counter_delta = dropped () - dropped_base in

@@ -135,6 +135,7 @@ let ephid_cmd =
 let live_lifetime_run ~seed lifetime =
   let net = Scenario.line ~seed [ 64500; 64501; 64502 ] in
   let alice, bob = alice_and_bob net in
+  let inbox = Scenario.inbox bob in
   Host.set_ephid_lifetime alice lifetime;
   Network.run net;
   let ep = Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob in
@@ -151,7 +152,7 @@ let live_lifetime_run ~seed lifetime =
   Scenario.pace net ~n ~span:span_s (fun i ->
       ignore (Host.send alice session (Printf.sprintf "m%03d" i)));
   Network.run net;
-  let got = List.map snd (Host.received bob) in
+  let got = inbox () in
   let delivered = ref 0 in
   for i = 0 to n - 1 do
     if List.mem (Printf.sprintf "m%03d" i) got then incr delivered
@@ -348,7 +349,9 @@ let shutoff_cmd =
       Scenario.host net ~as_number:64502 ~name:"victim" ~credential:"victim"
     in
     let victim_ep = Scenario.endpoint net victim in
+    let delivered = ref 0 in
     Host.on_data victim (fun ~session ~data:_ ->
+        incr delivered;
         match Host.last_packet victim session with
         | Some evidence ->
             ignore (Host.request_shutoff victim ~session ~evidence)
@@ -357,8 +360,7 @@ let shutoff_cmd =
     for wave = 1 to waves do
       Host.connect bot ~remote:victim_ep.cert ~data0:"FLOOD" (fun _ -> ());
       Network.run net;
-      Printf.printf "wave %d: delivered=%d revoked-ephids=%d\n" wave
-        (List.length (Host.received victim))
+      Printf.printf "wave %d: delivered=%d revoked-ephids=%d\n" wave !delivered
         (Revocation.size (As_node.revoked bot_as))
     done;
     let bot_hid =
@@ -478,9 +480,9 @@ let campaign_cmd =
     done;
     Printf.printf "\ninjected: %d unwanted, %d replayed, %d ephid guesses\n"
       !unwanted !replayed !guessed;
+    (* auto_shutoff keeps every frame the victim decrypts in the pool. *)
     Printf.printf "victim delivered %d frames -> built %d shutoff requests\n"
-      (List.length (Host.received victim))
-      !built;
+      (List.length !replay_pool) !built;
     Printf.printf
       "AA ledger: %d granted, %d refused, %d shed (queue peak %d/%d)\n"
       (Accountability.granted_count aa)

@@ -40,6 +40,7 @@ let () =
     | Error e -> failwith (Error.to_string e)
   in
   let laptop1 = laptop "laptop1" and laptop2 = laptop "laptop2" in
+  let inbox1 = Scenario.inbox laptop1 and inbox2 = Scenario.inbox laptop2 in
 
   (* A server out on the Internet. *)
   let server = Scenario.host net ~as_number:64502 ~name:"server" ~credential:"srv@isp" in
@@ -53,11 +54,9 @@ let () =
   Network.run net;
 
   List.iter
-    (fun l ->
-      List.iter
-        (fun (_, d) -> Printf.printf "%s <- %S\n" (Host.name l) d)
-        (Host.received l))
-    [ laptop1; laptop2 ];
+    (fun (l, inbox) ->
+      List.iter (Printf.printf "%s <- %S\n" (Host.name l)) (inbox ()))
+    [ (laptop1, inbox1); (laptop2, inbox2) ];
 
   Printf.printf "AP relayed %d EphID requests; %d live bindings in ephid_info\n"
     (Access_point.relayed_requests ap)

@@ -44,10 +44,11 @@ let () =
   Host.on_data bob (fun ~session ~data ->
       Printf.printf "bob decrypted: %S\n" data;
       ignore (Host.send bob session ("pong: " ^ data)));
+  Host.on_data alice (fun ~session:_ ~data ->
+      Printf.printf "alice decrypted: %S\n" data);
   Host.connect alice ~remote:bob_endpoint.cert ~data0:"hello over APNA"
     (fun _session -> print_endline "alice derived the session key (0-RTT)");
   Network.run net;
-  List.iter (fun (_, d) -> Printf.printf "alice decrypted: %S\n" d) (Host.received alice);
 
   section "What the network saw";
   let transit = Network.node_exn net 64501 in

@@ -27,7 +27,9 @@ let () =
 
   (* The victim's policy: any session that delivers a "FLOOD" payload gets
      shut off immediately using the packet itself as evidence. *)
+  let delivered = ref 0 in
   Host.on_data victim (fun ~session ~data ->
+      incr delivered;
       if String.length data >= 5 && String.sub data 0 5 = "FLOOD" then begin
         match Host.last_packet victim session with
         | Some evidence ->
@@ -49,9 +51,7 @@ let () =
     Network.run net;
     Printf.printf
       "wave %d: victim received %d flood packets; bot AS revocation list: %d entries\n"
-      wave
-      (List.length (Host.received victim))
-      (revocations ())
+      wave !delivered (revocations ())
   done;
 
   (* After 6 incidents the AS revoked the bot's HID: the 7th wave died at
@@ -62,7 +62,6 @@ let () =
   in
   Printf.printf "\nbot HID still valid: %b\n"
     (Host_info.mem_valid (As_node.host_info bot_as) bot_hid);
-  Printf.printf "floods delivered in total: %d of 7 attempted\n"
-    (List.length (Host.received victim));
+  Printf.printf "floods delivered in total: %d of 7 attempted\n" !delivered;
   print_endline
     "done: source accountability turned the victim's evidence into enforcement."

@@ -28,6 +28,7 @@ let () =
           ~credential:(Printf.sprintf "client-%d@eyeball" i))
       [ 1; 2; 3 ]
   in
+  let inboxes = List.map Scenario.inbox clients in
 
   (* The server application: a tiny request/response protocol. *)
   Host.on_data server (fun ~session ~data ->
@@ -65,12 +66,10 @@ let () =
     clients;
   Network.run net;
 
-  List.iter
-    (fun client ->
-      List.iter
-        (fun (_, d) -> Printf.printf "%s <- %S\n" (Host.name client) d)
-        (Host.received client))
-    clients;
+  List.iter2
+    (fun client inbox ->
+      List.iter (Printf.printf "%s <- %S\n" (Host.name client)) (inbox ()))
+    clients inboxes;
 
   (* Each connection was served from a distinct serving EphID. *)
   let serving_ephids =

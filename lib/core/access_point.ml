@@ -21,12 +21,7 @@ type internal_domain = {
   id_signing_rng : Drbg.t;
 }
 
-module I64_tbl = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash = Hashtbl.hash
-end)
+module I64_tbl = Apna_util.I64_tbl
 
 (* One relayed MS request: who it is for and which correlation id the host
    used, so the re-wrapped reply can echo it. *)

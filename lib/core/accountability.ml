@@ -416,9 +416,8 @@ let verify_request t ~now (job : job) =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Synchronous path: admission then immediate verification + revocation.
-   Used by direct callers (tests, the NAT-mode access point) and as the
-   fallback when no scheduler is wired. *)
+(* Synchronous path: admission then immediate verification + revocation,
+   for direct callers; the AS itself always queues. *)
 
 let handle_shutoff t ~now msg =
   match admit t ~now ~arrival:(float_of_int now) msg with

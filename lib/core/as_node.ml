@@ -45,7 +45,7 @@ type t = {
   mutable broker_handler : (now:int -> string -> string option) option;
   now : unit -> int;
   now_f : unit -> float;
-  schedule : (delay:float -> (unit -> unit) -> unit) option;
+  schedule : delay:float -> (unit -> unit) -> unit;
   rng : Drbg.t;
   deliver_by_hid : (Packet.t -> unit) Addr.Hid_tbl.t;
   hid_of_device : (string, Addr.hid) Hashtbl.t;
@@ -61,7 +61,7 @@ type t = {
 
 let service_kha rng = Keys.derive_host_as ~shared_secret:(Drbg.generate rng 32)
 
-let create ~rng ~aid ~trust ~topology ~now ~now_f ?schedule ?dns_zone
+let create ~rng ~aid ~trust ~topology ~now ~now_f ~schedule ?dns_zone
     ?(lifetime_policy = Lifetime.default_policy) ?(retention = false)
     ?(icmp_encryption = false) ?expected_hosts ?aa_limits () =
   let keys = Keys.make_as rng ~aid in
@@ -367,59 +367,39 @@ and revocation_notice t (hid, ephid) =
    a time, re-armed while work remains. Each pass verifies a budgeted slice
    and flushes granted revocations to the routers as one batch. *)
 and arm_aa_drain t =
-  match t.schedule with
-  | None -> ()
-  | Some schedule ->
-      if not t.aa_drain_armed then begin
-        t.aa_drain_armed <- true;
-        let delay = (Accountability.limits t.accountability).drain_interval_s in
-        schedule ~delay (fun () ->
-            t.aa_drain_armed <- false;
-            let grants =
-              Accountability.drain t.accountability ~now:(t.now ())
-                ~at:(t.now_f ())
-            in
-            List.iter (fun g -> revocation_notice t g) grants;
-            if grants <> [] then
-              Logs.info (fun m ->
-                  m "AS %a: %d shutoff(s) executed" Addr.pp_aid t.aid
-                    (List.length grants));
-            if Accountability.queue_depth t.accountability > 0 then
-              arm_aa_drain t)
-      end
+  if not t.aa_drain_armed then begin
+    t.aa_drain_armed <- true;
+    let delay = (Accountability.limits t.accountability).drain_interval_s in
+    t.schedule ~delay (fun () ->
+        t.aa_drain_armed <- false;
+        let grants =
+          Accountability.drain t.accountability ~now:(t.now ()) ~at:(t.now_f ())
+        in
+        List.iter (fun g -> revocation_notice t g) grants;
+        if grants <> [] then
+          Logs.info (fun m ->
+              m "AS %a: %d shutoff(s) executed" Addr.pp_aid t.aid
+                (List.length grants));
+        if Accountability.queue_depth t.accountability > 0 then arm_aa_drain t)
+  end
 
 and dispatch_aa t (pkt : Packet.t) =
   M.Counter.incr t.obs.m_shutoff;
   match Msgs.of_bytes pkt.payload with
   | Error e -> Logs.debug (fun m -> m "AA: %a" Error.pp e)
   | Ok msg -> begin
-      match t.schedule with
-      | Some _ -> begin
-          (* Scheduled deployment: admission control at arrival, expensive
-             verification deferred to the budgeted drain loop. *)
-          match
-            Accountability.enqueue t.accountability ~now:(t.now ())
-              ~at:(t.now_f ()) msg
-          with
-          | Accountability.Queued -> arm_aa_drain t
-          | Accountability.Refused e ->
-              Logs.info (fun m ->
-                  m "AS %a: shutoff refused: %a" Addr.pp_aid t.aid Error.pp e)
-          | Accountability.Shed ->
-              Logs.info (fun m ->
-                  m "AS %a: shutoff shed under load" Addr.pp_aid t.aid)
-        end
-      | None -> begin
-          match
-            Accountability.handle_shutoff t.accountability ~now:(t.now ()) msg
-          with
-          | Ok grant ->
-              Logs.info (fun m -> m "AS %a: shutoff executed" Addr.pp_aid t.aid);
-              revocation_notice t grant
-          | Error e ->
-              Logs.info (fun m ->
-                  m "AS %a: shutoff refused: %a" Addr.pp_aid t.aid Error.pp e)
-        end
+      (* Admission control at arrival, expensive verification deferred to
+         the budgeted drain loop. *)
+      match
+        Accountability.enqueue t.accountability ~now:(t.now ()) ~at:(t.now_f ())
+          msg
+      with
+      | Accountability.Queued -> arm_aa_drain t
+      | Accountability.Refused e ->
+          Logs.info (fun m ->
+              m "AS %a: shutoff refused: %a" Addr.pp_aid t.aid Error.pp e)
+      | Accountability.Shed ->
+          Logs.info (fun m -> m "AS %a: shutoff shed under load" Addr.pp_aid t.aid)
     end
 
 and dispatch_broker t (pkt : Packet.t) =

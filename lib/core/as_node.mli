@@ -15,7 +15,7 @@ val create :
   topology:Apna_net.Topology.t ->
   now:(unit -> int) ->
   now_f:(unit -> float) ->
-  ?schedule:(delay:float -> (unit -> unit) -> unit) ->
+  schedule:(delay:float -> (unit -> unit) -> unit) ->
   ?dns_zone:string ->
   ?lifetime_policy:Lifetime.policy ->
   ?retention:bool ->
@@ -32,10 +32,9 @@ val create :
     harness). [aa_limits] overrides the accountability agent's
     admission-control policy ({!Accountability.default_limits}).
 
-    When a [schedule] hook is wired, shutoff requests delivered to the AA
-    go through the bounded admission queue and a budgeted drain loop
-    ({!Accountability.enqueue}/{!Accountability.drain}); without one they
-    are handled synchronously. *)
+    [schedule] is the simulation's timer: shutoff requests delivered to the
+    AA go through the bounded admission queue and a budgeted drain loop
+    that it arms ({!Accountability.enqueue}/{!Accountability.drain}). *)
 
 val aid : t -> Apna_net.Addr.aid
 val keys : t -> Keys.as_keys

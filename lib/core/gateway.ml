@@ -18,12 +18,7 @@ type flow = {
   backlog : string Queue.t;
 }
 
-module I64_tbl = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash = Hashtbl.hash
-end)
+module I64_tbl = Apna_util.I64_tbl
 
 (* Per-gateway series in the default registry, labeled by gateway name. *)
 type obs = {

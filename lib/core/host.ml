@@ -58,9 +58,7 @@ type attachment = {
   now : unit -> int;
   now_f : unit -> float;
   submit : Packet.t -> unit;
-  schedule : (delay:float -> (unit -> unit) -> unit) option;
-      (** Timer facility for retransmission/timeout; [None] (e.g. a bare
-          test harness) disables timers and requests wait indefinitely. *)
+  schedule : delay:float -> (unit -> unit) -> unit;
   bootstrap_rpc : host_dh_pub:string -> (Registry.reply, Error.t) result;
   trust : Trust.t;
 }
@@ -76,15 +74,9 @@ type identity = {
   ctrl_expiry : int;
   ms_cert : Cert.t;
   dns_cert : Cert.t option;
-  aa_ephid : Ephid.t;
 }
 
-module I64_tbl = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash = Hashtbl.hash
-end)
+module I64_tbl = Apna_util.I64_tbl
 
 (* One in-flight round-trip request. Replies are matched by correlation id,
    never by arrival order, so loss/duplication/reordering cannot mis-pair a
@@ -129,7 +121,7 @@ type conn = {
 type t = {
   host_name : string;
   rng : Drbg.t;
-  mutable gran : Granularity.t;
+  gran : Granularity.t;
   mutable att : attachment option;
   mutable identity : identity option;
   (* Every live endpoint, keyed by raw EphID bytes: delivery looks the
@@ -155,7 +147,8 @@ type t = {
   rpcs : (rpc * (Msgs.t -> unit)) I64_tbl.t;
   mutable next_corr : int64;
   (* Echo requests awaiting a reply, keyed by ident: when the first copy
-     went out, the continuation, and the retransmission. *)
+     went out, the continuation, and the retransmission. The ident is a
+     u16 on the wire, so the counter wraps at 16 bits. *)
   pending_pings : (int, float * (float -> unit) * rpc) Hashtbl.t;
   mutable next_ping_ident : int;
   mutable rpc_retries : int;
@@ -168,12 +161,13 @@ type t = {
   (* Receiver-side Init idempotency: serving-EphID issuance in flight for
      a connection that has no session yet. *)
   init_in_progress : unit I64_tbl.t;
+  (* The one delivery path: the host keeps no history of payloads. *)
   mutable data_handler : session:Session.t -> data:string -> unit;
-  mutable received_rev : (int64 * string) list;
   (* Ring of the last [unreachable_cap] ICMP unreachable reasons, oldest
      first; forensics beyond the ring live in the labeled metric. *)
   unreachables_q : Icmp.unreachable_reason Queue.t;
-  mutable mtu_hints_rev : int list;
+  (* Smallest MTU any Frag_needed notice has reported. *)
+  mutable path_mtu : int option;
   (* Shutoff notices from the AS: revoked EphID and, when the granularity
      policy allows it, the application behind it (§VIII-A). *)
   mutable revocation_notices_rev : (Ephid.t * string option) list;
@@ -189,8 +183,10 @@ type t = {
   mutable ephid_lifetime : Lifetime.t;
   mutable renewal_margin : int;
   breaker : Breaker.t;
-  (* Raw EphID bytes named in a shutoff Revocation_notice: sessions bound
-     to them must never auto-recover (the shutoff would be defeated). *)
+  (* Raw EphID bytes named in a shutoff Revocation_notice or released on
+     purpose: sessions bound to them must never auto-recover (the shutoff
+     would be defeated). A release on close, with no session left on the
+     EphID, is not pinned. *)
   shutoff_inhibited : (string, unit) Hashtbl.t;
   mutable migrations : int;
   mutable recoveries : int;
@@ -236,9 +232,8 @@ let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
       conns_by_ephid = Hashtbl.create 8;
       init_in_progress = I64_tbl.create 4;
       data_handler = (fun ~session:_ ~data:_ -> ());
-      received_rev = [];
       unreachables_q = Queue.create ();
-      mtu_hints_rev = [];
+      path_mtu = None;
       revocation_notices_rev = [];
       ephid_requests = 0;
       pkts_sent = 0;
@@ -254,22 +249,12 @@ let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
       unreachable_total = 0;
   }
 
-(* Every successfully decrypted application payload is recorded, then the
-   user handler (if any) runs. *)
-let deliver_data t session data =
-  t.received_rev <- (Session.conn_id session, data) :: t.received_rev;
-  t.data_handler ~session ~data
-
 let name t = t.host_name
-let granularity t = t.gran
-let set_granularity t g = t.gran <- g
 let attach t att = t.att <- Some att
 let attachment t = t.att
 let is_bootstrapped t = Option.is_some t.identity
 let ctrl_ephid t = Option.map (fun i -> i.ctrl_ephid) t.identity
-let aa_ephid t = Option.map (fun i -> i.aa_ephid) t.identity
 let ms_cert t = Option.map (fun i -> i.ms_cert) t.identity
-let dns_cert t = Option.bind t.identity (fun i -> i.dns_cert)
 let kha t = Option.map (fun i -> i.kha) t.identity
 let endpoints t =
   Hashtbl.fold (fun _ ep acc -> ep :: acc) t.endpoints_by_ephid []
@@ -322,10 +307,9 @@ let add_conn t session local =
   I64_tbl.replace t.conns (Session.conn_id session) c;
   c
 
-let received t = List.rev t.received_rev
 let unreachables t = List.of_seq (Queue.to_seq t.unreachables_q)
 let unreachable_total t = t.unreachable_total
-let mtu_hints t = List.rev t.mtu_hints_rev
+let path_mtu t = t.path_mtu
 let revocation_notices t = List.rev t.revocation_notices_rev
 let on_data t f = t.data_handler <- f
 let sessions t = I64_tbl.fold (fun _ c acc -> c.session :: acc) t.conns []
@@ -339,9 +323,7 @@ let ephid_requests_sent t = t.ephid_requests
 let packets_sent t = t.pkts_sent
 let rpc_retries t = t.rpc_retries
 let rpc_timeouts t = t.rpc_timeouts
-let ephid_lifetime t = t.ephid_lifetime
 let set_ephid_lifetime t lt = t.ephid_lifetime <- lt
-let renewal_margin t = t.renewal_margin
 let set_renewal_margin t s = t.renewal_margin <- max 0 s
 let issuance_breaker t = t.breaker
 let migrations t = t.migrations
@@ -386,9 +368,6 @@ let rpc_max_attempts = 5
 let rpc_backoff = 2.0
 let fresh_corr t = t.next_corr <- Int64.add t.next_corr 1L; t.next_corr
 
-let rpc_schedule t =
-  match t.att with Some { schedule = Some f; _ } -> Some f | _ -> None
-
 (* Answered, timed out, or its connection is gone: later duplicates become
    orphans. The engine holds the record until its last timer fires, so the
    callbacks (and the payloads and continuations they hold) go now. *)
@@ -398,13 +377,13 @@ let settle rpc =
   rpc.on_timeout <- ignore
 
 let rec arm_rpc t (rpc : rpc) =
-  match rpc_schedule t with
-  | None -> ()
-  | Some sched ->
+  Option.iter
+    (fun att ->
       let delay =
         rpc_timeout_s *. (rpc_backoff ** float_of_int (rpc.attempts - 1))
       in
-      sched ~delay (fun () -> rpc_timer_fired t rpc)
+      att.schedule ~delay (fun () -> rpc_timer_fired t rpc))
+    t.att
 
 and rpc_timer_fired t rpc =
   if rpc.settled then ()
@@ -502,7 +481,6 @@ let bootstrap t =
                             ctrl_expiry = reply.ctrl_expiry;
                             ms_cert = reply.ms_cert;
                             dns_cert = reply.dns_cert;
-                            aa_ephid = reply.aa_ephid;
                           };
                       Ok ()
                 end
@@ -611,7 +589,9 @@ let request_ephid_batch_r t ~count ?lifetime k =
           Ok endpoints)
     k
 
-let release_endpoint t (endpoint : endpoint) =
+(* A deliberate release means sessions bound to this EphID must die with
+   it: [pin] inhibits ICMP-driven recovery, exactly as for a shutoff. *)
+let release t ~pin (endpoint : endpoint) =
   match require_identity t with
   | Error e -> Error e
   | Ok id ->
@@ -624,11 +604,10 @@ let release_endpoint t (endpoint : endpoint) =
         (fun _ (e : endpoint) ->
           if Cert.equal e.cert endpoint.cert then None else Some e)
         t.pools;
-      (* A deliberate release means sessions bound to this EphID must die
-         with it: inhibit ICMP-driven recovery, exactly as for a shutoff. *)
-      Hashtbl.replace t.shutoff_inhibited
-        (Ephid.to_bytes endpoint.cert.Cert.ephid) ();
+      if pin then Hashtbl.replace t.shutoff_inhibited (ephid_raw endpoint) ();
       send_to_ms t id (Msgs.to_bytes msg)
+
+let release_endpoint t endpoint = release t ~pin:true endpoint
 
 (* ------------------------------------------------------------------ *)
 (* Granularity-driven source selection *)
@@ -787,7 +766,8 @@ let forget_session t conn_id =
       (* Per-flow EphIDs die with their flow: preemptively release the
          backing EphID once no other connection is bound to it, unless it
          is pooled (per-host/per-application) or receive-only (§VIII-G2:
-         hosts manage their EphID pool). *)
+         hosts manage their EphID pool). No session is left to recover on
+         it, so the release is not pinned. *)
       let endpoint = c.local in
       if unbind t endpoint = 0 then begin
         let pooled =
@@ -795,7 +775,7 @@ let forget_session t conn_id =
             (Hashtbl.to_seq_values t.pools)
         in
         if (not pooled) && not endpoint.receive_only then
-          warn t "close: release" (release_endpoint t endpoint)
+          warn t "close: release" (release t ~pin:false endpoint)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -887,8 +867,6 @@ let maybe_migrate t c =
         && (not (inhibited t ep))
         && not c.closed
       then migrate_session t c ~reason:"renewal-margin" ()
-
-let maintain_sessions t = I64_tbl.iter (fun _ c -> maybe_migrate t c) t.conns
 
 let connect t ~remote ?(data0 = "") ?app ?(expect_accept = false) k =
   match verify_peer_cert t remote with
@@ -1025,7 +1003,7 @@ let resolve_dns_cert t dns =
   match dns with
   | Some cert -> Ok cert
   | None -> begin
-      match dns_cert t with
+      match Option.bind t.identity (fun i -> i.dns_cert) with
       | Some cert -> Ok cert
       | None -> Error (Error.Rejected "no DNS service known")
     end
@@ -1119,7 +1097,7 @@ let ping t ~dst_aid ~dst_ephid k =
         | Error e -> warn t "ping: source EphID" (Error e)
         | Ok endpoint ->
           let ident = t.next_ping_ident in
-          t.next_ping_ident <- t.next_ping_ident + 1;
+          t.next_ping_ident <- (ident + 1) land 0xffff;
           let payload =
             Icmp.to_bytes (Icmp.Echo_request { ident; data = "apna-ping" })
           in
@@ -1169,7 +1147,7 @@ let handle_init t (pkt : Packet.t) conn ~conn_id ~(cert : Cert.t) ~seq ~sealed =
       ~local_keys:local.keys ~remote_cert:cert ()
   in
   let deliver0 session = function
-    | Some data when data <> "" -> deliver_data t session data
+    | Some data when data <> "" -> t.data_handler ~session ~data
     | _ -> ()
   in
   match conn with
@@ -1324,7 +1302,7 @@ let handle_data_frame t c ~seq ~sealed =
   match open_sealed_counted c.session ~seq ~sealed with
   | Error e -> warn t "data" (Error e)
   | Ok data ->
-      deliver_data t c.session data;
+      t.data_handler ~session:c.session ~data;
       (* Receive-path renewal check keeps a mostly-listening endpoint (a
          server) migrating on the client's traffic. *)
       maybe_migrate t c
@@ -1463,7 +1441,8 @@ let rec handle_icmp t (pkt : Packet.t) =
           try_recover t pkt ~reason ~quoted
       | Icmp.No_route | Icmp.Host_unknown -> ()
     end
-  | Ok (Icmp.Frag_needed { mtu; _ }) -> t.mtu_hints_rev <- mtu :: t.mtu_hints_rev
+  | Ok (Icmp.Frag_needed { mtu; _ }) ->
+      t.path_mtu <- Some (Option.fold ~none:mtu ~some:(min mtu) t.path_mtu)
 
 let deliver t (pkt : Packet.t) =
   match pkt.proto with

@@ -6,8 +6,8 @@
     (EphID issuance, connection establishment, DNS, ping) take a
     continuation that fires when the reply arrives. Every round trip
     carries a correlation id echoed in the reply and is retransmitted with
-    exponential backoff (up to 5 attempts, starting at 250 ms) when the
-    attachment provides a timer; on exhaustion the continuation receives
+    exponential backoff (up to 5 attempts, starting at 250 ms) on the
+    attachment's timer; on exhaustion the continuation receives
     [Error.Timeout] (or, for the success-typed convenience wrappers, a
     warning is logged and the continuation never fires). With the
     discrete-event engine, running the simulation to quiescence resolves
@@ -20,10 +20,8 @@ type attachment = {
   now : unit -> int;  (** Unix seconds (simulated). *)
   now_f : unit -> float;  (** Simulated time, sub-second resolution. *)
   submit : Apna_net.Packet.t -> unit;  (** Hand a packet to the AS. *)
-  schedule : (delay:float -> (unit -> unit) -> unit) option;
-      (** Timer facility backing retransmission and timeouts. [None]
-          disables timers: requests are sent once and wait indefinitely
-          (the pre-fault-model behaviour). *)
+  schedule : delay:float -> (unit -> unit) -> unit;
+      (** Timer facility backing retransmission and timeouts. *)
   bootstrap_rpc :
     host_dh_pub:string -> (Registry.reply, Error.t) result;
       (** The out-of-band authenticated channel to the RS (Fig. 2); the
@@ -43,8 +41,6 @@ val create :
 (** Granularity defaults to {!Granularity.Per_flow}. *)
 
 val name : t -> string
-val granularity : t -> Granularity.t
-val set_granularity : t -> Granularity.t -> unit
 
 (** {2 Wiring (called by the AS / access point)} *)
 
@@ -62,9 +58,7 @@ val bootstrap : t -> (unit, Error.t) result
 
 val is_bootstrapped : t -> bool
 val ctrl_ephid : t -> Ephid.t option
-val aa_ephid : t -> Ephid.t option
 val ms_cert : t -> Cert.t option
-val dns_cert : t -> Cert.t option
 val kha : t -> Keys.host_as option
 
 val request_ephid_r :
@@ -82,14 +76,6 @@ val request_ephid :
 (** {!request_ephid_r} with errors logged instead of delivered: on failure
     the continuation never fires. *)
 
-val request_ephid_batch_r :
-  t -> count:int -> ?lifetime:Lifetime.t ->
-  ((endpoint list, Error.t) result -> unit) -> unit
-(** [count] fresh EphIDs in one sealed round trip (the prefetcher's refill
-    path): the MS validates the control EphID once and amortizes its DRBG
-    pool across the grants. Same retransmission/breaker semantics as
-    {!request_ephid_r}; the batch succeeds or fails atomically. *)
-
 val endpoints : t -> endpoint list
 (** Every live endpoint (unspecified order). Endpoints live in a
     raw-EphID-keyed index, so per-packet delivery lookups and removals are
@@ -103,7 +89,8 @@ val last_endpoint_op_cost : t -> int
 
 val release_endpoint : t -> endpoint -> (unit, Error.t) result
 (** Preemptively retires an EphID the host no longer needs (§VIII-G2):
-    tells the MS to revoke it and drops it from the local pools. *)
+    tells the MS to revoke it and drops it from the local pools. The EphID
+    stays pinned: a session still bound to it never auto-recovers. *)
 
 (** {2 Data plane} *)
 
@@ -138,7 +125,7 @@ val send : t -> Session.t -> string -> (unit, Error.t) result
 
     Established sessions outlive the EphIDs that started them. Proactively,
     the host checks the bound source EphID's expiry on every send/receive
-    and, inside {!renewal_margin} seconds of expiry, acquires a fresh EphID
+    and, inside the renewal margin, acquires a fresh EphID
     and moves the session onto it with an authenticated in-session [Rekey]
     frame (retransmitted until the peer's [Rekey_ack]; duplicates are
     accepted idempotently). Reactively, ICMP [Ephid_expired]/[Ephid_revoked]
@@ -148,21 +135,14 @@ val send : t -> Session.t -> string -> (unit, Error.t) result
     itself sits behind a {!Breaker}: when it opens, sends degrade per the
     brownout policy instead of blackholing. *)
 
-val ephid_lifetime : t -> Lifetime.t
 val set_ephid_lifetime : t -> Lifetime.t -> unit
 (** Lifetime class requested for session, pool and prefetch EphIDs
     (default {!Lifetime.Medium}); explicit [?lifetime] arguments win. *)
 
-val renewal_margin : t -> int
 val set_renewal_margin : t -> int -> unit
 (** Seconds before expiry at which an endpoint counts as due for renewal
     (default 30): pooled endpoints are replaced, prefetched stock is
     discarded at dequeue, and live sessions migrate. *)
-
-val maintain_sessions : t -> unit
-(** Runs the proactive renewal check over every live session now. The check
-    also runs on each send/receive, so calling this is only needed for
-    sessions with no traffic of their own. *)
 
 val issuance_breaker : t -> Breaker.t
 (** The circuit breaker guarding EphID issuance round trips. *)
@@ -181,18 +161,18 @@ val stale_prefetch_discards : t -> int
 (** Prefetched EphIDs discarded at dequeue for staleness. *)
 
 val on_data : t -> (session:Session.t -> data:string -> unit) -> unit
-(** Installs an application data handler. Decrypted payloads are always
-    also appended to {!received}. *)
-
-val received : t -> (int64 * string) list
-(** All application data received, oldest first, tagged by connection id. *)
+(** Installs the application data handler, replacing the previous one. It
+    is the only way payloads leave the host: each decrypted payload is
+    passed to it once and the host keeps no copy. *)
 
 val sessions : t -> Session.t list
 
 val close : t -> Session.t -> (unit, Error.t) result
 (** Authenticated session close: sends a [Fin] frame, drops local state,
-    and preemptively releases the backing EphID when it was per-flow
-    (§VIII-G2's pool management). *)
+    and preemptively releases the backing EphID when it was per-flow and
+    no other connection is bound to it (§VIII-G2's pool management). Such
+    a release leaves nothing behind: unlike {!release_endpoint}, it pins
+    nothing. *)
 
 val set_zero_rtt_policy : t -> bool -> unit
 (** Server-side policy for 0-RTT data arriving under a receive-only
@@ -219,7 +199,8 @@ val dns_lookup :
 
 val ping :
   t -> dst_aid:Apna_net.Addr.aid -> dst_ephid:Ephid.t -> (float -> unit) -> unit
-(** ICMP echo (§VIII-B); continuation receives the RTT in seconds. *)
+(** ICMP echo (§VIII-B); continuation receives the RTT in seconds. Echo
+    idents are 16 bits on the wire: they wrap after 65,536 pings. *)
 
 val unreachables : t -> Icmp.unreachable_reason list
 (** The last 256 ICMP destination-unreachable notifications received,
@@ -230,9 +211,10 @@ val unreachable_total : t -> int
 (** Unreachable notifications ever received, including those the bounded
     {!unreachables} ring has dropped. *)
 
-val mtu_hints : t -> int list
-(** Path-MTU hints from ICMP packet-too-big feedback, oldest first: the
-    largest APNA packet the constraining link carries. *)
+val path_mtu : t -> int option
+(** The smallest path MTU any ICMP packet-too-big notice has reported: the
+    largest APNA packet the constraining link carries. [None] until one
+    arrives. *)
 
 val revocation_notices : t -> (Ephid.t * string option) list
 (** Shutoff notices from the AS, oldest first: the revoked EphID and —

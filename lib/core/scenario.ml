@@ -42,6 +42,11 @@ let connect ?data0 ?expect_accept net host ~remote =
   | Some s -> s
   | None -> failwith ("no session for " ^ Host.name host)
 
+let inbox host =
+  let got = ref [] in
+  Host.on_data host (fun ~session:_ ~data -> got := data :: !got);
+  fun () -> List.rev !got
+
 let pace net ~n ~span f =
   let eng = Network.engine net in
   for i = 0 to n - 1 do

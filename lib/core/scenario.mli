@@ -47,6 +47,14 @@ val connect :
 (** Connects the host to [remote], runs the network and returns the
     session. *)
 
+val inbox : Host.t -> unit -> string list
+(** [inbox host] installs a data handler on [host] that keeps every
+    payload it decrypts, and returns a function listing them so far,
+    oldest first. The host itself keeps no payloads; this is the opt-in stand-in
+    for an application that does. It replaces any handler installed
+    before, and its list only grows: long runs count in a handler of
+    their own. *)
+
 (** {2 Workload steps} *)
 
 val pace : Network.t -> n:int -> span:float -> (int -> unit) -> unit
@@ -61,9 +69,9 @@ val pace : Network.t -> n:int -> span:float -> (int -> unit) -> unit
 
 val auto_shutoff : Host.t -> pool:Apna_net.Packet.t list ref -> built:int ref -> unit
 (** The victim's defence: every frame the host decrypts is kept in [pool]
-    (what a replaying attacker has seen accepted) and becomes evidence for
-    a shutoff request against its sender (§IV-E); [built] counts the
-    requests sent. *)
+    (what a replaying attacker has seen accepted, one entry per delivery)
+    and becomes evidence for a shutoff request against its sender
+    (§IV-E); [built] counts the requests sent. *)
 
 val flow :
   Network.t ->

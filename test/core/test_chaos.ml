@@ -41,6 +41,7 @@ let convergence_tests =
             ()
         in
         Network.run net;
+        let inbox = Scenario.inbox bob in
         Alcotest.(check bool) "alice up" true (Host.is_bootstrapped alice);
         (* Server side: receive-only EphID published in DNS. *)
         let published = ref 0 in
@@ -72,7 +73,7 @@ let convergence_tests =
         (* data0 delivered exactly once despite Init retransmission and
            link-level duplication; the follow-up frame also lands. *)
         Alcotest.(check (list string)) "bob's view" [ "hello"; "after-accept" ]
-          (List.map snd (Host.received bob));
+          (inbox ());
         (* Nothing left hanging, and the loss really exercised retries. *)
         Alcotest.(check int) "alice quiescent" 0 (Host.pending_rpc_count alice);
         Alcotest.(check int) "bob quiescent" 0 (Host.pending_rpc_count bob);
@@ -119,6 +120,7 @@ let convergence_tests =
         in
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+        let inbox = Scenario.inbox bob in
         Network.run net;
         let remote = (Scenario.endpoint net bob).cert in
         (* data0 rides the Init frame, which is admitted while the burst
@@ -132,7 +134,7 @@ let convergence_tests =
         Alcotest.(check bool) "tail drops recorded" true
           (stats.Link.queue_dropped > 0);
         Alcotest.(check bool) "admitted frames still delivered" true
-          (List.mem "first" (List.map snd (Host.received bob))));
+          (List.mem "first" (inbox ())));
   ]
 
 let mispair_tests =

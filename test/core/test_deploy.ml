@@ -24,6 +24,7 @@ let dns_e2e_tests =
         let client = Scenario.host net ~as_number:100 ~name:"client" ~credential:"client-tok" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session ("resp:" ^ data)));
+        let inbox = Scenario.inbox client in
         let published = ref false in
         Host.publish server ~name:"svc.example.net" (fun () -> published := true);
         Network.run net;
@@ -40,8 +41,7 @@ let dns_e2e_tests =
         Host.connect client ~remote:record.cert ~data0:"hello"
           ~expect_accept:record.receive_only (fun _ -> ());
         Network.run net;
-        Alcotest.(check (list string)) "reply" [ "resp:hello" ]
-          (List.map snd (Host.received client)));
+        Alcotest.(check (list string)) "reply" [ "resp:hello" ] (inbox ()));
     Alcotest.test_case "server answers from a serving EphID, not the published one"
       `Quick (fun () ->
         let net = make_world () in
@@ -72,6 +72,7 @@ let dns_e2e_tests =
         let client = Scenario.host net ~as_number:100 ~name:"client" ~credential:"client-tok" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session (String.uppercase_ascii data)));
+        let inbox = Scenario.inbox client in
         Host.publish server ~name:"svc.example.net" (fun () -> ());
         Network.run net;
         let dns_cert =
@@ -86,8 +87,7 @@ let dns_e2e_tests =
         Host.connect client ~remote:record.cert ~data0:"" ~expect_accept:true
           (fun session -> ignore (Host.send client session "queued request"));
         Network.run net;
-        Alcotest.(check (list string)) "served" [ "QUEUED REQUEST" ]
-          (List.map snd (Host.received client)));
+        Alcotest.(check (list string)) "served" [ "QUEUED REQUEST" ] (inbox ()));
     Alcotest.test_case "shutoff against a receive-only EphID is refused" `Quick
       (fun () ->
         (* Receive-only EphIDs never source packets, so no one can present
@@ -167,11 +167,11 @@ let ap_tests =
         let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session ("pong:" ^ data)));
+        let inbox = Scenario.inbox laptop in
         let server_ep = Scenario.endpoint net server in
         Host.connect laptop ~remote:server_ep.cert ~data0:"ping" (fun _ -> ());
         Network.run net;
-        Alcotest.(check (list string)) "round trip" [ "pong:ping" ]
-          (List.map snd (Host.received laptop)));
+        Alcotest.(check (list string)) "round trip" [ "pong:ping" ] (inbox ()));
     Alcotest.test_case "AS sees the AP's HID, never the device" `Quick (fun () ->
         let net, ap, internal = ap_world () in
         let laptop = internal "laptop" in
@@ -215,6 +215,7 @@ let ap_tests =
         let laptop = internal "laptop" in
         let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
         let server_ep = Scenario.endpoint net server in
+        let inbox = Scenario.inbox server in
         (* Inject a packet with a made-up source EphID through the
            laptop's attachment (i.e. the AP's router). *)
         let att = Option.get (Host.attachment laptop) in
@@ -227,7 +228,7 @@ let ap_tests =
         att.submit
           (Apna_net.Packet.make ~header ~proto:Apna_net.Packet.Data ~payload:"x");
         Network.run net;
-        Alcotest.(check bool) "nothing delivered" true (Host.received server = []));
+        Alcotest.(check bool) "nothing delivered" true (inbox () = []));
   ]
 
 (* ------------------------------------------------------------------ *)

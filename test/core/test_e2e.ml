@@ -44,10 +44,11 @@ let basic_tests =
     Alcotest.test_case "encrypted end-to-end data (0-RTT)" `Quick (fun () ->
         let net, alice, bob = make_world () in
         let bob_ep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         Host.connect alice ~remote:bob_ep.cert ~data0:"hello bob" (fun _session -> ());
         Network.run net;
-        (match Host.received bob with
-        | [ (_, "hello bob") ] -> ()
+        (match inbox () with
+        | [ "hello bob" ] -> ()
         | other ->
             Alcotest.failf "bob received %d messages" (List.length other)));
     Alcotest.test_case "bidirectional session data" `Quick (fun () ->
@@ -56,23 +57,24 @@ let basic_tests =
         (* Bob echoes everything back uppercased. *)
         Host.on_data bob (fun ~session ~data ->
             ignore (Host.send bob session (String.uppercase_ascii data)));
+        let inbox = Scenario.inbox alice in
         Host.connect alice ~remote:bob_ep.cert ~data0:"ping" (fun session ->
             ignore session);
         Network.run net;
-        (match Host.received alice with
-        | [ (_, "PING") ] -> ()
+        (match inbox () with
+        | [ "PING" ] -> ()
         | other -> Alcotest.failf "alice received %d messages" (List.length other)));
     Alcotest.test_case "multiple messages flow in order" `Quick (fun () ->
         let net, alice, bob = make_world () in
         let bob_ep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         Host.connect alice ~remote:bob_ep.cert ~data0:"m0" (fun session ->
             for i = 1 to 5 do
               ignore (Host.send alice session (Printf.sprintf "m%d" i))
             done);
         Network.run net;
-        let got = List.map snd (Host.received bob) in
         Alcotest.(check (list string)) "all delivered in order"
-          [ "m0"; "m1"; "m2"; "m3"; "m4"; "m5" ] got);
+          [ "m0"; "m1"; "m2"; "m3"; "m4"; "m5" ] (inbox ()));
     Alcotest.test_case "ping measures a plausible rtt" `Quick (fun () ->
         let net, alice, bob = make_world () in
         let bob_ep = Scenario.endpoint net bob in
@@ -83,14 +85,34 @@ let basic_tests =
         (* 4 inter-AS link crossings at 5 ms propagation each, plus access
            hops: at least 20 ms, well under a second. *)
         Alcotest.(check bool) "rtt sane" true (!rtt >= 0.02 && !rtt < 1.0));
+    Alcotest.test_case "ping idents wrap at 16 bits" `Quick (fun () ->
+        (* The ident is a u16 on the wire: past 65,535 pings every reply
+           must still find its own request. *)
+        let net = Scenario.line ~seed:"ping-wrap" [ 100 ] in
+        let alice =
+          Scenario.host ~granularity:Granularity.Per_host net ~as_number:100
+            ~name:"alice" ~credential:"a"
+        in
+        let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
+        let bob_ep = Scenario.endpoint net bob in
+        let pings = 65_537 and replies = ref 0 in
+        for i = 1 to pings do
+          Host.ping alice ~dst_aid:(Apna_net.Addr.aid_of_int 100)
+            ~dst_ephid:bob_ep.cert.ephid (fun _ -> incr replies);
+          if i mod 4_096 = 0 then Network.run net
+        done;
+        Network.run net;
+        Alcotest.(check int) "every ping answered" pings !replies;
+        Alcotest.(check int) "nothing pending" 0 (Host.pending_rpc_count alice));
     Alcotest.test_case "icmp unreachable on expired destination" `Quick (fun () ->
         let net, alice, bob = make_world () in
         let bob_ep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         (* Let bob's EphID (medium lifetime, 900 s) expire, then connect. *)
         Network.advance_time net 1000.0;
         Host.connect alice ~remote:bob_ep.cert ~data0:"too late" (fun _ -> ());
         Network.run net;
-        Alcotest.(check bool) "bob got nothing" true (Host.received bob = []);
+        Alcotest.(check bool) "bob got nothing" true (inbox () = []);
         (* Alice's connect was blocked at certificate verification (expired),
            so nothing was even sent; force a raw expired send via ping. *)
         Host.ping alice ~dst_aid:(Apna_net.Addr.aid_of_int 300)
@@ -107,8 +129,10 @@ let shutoff_tests =
     Alcotest.test_case "victim shuts off attacker" `Quick (fun () ->
         let net, attacker, victim = make_world () in
         let victim_ep = Scenario.endpoint net victim in
-        let victim_session = ref None in
-        Host.on_data victim (fun ~session ~data:_ -> victim_session := Some session);
+        let victim_session = ref None and floods = ref 0 in
+        Host.on_data victim (fun ~session ~data:_ ->
+            incr floods;
+            victim_session := Some session);
         let attacker_session = ref None in
         Host.connect attacker ~remote:victim_ep.cert ~data0:"flood-0" (fun s ->
             attacker_session := Some s);
@@ -117,7 +141,7 @@ let shutoff_tests =
         ignore (Host.send attacker att_s "flood-1");
         Network.run net;
         let vic_s = Option.get !victim_session in
-        Alcotest.(check int) "floods arrived" 2 (List.length (Host.received victim));
+        Alcotest.(check int) "floods arrived" 2 !floods;
         (* The victim presents the last unwanted packet as evidence. *)
         let evidence = Option.get (Host.last_packet victim vic_s) in
         ok_or_fail "shutoff" (Host.request_shutoff victim ~session:vic_s ~evidence);
@@ -130,7 +154,7 @@ let shutoff_tests =
         ignore (Host.send attacker att_s "flood-2");
         ignore (Host.send attacker att_s "flood-3");
         Network.run net;
-        Alcotest.(check int) "no more floods" 2 (List.length (Host.received victim)));
+        Alcotest.(check int) "no more floods" 2 !floods);
     Alcotest.test_case "shutoff with forged signature is refused" `Quick (fun () ->
         let net, attacker, victim = make_world () in
         let victim_ep = Scenario.endpoint net victim in
@@ -229,6 +253,7 @@ let lifecycle_tests =
         let net, alice, bob = make_world () in
         let carol = Scenario.host net ~as_number:100 ~name:"carol" ~credential:"carol-token" in
         let bob_ep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         let open_session client data0 =
           let session = ref None in
           Host.connect client ~remote:bob_ep.cert ~data0 (fun s -> session := Some s);
@@ -251,7 +276,7 @@ let lifecycle_tests =
         ok_or_fail "carol send" (Host.send carol sc "still served");
         Network.run net;
         Alcotest.(check bool) "carol's frame delivered" true
-          (List.exists (fun (_, d) -> d = "still served") (Host.received bob));
+          (List.mem "still served" (inbox ()));
         ok_or_fail "carol close" (Host.close carol sc);
         Network.run net;
         Alcotest.(check int) "released after the last close" 1
@@ -260,6 +285,7 @@ let lifecycle_tests =
     Alcotest.test_case "spoofed fin does not kill a session" `Quick (fun () ->
         let net, alice, bob = make_world () in
         let bob_ep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         let s = Scenario.connect ~data0:"hi" net alice ~remote:bob_ep.cert in
         (* Mallory forges a Fin with the right conn id but no session key. *)
         let mallory = Scenario.host net ~as_number:100 ~name:"mallory" ~credential:"m" in
@@ -290,13 +316,16 @@ let lifecycle_tests =
         ignore (Host.send alice s "still here");
         Network.run net;
         Alcotest.(check bool) "data still flows" true
-          (List.exists (fun (_, d) -> d = "still here") (Host.received bob)));
+          (List.mem "still here" (inbox ())));
     Alcotest.test_case "0-RTT refusal policy drops first flight only" `Quick
       (fun () ->
         let net, client, server = make_world () in
         Host.set_zero_rtt_policy server false;
+        let served = ref [] in
         Host.on_data server (fun ~session ~data ->
+            served := data :: !served;
             ignore (Host.send server session ("srv:" ^ data)));
+        let inbox = Scenario.inbox client in
         Host.publish server ~name:"svc.example.net" (fun () -> ());
         Network.run net;
         let dns_cert =
@@ -313,10 +342,8 @@ let lifecycle_tests =
             ignore (Host.send client session "late"));
         Network.run net;
         (* "early" was refused by policy; "late" made it. *)
-        Alcotest.(check (list string)) "server view" [ "late" ]
-          (List.map snd (Host.received server));
-        Alcotest.(check (list string)) "client reply" [ "srv:late" ]
-          (List.map snd (Host.received client)));
+        Alcotest.(check (list string)) "server view" [ "late" ] (List.rev !served);
+        Alcotest.(check (list string)) "client reply" [ "srv:late" ] (inbox ()));
   ]
 
 let () =

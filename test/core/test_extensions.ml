@@ -214,6 +214,7 @@ let aas_tests =
         let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"srv" in
         Host.on_data server (fun ~session ~data ->
             ignore (Host.send server session ("ok:" ^ data)));
+        let inboxes = List.map Scenario.inbox customers in
         let sep = Scenario.endpoint net server in
         List.iteri
           (fun i c ->
@@ -222,10 +223,10 @@ let aas_tests =
         Network.run net;
         (* Every customer got service... *)
         List.iteri
-          (fun i c ->
+          (fun i inbox ->
             Alcotest.(check (list string)) "served" [ Printf.sprintf "ok:%d" i ]
-              (List.map snd (Host.received c)))
-          customers;
+              (inbox ()))
+          inboxes;
         (* ...while the upstream ISP attributes all their EphIDs to the one
            downstream contract: the customers' anonymity set is the ISP's. *)
         let isp = Network.node_exn net 100 in
@@ -269,11 +270,12 @@ let transport_tests =
         let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
         Host.on_data bob (fun ~session ~data ->
             ignore (Host.send bob session ("gre:" ^ data)));
+        let inbox = Scenario.inbox alice in
         let bep = Scenario.endpoint net bob in
         Host.connect alice ~remote:bep.cert ~data0:"tunneled" (fun _ -> ());
         Network.run net;
         Alcotest.(check (list string)) "round trip over GRE" [ "gre:tunneled" ]
-          (List.map snd (Host.received alice)));
+          (inbox ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -286,10 +288,11 @@ let release_tests =
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
         let bep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         let session = ref None in
         Host.connect alice ~remote:bep.cert ~data0:"before" (fun s -> session := Some s);
         Network.run net;
-        Alcotest.(check int) "delivered" 1 (List.length (Host.received bob));
+        Alcotest.(check int) "delivered" 1 (List.length (inbox ()));
         (* Alice retires the EphID backing the session... *)
         let alice_ep =
           List.find
@@ -307,7 +310,7 @@ let release_tests =
         (* ...after which its packets die at egress. *)
         ignore (Host.send alice (Option.get !session) "after");
         Network.run net;
-        Alcotest.(check int) "no more delivery" 1 (List.length (Host.received bob)));
+        Alcotest.(check int) "no more delivery" 1 (List.length (inbox ())));
     Alcotest.test_case "cannot release someone else's EphID" `Quick (fun () ->
         let net = Scenario.line ~seed:"release2" [ 100 ] in
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
@@ -347,16 +350,17 @@ let mtu_tests =
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
         let bep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         (* The Init with 1000 bytes of 0-RTT data exceeds the 600 B MTU. *)
         Host.connect alice ~remote:bep.cert ~data0:(String.make 1000 'x')
           (fun _ -> ());
         Network.run net;
-        Alcotest.(check bool) "not delivered" true (Host.received bob = []);
-        (match Host.mtu_hints alice with
-        | mtu :: _ ->
+        Alcotest.(check bool) "not delivered" true (inbox () = []);
+        (match Host.path_mtu alice with
+        | Some mtu ->
             Alcotest.(check bool) "hint is the usable size" true
               (mtu > 0 && mtu <= 600)
-        | [] -> Alcotest.fail "no frag-needed feedback"));
+        | None -> Alcotest.fail "no frag-needed feedback"));
     Alcotest.test_case "fitting retry is delivered" `Quick (fun () ->
         let net =
           Scenario.line ~seed:"mtu2" ~link:(fun () -> Apna_net.Link.make ~mtu:600 ()) [ 100; 300 ]
@@ -364,17 +368,18 @@ let mtu_tests =
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
         let bep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         Host.connect alice ~remote:bep.cert ~data0:(String.make 1000 'x')
           (fun _ -> ());
         Network.run net;
-        let hint = List.hd (Host.mtu_hints alice) in
+        let hint = Option.get (Host.path_mtu alice) in
         (* The oversized Init never arrived, so re-establish within the
            advertised MTU (leaving room for header, cert and framing). *)
         Host.connect alice ~remote:bep.cert
           ~data0:(String.make (hint - 300) 'y')
           (fun _ -> ());
         Network.run net;
-        Alcotest.(check int) "retry delivered" 1 (List.length (Host.received bob)));
+        Alcotest.(check int) "retry delivered" 1 (List.length (inbox ())));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -34,6 +34,7 @@ let accountability_tests =
         let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"bob-token" in
         let alice_ep = Scenario.endpoint net alice in
         let bob_ep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
         let node = Network.node_exn net 100 in
         let header =
           Apna_net.Apna_header.make ~src_aid:(aid 100)
@@ -53,7 +54,7 @@ let accountability_tests =
         Network.run net;
         let after = (Border_router.counters (As_node.border_router node)).dropped in
         Alcotest.(check int) "dropped at egress" (before + 1) after;
-        Alcotest.(check bool) "nothing delivered" true (Host.received bob = []));
+        Alcotest.(check bool) "nothing delivered" true (inbox () = []));
     qtest "unauthorized ephid generation fails (CCA security)" ~count:500
       QCheck2.Gen.(string_size (return 16))
       (fun forged ->

@@ -123,8 +123,11 @@ let migration_tests =
         (* Alice's source EphIDs are Short-lived (60 s); bob answers from a
            Long-lived endpoint so only the client side migrates. *)
         Host.set_ephid_lifetime alice Lifetime.Short;
+        let got = ref [] in
         Host.on_data bob (fun ~session ~data ->
+            got := data :: !got;
             ignore (Host.send bob session ("echo:" ^ data)));
+        let inbox = Scenario.inbox alice in
         let bep = ref None in
         Host.request_ephid bob ~lifetime:Lifetime.Long ~receive_only:true
           (fun e -> bep := Some e);
@@ -142,10 +145,9 @@ let migration_tests =
            per hop — zero application-visible delivery failures. *)
         let n = 85 in
         drive_exchange net alice session ~n ~copies:4;
-        let got = List.map snd (Host.received bob) in
         for i = 0 to n - 1 do
           let data = Printf.sprintf "m%03d" i in
-          Alcotest.(check bool) (data ^ " delivered") true (List.mem data got)
+          Alcotest.(check bool) (data ^ " delivered") true (List.mem data !got)
         done;
         (* The session crossed at least two expiry boundaries. *)
         Alcotest.(check bool) "at least 2 migrations" true
@@ -156,12 +158,13 @@ let migration_tests =
         Alcotest.(check bool) "echoes came back" true
           (List.exists
              (fun d -> String.length d > 5 && String.sub d 0 5 = "echo:")
-             (List.map snd (Host.received alice)));
+             (inbox ()));
         Alcotest.(check int) "alice quiescent" 0 (Host.pending_rpc_count alice);
         Alcotest.(check int) "bob quiescent" 0 (Host.pending_rpc_count bob));
     Alcotest.test_case "revoked mid-session: ICMP-driven recovery" `Quick
       (fun () ->
         let net, alice, bob = make_world ~seed:"survival-revoke" () in
+        let inbox = Scenario.inbox bob in
         let bep = ref None in
         Host.request_ephid bob ~lifetime:Lifetime.Long (fun e -> bep := Some e);
         Network.run net;
@@ -170,8 +173,7 @@ let migration_tests =
           (fun s -> session := Some s);
         Network.run net;
         let session = Option.get !session in
-        Alcotest.(check (list string)) "before delivered" [ "before" ]
-          (List.map snd (Host.received bob));
+        Alcotest.(check (list string)) "before delivered" [ "before" ] (inbox ());
         (* The AS revokes the EphID backing alice's session out from under
            her (administrative revocation, not a shutoff: alice is not
            notified). *)
@@ -185,8 +187,7 @@ let migration_tests =
         ignore (Host.send alice session "after");
         Network.run net;
         Alcotest.(check (list string)) "after recovered"
-          [ "before"; "after" ]
-          (List.map snd (Host.received bob));
+          [ "before"; "after" ] (inbox ());
         Alcotest.(check int) "one recovery" 1 (Host.recoveries alice);
         Alcotest.(check bool) "recovery migrated the session" true
           (Host.migrations alice >= 1);
@@ -204,6 +205,7 @@ let migration_tests =
            EphID so ICMP feedback cannot resurrect the flows it backed —
            same mechanism that keeps a shutoff final. *)
         let net, alice, bob = make_world ~seed:"survival-inhibit" () in
+        let inbox = Scenario.inbox bob in
         let bep = ref None in
         Host.request_ephid bob (fun e -> bep := Some e);
         Network.run net;
@@ -223,7 +225,7 @@ let migration_tests =
         ignore (Host.send alice session "post-release");
         Network.run net;
         Alcotest.(check (list string)) "no delivery after release" [ "pre" ]
-          (List.map snd (Host.received bob));
+          (inbox ());
         Alcotest.(check int) "no recovery" 0 (Host.recoveries alice);
         Alcotest.(check int) "no migration" 0 (Host.migrations alice));
     Alcotest.test_case "a settled Rekey's timer leaves the next one alone"
@@ -240,6 +242,7 @@ let migration_tests =
         in
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         let bob = Scenario.host net ~as_number:200 ~name:"bob" ~credential:"b" in
+        let inbox = Scenario.inbox bob in
         Network.run net;
         let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
         let session = Scenario.connect ~data0:"hello" net alice ~remote:bep.Host.cert in
@@ -251,7 +254,7 @@ let migration_tests =
         Alcotest.(check int) "every send migrated" n (Host.migrations alice);
         Alcotest.(check int) "no retransmission without loss" 0
           (Host.rpc_retries alice);
-        Alcotest.(check int) "all delivered" (n + 1) (List.length (Host.received bob));
+        Alcotest.(check int) "all delivered" (n + 1) (List.length (inbox ()));
         Alcotest.(check int) "alice quiescent" 0 (Host.pending_rpc_count alice));
   ]
 
@@ -279,11 +282,12 @@ let brownout_tests =
           ~credential:"carol-tok" ();
         ok_or_fail "carol bootstrap" (Host.bootstrap carol);
         let dave = Scenario.host net ~as_number:100 ~name:"dave" ~credential:"dave-tok" in
+        let inbox = Scenario.inbox dave in
         Network.run net;
         let dep = Scenario.endpoint net dave in
         let session = Scenario.connect ~data0:"hello" net carol ~remote:dep.Host.cert in
         Alcotest.(check bool) "warm" true
-          (List.mem "hello" (List.map snd (Host.received dave)));
+          (List.mem "hello" (inbox ()));
         (* Outage: every MS reply to carol vanishes. The per-packet sends
            keep going on prefetched stock while the refill requests time
            out; three consecutive timeouts open the breaker. *)
@@ -304,7 +308,7 @@ let brownout_tests =
         Network.run net;
         Alcotest.(check bool) "brownout sends happened" true
           (Host.brownout_sends carol > 0);
-        let got = List.map snd (Host.received dave) in
+        let got = inbox () in
         List.iter
           (fun d ->
             Alcotest.(check bool) (d ^ " delivered during outage") true
@@ -319,13 +323,30 @@ let brownout_tests =
         Alcotest.(check bool) "breaker closed after probe" true
           (Breaker.state (Host.issuance_breaker carol) = Breaker.Closed);
         Alcotest.(check bool) "post-outage delivery" true
-          (List.mem "d1" (List.map snd (Host.received dave)));
+          (List.mem "d1" (inbox ()));
         Alcotest.(check bool) "exactly one open interval" true
           (Breaker.opens (Host.issuance_breaker carol) >= 1));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Bounded-state regressions. *)
+
+(* Words reachable from the host itself. Its attachment closes over the
+   whole network, so an inert copy stands in while counting. *)
+let host_words h =
+  let att = Option.get (Host.attachment h) in
+  Host.attach h
+    {
+      att with
+      now = (fun () -> 0);
+      now_f = (fun () -> 0.0);
+      submit = ignore;
+      schedule = (fun ~delay:_ _ -> ());
+      bootstrap_rpc = (fun ~host_dh_pub:_ -> Error (Error.Rejected "inert"));
+    };
+  let words = Obj.reachable_words (Obj.repr h) in
+  Host.attach h att;
+  words
 
 let bounds_tests =
   [
@@ -337,6 +358,7 @@ let bounds_tests =
             ~name:"alice" ~credential:"a"
         in
         let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
+        let inbox = Scenario.inbox bob in
         Network.run net;
         let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
         let session = Scenario.connect ~data0:"early" net alice ~remote:bep.Host.cert in
@@ -353,7 +375,7 @@ let bounds_tests =
         Alcotest.(check bool) "stale stock discarded" true
           (Host.stale_prefetch_discards alice > 0);
         Alcotest.(check bool) "late message delivered" true
-          (List.mem "late" (List.map snd (Host.received bob))));
+          (List.mem "late" (inbox ())));
     Alcotest.test_case "unreachable ring keeps the last 256 of 300" `Quick
       (fun () ->
         let ringo =
@@ -413,6 +435,65 @@ let bounds_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%d words for %d frames" grown frames)
           true (grown < frames));
+    Alcotest.test_case "a long session leaves no payloads behind" `Quick
+      (fun () ->
+        (* Payloads go to the data handler (none here) and nowhere else:
+           10,000 frames on one session leave both hosts' state flat. *)
+        let net = Scenario.line ~seed:"survival-long" [ 100 ] in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
+        let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+        let session = Scenario.connect ~data0:"hello" net alice ~remote:bep.Host.cert in
+        let send_batch () =
+          for i = 1 to 1_000 do
+            ok_or_fail "send" (Host.send alice session (Printf.sprintf "m%05d" i))
+          done;
+          Network.run net
+        in
+        send_batch ();
+        let words () = host_words alice + host_words bob in
+        let before = words () in
+        let frames = 10_000 in
+        for _ = 1 to frames / 1_000 do
+          send_batch ()
+        done;
+        let grown = words () - before in
+        Alcotest.(check int) "one session each" 2
+          (List.length (Host.sessions alice) + List.length (Host.sessions bob));
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words for %d frames" grown frames)
+          true (grown < frames));
+    Alcotest.test_case "connect/close cycles leave no state behind" `Quick
+      (fun () ->
+        (* Each cycle binds a fresh per-flow EphID on the client and a
+           fresh serving EphID on the server; the close releases both.
+           Nothing is bound to them any more, so nothing is kept. *)
+        let net = Scenario.line ~seed:"survival-cycles" [ 100 ] in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
+        let bep =
+          Scenario.endpoint ~lifetime:Lifetime.Long ~receive_only:true net bob
+        in
+        let cycle () =
+          let s = Scenario.connect ~expect_accept:true net alice ~remote:bep.Host.cert in
+          ok_or_fail "close" (Host.close alice s);
+          Network.run net
+        in
+        for _ = 1 to 20 do
+          cycle ()
+        done;
+        let words () = host_words alice + host_words bob in
+        let before = words () in
+        let cycles = 1_000 in
+        for _ = 1 to cycles do
+          cycle ()
+        done;
+        let grown = words () - before in
+        Alcotest.(check int) "no sessions left" 0
+          (List.length (Host.sessions alice) + List.length (Host.sessions bob));
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words for %d cycles" grown cycles)
+          true (grown < cycles));
     Alcotest.test_case "spent per-packet sources leave the index at expiry"
       `Quick (fun () ->
         let net = Scenario.line ~seed:"survival-spent" [ 100 ] in
@@ -421,6 +502,7 @@ let bounds_tests =
             ~name:"alice" ~credential:"a"
         in
         let bob = Scenario.host net ~as_number:100 ~name:"bob" ~credential:"b" in
+        let inbox = Scenario.inbox bob in
         Network.run net;
         let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
         (* The session's bound endpoint is Long-lived, so it never
@@ -439,7 +521,7 @@ let bounds_tests =
             ignore (Host.send alice session (Printf.sprintf "p%03d" i));
             peak := max !peak (List.length (Host.endpoints alice)));
         Network.run net;
-        Alcotest.(check int) "all delivered" (n + 1) (List.length (Host.received bob));
+        Alcotest.(check int) "all delivered" (n + 1) (List.length (inbox ()));
         let bound = per_lifetime + 8 + 1 in
         Alcotest.(check bool)
           (Printf.sprintf "peak %d endpoints <= %d" !peak bound)
