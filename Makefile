@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check linkage-gate recorder-gate bigint-gate scenario-gate clean
+.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -91,6 +91,19 @@ check: linkage-gate recorder-gate bigint-gate scenario-gate
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
 	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint and scenario gates clean, BENCH_results.json written and validated)"
+
+# A/B comparison on one BENCHMARK.json workload: N alternating pairs of
+# `perf/run.sh --workload W --trace 0` runs, BASE (exported under $TMPDIR,
+# default /tmp) against the working tree, with medians, quartiles, pair
+# wins and the resolved/unresolved verdict per end-to-end metric.
+#   make ab BASE=<rev> W=<workload> [N=10] [SEED=1] [SECONDS=12]
+N ?= 10
+ab:
+	@if [ -z "$(BASE)" ] || [ -z "$(W)" ]; then \
+	  echo "usage: make ab BASE=<rev> W=<workload> [N=10] [SEED=n] [SECONDS=s]"; exit 2; fi
+	dune build bench/ab.exe
+	./_build/default/bench/ab.exe --base $(BASE) --workload $(W) -n $(N) \
+	  $(if $(SEED),--seed $(SEED)) $(if $(SECONDS),--seconds $(SECONDS))
 
 clean:
 	dune clean

@@ -103,10 +103,21 @@ let run tier =
   in
   line "";
   line "shape check (paper): pps falls as size grows; bit-rate rises with size";
-  let _, _, _, mpps_first, gbps_first = List.hd results in
-  let _, _, _, mpps_last, gbps_last = List.nth results (List.length results - 1) in
-  line "  Mpps monotone decreasing: %b   Gbps increasing: %b"
-    (mpps_first > mpps_last) (gbps_last > gbps_first);
+  (* Every adjacent pair of sizes must keep the order, not just the first
+     and last rows; the first pair that breaks it is named. *)
+  let monotone name ok =
+    let rec first_break = function
+      | (s1, _, _, m1, g1) :: ((s2, _, _, m2, g2) :: _ as rest) ->
+          if ok (m1, g1) (m2, g2) then first_break rest else Some (s1, s2)
+      | _ -> None
+    in
+    match first_break results with
+    | None -> Printf.sprintf "%s: true" name
+    | Some (s1, s2) -> Printf.sprintf "%s: false (%dB -> %dB)" name s1 s2
+  in
+  line "  %s   %s"
+    (monotone "Mpps monotone decreasing" (fun (m1, _) (m2, _) -> m2 < m1))
+    (monotone "Gbps increasing" (fun (_, g1) (_, g2) -> g2 > g1));
   (* Substrate-scaled line rate: at what aggregate capacity would this
      implementation saturate the wire at every size, as the paper's
      hardware does at 120 Gbps? *)

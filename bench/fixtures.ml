@@ -103,5 +103,23 @@ let percentile samples p =
     s.(min (n - 1) (n * p / 100))
   end
 
+(* An in-run timing ratio that load does not move: [a] and [b] are timed
+   back to back in each of [rounds] rounds (p50 of [samples] batches of
+   [batch] calls each), the order alternating by round, and the result is
+   the median of the per-round [a / b]. A burst of machine noise then
+   spoils a few rounds, not one whole side. *)
+let interleaved_ratio ~rounds ~samples ~batch a b =
+  let p50 f = percentile (latency_samples ~samples ~batch f) 50 in
+  let ratios =
+    Array.init rounds (fun r ->
+        if r mod 2 = 0 then
+          let ta = p50 a in
+          ta /. p50 b
+        else
+          let tb = p50 b in
+          p50 a /. tb)
+  in
+  percentile ratios 50
+
 let rules_json rules =
   J.List (List.map (fun r -> J.Str r) (List.sort String.compare rules))

@@ -226,8 +226,7 @@ let report t ~now ~(packet : Apna_net.Packet.t option) result =
   match (result, packet) with
   | Ok _, Some packet when Apna_obs.Event.enabled Apna_obs.Event.default ->
       Apna_obs.Event.(
-        record default
-          ~key:(key_of_string packet.header.mac)
+        record_hashed default packet.header.mac
           (Shutoff { aid = Apna_net.Addr.aid_to_int t.keys.aid }))
   | _ -> ()
 

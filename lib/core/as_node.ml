@@ -290,10 +290,8 @@ and observe_certs t (pkt : Packet.t) =
 
 and deliver_local t hid (pkt : Packet.t) =
   if Apna_obs.Event.enabled Apna_obs.Event.default then
-    Apna_obs.Event.(
-      record default
-        ~key:(key_of_string pkt.header.mac)
-        (Deliver { aid = Addr.aid_to_int t.aid; hid = Addr.hid_to_int hid }));
+    Apna_obs.Event.deliver Apna_obs.Event.default ~mac:pkt.header.mac
+      ~aid:(Addr.aid_to_int t.aid) ~hid:(Addr.hid_to_int hid);
   observe_certs t pkt;
   if Addr.hid_equal hid ms_hid then dispatch_ms t pkt
   else if Addr.hid_equal hid dns_hid then dispatch_dns t pkt

@@ -346,16 +346,11 @@ let egress_into t ~now ~scratch (b : Burst.t) i (pkt : Packet.t) =
       record_drop t e;
       b.errs.(i) <- Some e;
       b.hids.(i) <- -1);
-  if E.enabled E.default then begin
-    let outcome =
-      match b.errs.(i) with
+  if E.enabled E.default then
+    E.br_egress E.default ~mac:pkt.header.mac ~aid:(Addr.aid_to_int t.keys.aid)
+      (match b.errs.(i) with
       | None -> E.Egress_ok
-      | Some e -> E.Egress_drop (Error.kind_label e)
-    in
-    E.record E.default
-      ~key:(E.key_of_string pkt.header.mac)
-      (E.Br_egress { aid = Addr.aid_to_int t.keys.aid; outcome })
-  end
+      | Some e -> E.Egress_drop (Error.kind_label e))
 
 let ingress_pipeline t ~now (b : Burst.t) i (pkt : Packet.t) =
   if Addr.aid_equal pkt.header.dst_aid t.keys.aid then begin
@@ -384,15 +379,11 @@ let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
       record_drop t e;
       b.errs.(i) <- Some e);
   if E.enabled E.default then begin
-    let outcome =
-      match b.errs.(i) with
-      | Some e -> E.Ingress_drop (Error.kind_label e)
-      | None when b.fwds.(i) >= 0 -> E.Ingress_forward b.fwds.(i)
-      | None -> E.Ingress_deliver
-    in
-    E.record E.default
-      ~key:(E.key_of_string pkt.header.mac)
-      (E.Br_ingress { aid = Addr.aid_to_int t.keys.aid; outcome })
+    let mac = pkt.header.mac and aid = Addr.aid_to_int t.keys.aid in
+    match b.errs.(i) with
+    | Some e -> E.br_ingress E.default ~mac ~aid (E.Ingress_drop (Error.kind_label e))
+    | None when b.fwds.(i) >= 0 -> E.br_forward E.default ~mac ~aid ~next:b.fwds.(i)
+    | None -> E.br_ingress E.default ~mac ~aid E.Ingress_deliver
   end
 
 let gauge_allocs t ~w0 ~n =

@@ -4,10 +4,9 @@ module E = Apna_obs.Event
 
 (* Gateway flight-recorder events are keyed on the IPv4 bytes carried in
    the tunnel, so the encap at one gateway and the decap at its peer land
-   in the same journey. *)
-let gw_event gw_name bytes kind_of_gw =
-  if E.enabled E.default then
-    E.record E.default ~key:(E.key_of_string bytes) (kind_of_gw gw_name)
+   in the same journey. The kinds are built once per gateway. *)
+let gw_event kind bytes =
+  if E.enabled E.default then E.record_hashed E.default bytes kind
 
 let ethertype_ipv4 = 0x0800
 let virtual_pool_base = 0x0ac80001 (* 10.200.0.1 *)
@@ -25,6 +24,8 @@ type obs = {
   m_flows : M.Counter.m;
   m_tunnel_rx : M.Counter.m;
   m_tunnel_tx : M.Counter.m;
+  ev_encap : E.kind;
+  ev_decap : E.kind;
 }
 
 type t = {
@@ -65,6 +66,8 @@ let rec create ~name ~rng =
             M.Counter.register M.default ~labels
               ~help:"GRE frames encapsulated into the APNA tunnel"
               "apna_gw_tunnel_frames_tx_total";
+          ev_encap = E.Gw_encap { gateway = name };
+          ev_decap = E.Gw_decap { gateway = name };
         };
       host = Host.create ~name ~rng ();
       dst_map = Addr.Hid_tbl.create 8;
@@ -112,7 +115,7 @@ and handle_tunnel_data t session data =
   | Error e -> Logs.debug (fun m -> m "%s: %s" t.gw_name e)
   | Ok inner -> begin
       M.Counter.incr t.obs.m_tunnel_rx;
-      gw_event t.gw_name inner (fun gateway -> E.Gw_decap { gateway });
+      gw_event t.obs.ev_decap inner;
       match Ipv4_header.of_bytes inner with
       | Error e -> Logs.debug (fun m -> m "%s: inner ipv4: %s" t.gw_name e)
       | Ok header -> begin
@@ -200,7 +203,7 @@ and server_side_input t bytes (header : Ipv4_header.t) =
           | Error e -> Logs.debug (fun m -> m "%s: rewrite: %s" t.gw_name e)
           | Ok rewritten -> begin
               M.Counter.incr t.obs.m_tunnel_tx;
-              gw_event t.gw_name rewritten (fun gateway -> E.Gw_encap { gateway });
+              gw_event t.obs.ev_encap rewritten;
               match Host.send t.host session (encode_tunnel rewritten) with
               | Ok () -> ()
               | Error e -> Logs.debug (fun m -> m "%s: send: %a" t.gw_name Error.pp e)
@@ -212,7 +215,7 @@ and client_side_input t bytes (header : Ipv4_header.t) =
   let key = (Addr.hid_to_int header.src, Addr.hid_to_int header.dst) in
   let tunnel = encode_tunnel bytes in
   M.Counter.incr t.obs.m_tunnel_tx;
-  gw_event t.gw_name bytes (fun gateway -> E.Gw_encap { gateway });
+  gw_event t.obs.ev_encap bytes;
   match Hashtbl.find_opt t.flows key with
   | Some flow -> flow_send t flow tunnel
   | None -> begin

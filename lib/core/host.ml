@@ -502,9 +502,8 @@ let send_packet t ~src_ephid ~dst_aid ~dst_ephid ~proto ~payload =
       let pkt = Pkt_auth.seal_prepared id.signer pkt in
       t.pkts_sent <- t.pkts_sent + 1;
       if E.enabled E.default then
-        E.record E.default
-          ~key:(E.key_of_string pkt.header.mac)
-          (E.Host_send { aid = Addr.aid_to_int att.aid; host = t.host_name });
+        E.host_send E.default ~mac:pkt.header.mac ~aid:(Addr.aid_to_int att.aid)
+          ~host:t.host_name;
       att.submit pkt;
       Ok ()
 

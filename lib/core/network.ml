@@ -8,25 +8,24 @@ let intra_as_delay_s = 0.0002
 (* Flight-recorder event for one link crossing; callers guard on
    [E.enabled] so the disabled path never hashes or allocates. *)
 let transit_event ~src ~dst (pkt : Packet.t) fate =
-  E.record E.default
-    ~key:(E.key_of_string pkt.header.mac)
-    (E.Link_transit { src; dst; fate })
+  E.link_transit E.default ~mac:pkt.header.mac ~src ~dst fate
 
 (* One event per planned copy: [] = lost, a second copy = the injected
-   duplicate, positive extra delay = reorder jitter. *)
+   duplicate, positive extra delay = reorder jitter. A top-level loop, not
+   List.iteri: a closure over the packet would be allocated per crossing. *)
+let rec copy_fates ~src ~dst pkt i = function
+  | [] -> ()
+  | extra :: rest ->
+      transit_event ~src ~dst pkt
+        (if i > 0 then E.Duplicated
+         else if extra > 0.0 then E.Reordered
+         else E.Delivered);
+      copy_fates ~src ~dst pkt (i + 1) rest
+
 let record_copy_fates ~src ~dst pkt copies =
   match copies with
   | [] -> transit_event ~src ~dst pkt E.Lost
-  | copies ->
-      List.iteri
-        (fun i extra ->
-          let fate =
-            if i > 0 then E.Duplicated
-            else if extra > 0.0 then E.Reordered
-            else E.Delivered
-          in
-          transit_event ~src ~dst pkt fate)
-        copies
+  | copies -> copy_fates ~src ~dst pkt 0 copies
 
 type transport = Native | Gre_ipv4
 

@@ -179,8 +179,7 @@ let note_transition t i ~now st =
     :: t.history;
   t.history_len <- t.history_len + 1;
   if Event.enabled t.events then
-    Event.record t.events
-      ~key:(Event.key_of_string i.irule.name)
+    Event.record_hashed t.events i.irule.name
       (Event.Alert_state
          { rule = i.irule.name; series = i.iseries; state = to_state })
 

@@ -20,7 +20,18 @@
     A sink starts disabled and recording is bounded-memory:
     instrumentation sites guard with [if Event.enabled Event.default then
     ...], one mutable load and a branch while the recorder is off — no
-    hashing, no allocation, no clock read. *)
+    hashing, no allocation, no clock read.
+
+    The ring is struct-of-arrays: the full 64-bit key in a byte buffer,
+    [time] and [dur] in float arrays, the kind as a tag plus int payload
+    slots and pointers to the caller's strings; [seq] is derived from the
+    slot position. Appending stores unboxed values only, so the packet-path
+    entry points ({!host_send} … {!deliver}) and {!record_hashed} with a
+    kind built once allocate nothing, and the minor GC never promotes a
+    record. The storage (about 80 bytes a slot) is allocated when the sink
+    is first enabled; a sink never switched on holds a few words. Strings
+    in a kind are stored by reference, so they should be long-lived (names,
+    labels, literals). *)
 
 type fate =
   | Delivered  (** frame scheduled for on-time delivery *)
@@ -82,12 +93,16 @@ type record = { key : int64; time : float; dur : float; seq : int; kind : kind }
 type sink
 
 val create_sink : ?capacity:int -> ?enabled:bool -> unit -> sink
-(** Ring capacity defaults to 16384 events; [enabled] to false. *)
+(** Ring capacity defaults to 16384 events; [enabled] to false. The ring's
+    storage is allocated by the first enable. *)
 
 val default : sink
 (** Process-wide sink the built-in instrumentation records into. *)
 
 val set_enabled : sink -> bool -> unit
+(** The first [set_enabled s true] allocates the ring; disabling keeps it
+    and its records. *)
+
 val enabled : sink -> bool
 
 val set_clock : sink -> (unit -> float) -> unit
@@ -104,8 +119,30 @@ val record : sink -> key:int64 -> ?since:float -> kind -> unit
     callers on hot paths should guard with {!enabled} so the [kind] is
     never even built. *)
 
+val record_hashed : sink -> string -> kind -> unit
+(** [record_hashed s bytes kind] is [record s ~key:(key_of_string bytes)
+    kind] with the hash written straight into the ring: given a kind built
+    once, it allocates nothing. *)
+
 val key_of_string : string -> int64
 (** FNV-1a 64-bit hash, for deriving keys from packet MACs or names. *)
+
+(** {2 Packet-path entry points}
+
+    Each appends the event its name gives, keyed on [key_of_string mac],
+    without building a [kind]: the payload goes straight into the ring. An
+    outcome without a payload ([Egress_ok], [Ingress_deliver]) is a
+    constant, so the common case allocates nothing. *)
+
+val host_send : sink -> mac:string -> aid:int -> host:string -> unit
+val br_egress : sink -> mac:string -> aid:int -> egress_outcome -> unit
+val br_ingress : sink -> mac:string -> aid:int -> ingress_outcome -> unit
+
+val br_forward : sink -> mac:string -> aid:int -> next:int -> unit
+(** [br_ingress] with [Ingress_forward next], without boxing [next]. *)
+
+val link_transit : sink -> mac:string -> src:int -> dst:int -> fate -> unit
+val deliver : sink -> mac:string -> aid:int -> hid:int -> unit
 
 val recorded : sink -> int
 (** Total events ever recorded (may exceed capacity). *)
@@ -123,6 +160,8 @@ val by_key : sink -> int64 -> record list
 (** Retained events for one key, in record order — a packet's journey. *)
 
 val clear : sink -> unit
+(** Forget every record (and the strings they point to); the storage and
+    the enable flag stay. *)
 
 (** {2 Rendering helpers} *)
 

@@ -78,7 +78,9 @@ module Counter = struct
     | Vcounter c -> { reg; c }
     | _ -> assert false
 
-  let incr ?(by = 1) m = if m.reg.on then Accum.Counter.incr ~by m.c
+  (* [?by] is passed through as is: re-wrapping a defaulted [by] in [Some]
+     would allocate on every increment. *)
+  let incr ?by m = if m.reg.on then Accum.Counter.incr ?by m.c
   let value m = Accum.Counter.value m.c
 end
 

@@ -145,6 +145,30 @@ let flight_tests =
             Alcotest.(check bool)
               (Printf.sprintf "%d host.send in one journey (>= 2)" most)
               true (most >= 2)));
+    Alcotest.test_case "the recorder adds no allocation per packet" `Quick
+      (fun () ->
+        let net, alice, ep = make_world () in
+        let session = Scenario.connect net alice ~remote:ep.cert in
+        (* Minor words for [n] one-way data packets across both links:
+           seven flight-recorder events each while the recorder is on. *)
+        let words n =
+          let w0 = Gc.minor_words () in
+          for _ = 1 to n do
+            ignore (Host.send alice session "payload");
+            Network.run net
+          done;
+          Gc.minor_words () -. w0
+        in
+        ignore (words 50);
+        let off = words 200 in
+        with_recorder (fun () ->
+            let on = words 200 in
+            Alcotest.(check int) "every hop recorded" (7 * 200)
+              (Event.recorded Event.default);
+            let extra = (on -. off) /. 200.0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "%.2f extra minor words/packet <= 1" extra)
+              true (extra <= 1.0)));
     Alcotest.test_case "chrome-trace export of a live run parses" `Quick
       (fun () ->
         let net, alice, ep = make_world () in

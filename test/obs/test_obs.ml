@@ -351,6 +351,148 @@ let span_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The struct-of-arrays ring: what goes in comes out *)
+
+let gen_kind =
+  let open QCheck2.Gen in
+  let aid = int_range 0 0xffff_ffff and str = string_size (int_range 0 12) in
+  let fate =
+    oneofl Event.[ Delivered; Lost; Duplicated; Reordered; Queue_drop ]
+  in
+  oneof
+    [
+      map2 (fun aid host -> Event.Host_send { aid; host }) aid str;
+      map2
+        (fun aid drop ->
+          Event.Br_egress
+            { aid; outcome = (match drop with None -> Egress_ok | Some r -> Egress_drop r) })
+        aid (opt str);
+      map3 (fun src dst fate -> Event.Link_transit { src; dst; fate }) aid aid fate;
+      map3
+        (fun aid next r ->
+          let outcome =
+            match next mod 3 with
+            | 0 -> Event.Ingress_deliver
+            | 1 -> Event.Ingress_forward next
+            | _ -> Event.Ingress_drop r
+          in
+          Event.Br_ingress { aid; outcome })
+        aid aid str;
+      map2 (fun aid hid -> Event.Deliver { aid; hid }) aid int;
+      map (fun gateway -> Event.Gw_encap { gateway }) str;
+      map (fun gateway -> Event.Gw_decap { gateway }) str;
+      map (fun aid -> Event.Shutoff { aid }) aid;
+      map3 (fun aid host reason -> Event.Migrate { aid; host; reason }) aid str str;
+      map3
+        (fun aid granted query -> Event.Broker_decision { aid; granted; query })
+        aid bool str;
+      map3
+        (fun rule series state -> Event.Alert_state { rule; series; state })
+        str str str;
+    ]
+
+(* The same event through the typed packet-path entry point, when the kind
+   has one. *)
+let typed s ~mac = function
+  | Event.Host_send { aid; host } -> Some (fun () -> Event.host_send s ~mac ~aid ~host)
+  | Event.Br_egress { aid; outcome } -> Some (fun () -> Event.br_egress s ~mac ~aid outcome)
+  | Event.Br_ingress { aid; outcome = Ingress_forward next } ->
+      Some (fun () -> Event.br_forward s ~mac ~aid ~next)
+  | Event.Br_ingress { aid; outcome } -> Some (fun () -> Event.br_ingress s ~mac ~aid outcome)
+  | Event.Link_transit { src; dst; fate } ->
+      Some (fun () -> Event.link_transit s ~mac ~src ~dst fate)
+  | Event.Deliver { aid; hid } -> Some (fun () -> Event.deliver s ~mac ~aid ~hid)
+  | _ -> None
+
+let ring_tests =
+  [
+    qtest "every kind survives record -> to_list" ~count:500
+      QCheck2.Gen.(
+        list_size (int_range 1 20)
+          (quad gen_kind int64 (float_range 0.0 1e6) (float_range 0.0 5.0)))
+      (fun recs ->
+        let s = Event.create_sink ~enabled:true () in
+        let clock = manual_clock s in
+        List.iter (fun (kind, key, at, dur) -> timed s clock ~key ~at ~dur kind) recs;
+        List.for_all2
+          (fun (kind, key, at, dur) (r : Event.record) ->
+            r.kind = kind && Int64.equal r.key key && r.time = at
+            && Float.abs (r.dur -. dur) <= 1e-9 *. Float.max 1.0 at)
+          recs (Event.to_list s));
+    qtest "typed entry points = record_hashed" ~count:300
+      QCheck2.Gen.(pair gen_kind (string_size (int_range 0 32)))
+      (fun (kind, mac) ->
+        match typed (Event.create_sink ()) ~mac kind with
+        | None -> true
+        | Some _ ->
+            let a = Event.create_sink ~enabled:true ()
+            and b = Event.create_sink ~enabled:true () in
+            Event.set_clock a (fun () -> 1.5);
+            Event.set_clock b (fun () -> 1.5);
+            Option.get (typed a ~mac kind) ();
+            Event.record_hashed b mac kind;
+            Event.to_list a = Event.to_list b
+            && (List.hd (Event.to_list a)).key = Event.key_of_string mac);
+    Alcotest.test_case "capacity 8, 20 records: wrap, by_key, clear" `Quick
+      (fun () ->
+        let s = Event.create_sink ~capacity:8 ~enabled:true () in
+        let clock = manual_clock s in
+        for i = 0 to 19 do
+          clock := float_of_int i;
+          Event.record s ~key:(Int64.of_int (i mod 3)) (send ~aid:i)
+        done;
+        let kept = Event.to_list s in
+        Alcotest.(check (list int)) "seq 12..19, oldest first"
+          (List.init 8 (fun i -> 12 + i))
+          (List.map (fun (r : Event.record) -> r.seq) kept);
+        Alcotest.(check (list int)) "payloads follow their seq"
+          (List.init 8 (fun i -> 12 + i))
+          (List.map
+             (fun (r : Event.record) ->
+               match r.kind with Event.Host_send { aid; _ } -> aid | _ -> -1)
+             kept);
+        Alcotest.(check (list (float 0.0))) "times follow their seq"
+          (List.init 8 (fun i -> float_of_int (12 + i)))
+          (List.map (fun (r : Event.record) -> r.time) kept);
+        Alcotest.(check int) "evicted" 12 (Event.evicted s);
+        Alcotest.(check (list int)) "by_key 1 after the wrap" [ 13; 16; 19 ]
+          (List.map (fun (r : Event.record) -> r.seq) (Event.by_key s 1L));
+        Event.clear s;
+        Alcotest.(check int) "clear empties" 0 (List.length (Event.to_list s));
+        Event.record s ~key:7L (send ~aid:99);
+        (match Event.to_list s with
+        | [ { seq = 0; key = 7L; kind = Event.Host_send { aid = 99; _ }; _ } ] -> ()
+        | _ -> Alcotest.fail "reuse after clear");
+        Alcotest.(check int) "nothing evicted after reuse" 0 (Event.evicted s));
+    Alcotest.test_case "a never-enabled sink holds no ring" `Quick (fun () ->
+        let s = Event.create_sink () in
+        let words = Obj.reachable_words (Obj.repr s) in
+        Alcotest.(check bool) (Printf.sprintf "%d words < 64" words) true (words < 64);
+        Event.set_enabled s true;
+        Event.set_enabled s false;
+        Alcotest.(check bool) "the first enable allocates it" true
+          (Obj.reachable_words (Obj.repr s) > Event.capacity s));
+    Alcotest.test_case "packet-path records allocate nothing" `Quick (fun () ->
+        let s = Event.create_sink ~capacity:64 ~enabled:true () in
+        let mac = String.make 16 'm' and host = "h" in
+        let reason = "bad-mac" in
+        let w0 = Gc.minor_words () in
+        for i = 1 to 1000 do
+          Event.host_send s ~mac ~aid:i ~host;
+          Event.br_egress s ~mac ~aid:i Event.Egress_ok;
+          Event.br_egress s ~mac ~aid:i (Event.Egress_drop reason);
+          Event.link_transit s ~mac ~src:i ~dst:2 Event.Delivered;
+          Event.br_forward s ~mac ~aid:i ~next:3;
+          Event.br_ingress s ~mac ~aid:i Event.Ingress_deliver;
+          Event.deliver s ~mac ~aid:i ~hid:i
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f minor words for 7000 records" words)
+          true (words < 64.0));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Flight-recorder events and journeys *)
 
 let ev sink ~key ?(at = 0.0) kind =
@@ -989,6 +1131,7 @@ let () =
       ("json", json_tests);
       ("spans", span_tests);
       ("events", event_tests);
+      ("ring", ring_tests);
       ("timeseries", timeseries_tests);
       ("alerts", alert_tests);
       ("health", health_tests);
