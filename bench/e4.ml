@@ -1,6 +1,6 @@
 (* E4: connection establishment latency (§VII-C). Every number is
-   simulated time from one seeded handshake, so both tiers run the same
-   scenarios. *)
+   simulated time from one seeded handshake, or a count of signature
+   checks, so both tiers run the same scenarios. *)
 
 open Apna
 open Harness
@@ -81,6 +81,24 @@ let run _tier =
               ~expect_accept:record.receive_only (fun session ->
                 ignore (Host.send client session "request"))))
   in
+  (* Full signature checks per connect to one published receive-only
+     certificate: the published certificate, the client's fresh one (in
+     Init) and the serving one (in Accept). A repeat connect finds the
+     published certificate in the trust store's memo. Counts are
+     seed-deterministic, so the gate is exact. *)
+  let first_checks, repeat_checks =
+    run_case "checks" (fun net server client ->
+        let published = (Scenario.endpoint ~receive_only:true net server).cert in
+        let trust = Network.trust net in
+        let checks_per_connect () =
+          let before = Trust.signature_checks trust in
+          ignore
+            (Scenario.connect net client ~remote:published ~data0:"x" ~expect_accept:true);
+          Trust.signature_checks trust - before
+        in
+        let first = checks_per_connect () in
+        (first, checks_per_connect ()))
+  in
   line "";
   line "%-46s %10s %10s" "scenario" "seconds" "RTTs";
   let rows =
@@ -98,8 +116,16 @@ let run _tier =
   line "RTT, reducible to 0.5 (no 0-RTT data) or ~0 (0-RTT under the";
   line "recv-only key). EphID issuance round trips inside the source AS are";
   line "included in the rows above.";
-  ( J.Obj (List.map (fun (_, key, v) -> (key ^ "_s", J.Float v)) rows),
-    [] )
+  line "";
+  line "signature checks per connect to a published certificate: first %d, repeat %d"
+    first_checks repeat_checks;
+  ( J.Obj
+      (List.map (fun (_, key, v) -> (key ^ "_s", J.Float v)) rows
+      @ [
+          ("signature_checks_first_connect", J.Int first_checks);
+          ("signature_checks_repeat_connect", J.Int repeat_checks);
+        ]),
+    [ holds "repeat_connect_signature_checks_eq_2" (repeat_checks = 2) ] )
 
 let experiment =
   { id = "E4"; title = "CONN-ESTABLISH-RTT"; paper_ref = "§VII-C (latency discussion)"; run }

@@ -34,13 +34,6 @@ let issue (keys : Keys.as_keys) ~ephid ~expiry ~kx_pub ~sig_pub ~aa_ephid =
   in
   { unsigned with signature = Ed25519.sign keys.signing (signed_bytes unsigned) }
 
-let verify ~as_pub ~now t =
-  if t.expiry < now then Error (Error.Expired "certificate")
-  else if
-    Ed25519.verify ~pub:as_pub ~msg:(signed_bytes t) ~signature:t.signature
-  then Ok ()
-  else Error (Error.Bad_signature "certificate")
-
 let to_bytes t =
   let w = Apna_util.Rw.Writer.create ~capacity:size () in
   write_body w t;

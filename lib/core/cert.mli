@@ -27,14 +27,11 @@ val issue :
   sig_pub:string -> aa_ephid:Ephid.t -> t
 (** Builds and signs a certificate with the AS's signing key. *)
 
-val verify : as_pub:string -> now:int -> t -> (unit, Error.t) result
-(** Signature and expiry check against the issuing AS's public key
-    (obtained from {!Trust}). *)
-
 val to_bytes : t -> string
 val of_bytes : string -> (t, Error.t) result
 val signed_bytes : t -> string
-(** The byte string the signature covers. *)
+(** The byte string the signature covers; {!Trust.verify_cert} checks
+    it. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -60,11 +60,11 @@ module Record = struct
     in
     Result.map_error (fun e -> Error.Malformed ("dns record: " ^ e)) parse
 
-  let verify ~zone_pub ~now t =
+  let verify trust ~now t =
     if t.cert.expiry < now then Error (Error.Expired "DNS record certificate")
-    else if Ed25519.verify ~pub:zone_pub ~msg:(body_bytes t) ~signature:t.signature
-    then Ok ()
-    else Error (Error.Bad_signature "DNS record")
+    else
+      Trust.verify_zone trust t.zone ~what:"DNS record" ~msg:(body_bytes t)
+        ~signature:t.signature
 end
 
 type t = {

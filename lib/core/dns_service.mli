@@ -22,7 +22,9 @@ module Record : sig
 
   val to_bytes : t -> string
   val of_bytes : string -> (t, Error.t) result
-  val verify : zone_pub:string -> now:int -> t -> (unit, Error.t) result
+  val verify : Trust.t -> now:int -> t -> (unit, Error.t) result
+  (** Certificate expiry, then the zone signature under the key the trust
+      store holds for the record's zone. *)
 end
 
 type t

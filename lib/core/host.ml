@@ -446,45 +446,42 @@ let bootstrap t =
           (* Verify everything the RS sent — bootstrap messages must be
              authenticated (§IV-B): the signed id_info and the service
              certificates, all against the AS key in the trust store. *)
-          match Trust.as_pub att.trust att.aid with
+          let id_info =
+            Registry.id_info_bytes ~ctrl_ephid:reply.ctrl_ephid
+              ~ctrl_expiry:reply.ctrl_expiry
+          in
+          match
+            Trust.verify_as att.trust att.aid ~what:"id_info" ~msg:id_info
+              ~signature:reply.id_info_signature
+          with
           | Error e -> Error e
-          | Ok as_pub ->
-              let id_info =
-                Registry.id_info_bytes ~ctrl_ephid:reply.ctrl_ephid
-                  ~ctrl_expiry:reply.ctrl_expiry
-              in
-              if
-                not
-                  (Ed25519.verify ~pub:as_pub ~msg:id_info
-                     ~signature:reply.id_info_signature)
-              then Error (Error.Bad_signature "id_info")
+          | Ok () -> begin
+              let now = att.now () in
+              let cert_ok c = Result.is_ok (Trust.verify_cert att.trust ~now c) in
+              if not (cert_ok reply.ms_cert) then
+                Error (Error.Bad_signature "MS certificate")
+              else if not (Option.fold ~none:true ~some:cert_ok reply.dns_cert)
+              then Error (Error.Bad_signature "DNS certificate")
               else begin
-                let now = att.now () in
-                let cert_ok c = Result.is_ok (Trust.verify_cert att.trust ~now c) in
-                if not (cert_ok reply.ms_cert) then
-                  Error (Error.Bad_signature "MS certificate")
-                else if not (Option.fold ~none:true ~some:cert_ok reply.dns_cert)
-                then Error (Error.Bad_signature "DNS certificate")
-                else begin
-                  match
-                    X25519.shared_secret ~secret:dh_secret ~peer:reply.as_dh_pub
-                  with
-                  | Error e -> Error (Error.Crypto e)
-                  | Ok shared_secret ->
-                      let kha = Keys.derive_host_as ~shared_secret in
-                      t.identity <-
-                        Some
-                          {
-                            kha;
-                            signer = Pkt_auth.prepare ~auth_key:kha.auth;
-                            ctrl_ephid = reply.ctrl_ephid;
-                            ctrl_expiry = reply.ctrl_expiry;
-                            ms_cert = reply.ms_cert;
-                            dns_cert = reply.dns_cert;
-                          };
-                      Ok ()
-                end
+                match
+                  X25519.shared_secret ~secret:dh_secret ~peer:reply.as_dh_pub
+                with
+                | Error e -> Error (Error.Crypto e)
+                | Ok shared_secret ->
+                    let kha = Keys.derive_host_as ~shared_secret in
+                    t.identity <-
+                      Some
+                        {
+                          kha;
+                          signer = Pkt_auth.prepare ~auth_key:kha.auth;
+                          ctrl_ephid = reply.ctrl_ephid;
+                          ctrl_expiry = reply.ctrl_expiry;
+                          ms_cert = reply.ms_cert;
+                          dns_cert = reply.dns_cert;
+                        };
+                    Ok ()
               end
+            end
         end
     end
 
@@ -1067,21 +1064,13 @@ let dns_lookup t ~name ?dns k =
                   | Ok (Some record) -> begin
                       (* DNSSEC stand-in: drop records whose zone signature
                          does not verify. *)
-                      match Trust.zone_pub att.trust record.zone with
+                      match
+                        Dns_service.Record.verify att.trust ~now:(att.now ()) record
+                      with
+                      | Ok () -> k (Some record)
                       | Error e ->
-                          warn t "dns_lookup: zone" (Error e);
+                          warn t "dns_lookup: record" (Error e);
                           k None
-                      | Ok zone_pub ->
-                          if
-                            Result.is_ok
-                              (Dns_service.Record.verify ~zone_pub
-                                 ~now:(att.now ()) record)
-                          then k (Some record)
-                          else begin
-                            warn t "dns_lookup: record"
-                              (Error (Error.Bad_signature "zone"));
-                            k None
-                          end
                     end)
         end)
 

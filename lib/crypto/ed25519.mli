@@ -22,3 +22,17 @@ val sign : keypair -> string -> string
 val verify : pub:string -> msg:string -> signature:string -> bool
 (** [verify ~pub ~msg ~signature] checks a detached signature; returns
     [false] (never raises) on malformed keys, points or scalars. *)
+
+type prepared
+(** A public key made ready for repeated verification: decoded strictly,
+    checked for small order, and a fixed-base comb built for [-A]. It
+    holds ~2,460 words, so it pays off only for keys that verify many
+    signatures (trust anchors); one-shot keys use {!verify}. *)
+
+val prepare : string -> prepared option
+(** [None] when the key is not 32 bytes, does not decode strictly, or
+    lies in the small-order subgroup — the keys {!verify} refuses. *)
+
+val verify_prepared : prepared -> msg:string -> signature:string -> bool
+(** The same verdict as {!verify} under the prepared key, on every
+    input. *)

@@ -163,7 +163,7 @@ let montgomery_u p =
   Fe.mul_into n n dn;
   Fe.to_bytes n
 
-(* Allocating p3 + p3, for building the tables below. *)
+(* Allocating p3 + p3. *)
 let add_p3 p q =
   let c = create_cached () and r = create () and out = create () in
   to_cached c q;
@@ -188,22 +188,6 @@ let base =
   | Some p -> p
   | None -> assert false
 
-(* ref10's fixed-base table: row i holds (j + 1) 256^i B for j = 0..7,
-   in precomp form. 32 x 8 points of three 10-limb elements, ~75 KB. *)
-let base_table =
-  lazy
-    (let row = ref base in
-     Array.init 32 (fun _ ->
-         let unit = !row in
-         let mults = Array.make 8 unit in
-         for j = 1 to 7 do
-           mults.(j) <- add_p3 mults.(j - 1) unit
-         done;
-         for _ = 1 to 8 do
-           row := dbl_p3 !row
-         done;
-         Array.map precomp_of mults))
-
 (* B, 3B, 5B, ..., 15B in precomp form: the fixed operand of
    {!double_scalar_mul}. *)
 let base_odd =
@@ -215,14 +199,82 @@ let base_odd =
      done;
      Array.map precomp_of mults)
 
-(* ge_scalarmult_base: a = sum e_i 16^i with signed digits e_i in
-   [-8, 8], so aB = sum over odd i + 16 * (sum over even i), one mixed
-   addition per non-zero digit and four doublings in all. Requires
+(* A comb of [rows] rows over P: with g = 64 / rows, row i holds
+   (j + 1) 16^(g i) P for j = 0..7 in precomp form. The points are first
+   formed in projective coordinates, parked in the table's own fields
+   (X, Y, Z in yplusx, yminusx, xy2d), and then made affine with one
+   batched inversion of all the Z, so building allocates little beyond
+   the table. *)
+type comb = precomp array array
+
+let comb_table ~rows p =
+  if rows < 1 || 64 mod rows <> 0 then invalid_arg "Edwards25519.comb_table";
+  let g = 64 / rows in
+  let tbl =
+    Array.init rows (fun _ ->
+        Array.init 8 (fun _ -> { yplusx = Fe.zero (); yminusx = Fe.zero (); xy2d = Fe.zero () }))
+  in
+  let unit = create () and acc = create () and r = create () and s = create () in
+  let c = create_cached () and t0 = Fe.zero () in
+  let copy_point dst src =
+    Fe.copy_into dst.x src.x;
+    Fe.copy_into dst.y src.y;
+    Fe.copy_into dst.z src.z;
+    Fe.copy_into dst.t src.t
+  in
+  copy_point unit p;
+  for i = 0 to rows - 1 do
+    to_cached c unit;
+    copy_point acc unit;
+    for j = 0 to 7 do
+      let e = tbl.(i).(j) in
+      Fe.copy_into e.yplusx acc.x;
+      Fe.copy_into e.yminusx acc.y;
+      Fe.copy_into e.xy2d acc.z;
+      if j < 7 then begin
+        add r acc c ~sub:false t0;
+        to_p3 acc r
+      end
+    done;
+    if i < rows - 1 then begin
+      (* unit <- 16^g unit: 4g doublings through p2. *)
+      dbl r unit t0;
+      for _ = 2 to 4 * g do
+        to_p2 s r;
+        dbl r s t0
+      done;
+      to_p3 unit r
+    end
+  done;
+  Fe.batch_invert_into (Array.init (rows * 8) (fun k -> tbl.(k / 8).(k mod 8).xy2d));
+  let x = Fe.zero () and y = Fe.zero () in
+  Array.iter
+    (Array.iter (fun e ->
+         Fe.mul_into x e.yplusx e.xy2d;
+         Fe.mul_into y e.yminusx e.xy2d;
+         Fe.add_into e.yplusx y x;
+         Fe.sub_into e.yminusx y x;
+         Fe.mul_into e.xy2d x y;
+         Fe.mul_into e.xy2d e.xy2d d2))
+    tbl;
+  tbl
+
+(* ref10's fixed-base table: row i holds (j + 1) 256^i B, ~75 KB. Signing
+   and key generation use it with secret scalars, so it keeps the full 32
+   rows (four doublings per multiplication). *)
+let base_table = lazy (comb_table ~rows:32 base)
+
+(* ge_scalarmult_base generalised to [rows] rows: a = sum e_i 16^i with
+   signed digits e_i in [-8, 8], so with g = 64 / rows,
+   aP = sum over m = g-1..0 of 16^m (sum over rows i of e_(g i + m) row i),
+   evaluated by Horner's rule: one mixed addition per non-zero digit and
+   4 (g - 1) doublings in all (4 at 32 rows, 28 at 8). Requires
    a[31] <= 127. *)
-let scalar_mul_base a =
+let comb_mul tbl a =
   if String.length a <> 32 || Char.code a.[31] > 127 then
-    invalid_arg "Edwards25519.scalar_mul_base";
-  let tbl = Lazy.force base_table in
+    invalid_arg "Edwards25519.comb_mul";
+  let rows = Array.length tbl in
+  let g = 64 / rows in
   let e = Array.make 64 0 in
   for i = 0 to 31 do
     let byte = Char.code a.[i] in
@@ -237,29 +289,28 @@ let scalar_mul_base a =
   done;
   e.(63) <- e.(63) + !carry;
   let h = identity () and r = create () and s = create () and t0 = Fe.zero () in
-  let madd_digit i =
-    let digit = e.(i) in
-    if digit <> 0 then begin
-      let row = tbl.(i / 2) in
-      madd r h row.(abs digit - 1) ~sub:(digit < 0) t0;
+  for m = g - 1 downto 0 do
+    for i = 0 to rows - 1 do
+      let digit = e.((g * i) + m) in
+      if digit <> 0 then begin
+        madd r h tbl.(i).(abs digit - 1) ~sub:(digit < 0) t0;
+        to_p3 h r
+      end
+    done;
+    if m > 0 then begin
+      dbl r h t0;
+      to_p2 s r;
+      dbl r s t0;
+      to_p2 s r;
+      dbl r s t0;
+      to_p2 s r;
+      dbl r s t0;
       to_p3 h r
     end
-  in
-  for k = 0 to 31 do
-    madd_digit ((2 * k) + 1)
-  done;
-  dbl r h t0;
-  to_p2 s r;
-  dbl r s t0;
-  to_p2 s r;
-  dbl r s t0;
-  to_p2 s r;
-  dbl r s t0;
-  to_p3 h r;
-  for k = 0 to 31 do
-    madd_digit (2 * k)
   done;
   h
+
+let scalar_mul_base a = comb_mul (Lazy.force base_table) a
 
 (* ref10's slide: a width-5 signed-digit recoding with odd digits in
    [-15, 15] and at least four zeros after each non-zero digit. *)
@@ -330,3 +381,7 @@ let double_scalar_mul a pa b =
     to_p2 r t
   done;
   r
+
+(* Exported under the group-law name; defined last because it shadows
+   ge_add above. *)
+let add = add_p3

@@ -23,9 +23,26 @@ val equal : point -> point -> bool
 val is_small_order : point -> bool
 (** [true] when 8P is the identity (three doublings and a test). *)
 
+val add : point -> point -> point
+
+type comb
+(** A fixed-base comb over one point [P]: [rows] rows of eight affine
+    multiples, row [i] holding [(j + 1) 16^(g i) P] with [g = 64 / rows].
+    A row costs eight points of three field elements (~305 words). *)
+
+val comb_table : rows:int -> point -> comb
+(** [comb_table ~rows p] builds the comb with one batched field
+    inversion; [rows] must divide 64.
+    @raise Invalid_argument otherwise. *)
+
+val comb_mul : comb -> string -> point
+(** [comb_mul c a] is [aP] for the comb's [P]: one mixed addition per
+    non-zero signed 4-bit digit of [a] and [4 (64 / rows - 1)] doublings.
+    Requires [a.[31] <= '\127']. *)
+
 val scalar_mul_base : string -> point
-(** [scalar_mul_base a] is [aB] by the 4-bit-window fixed-base table and
-    mixed additions; requires [a.[31] <= '\127']. *)
+(** [scalar_mul_base a] is [aB]: {!comb_mul} on B's 32-row comb (four
+    doublings); requires [a.[31] <= '\127']. *)
 
 val double_scalar_mul : string -> point -> string -> point
 (** [double_scalar_mul a pa b] is [a pa + b B] by Straus-Shamir over

@@ -302,6 +302,27 @@ let invert_into r z =
   done;
   mul_into r t z11
 
+(* Montgomery's trick: one inversion of the product of all elements, then
+   three multiplications per element walking back through the prefix
+   products. *)
+let batch_invert_into a =
+  let n = Array.length a in
+  if n > 0 then begin
+    let prefix = Array.init n (fun _ -> zero ()) in
+    copy_into prefix.(0) a.(0);
+    for i = 1 to n - 1 do
+      mul_into prefix.(i) prefix.(i - 1) a.(i)
+    done;
+    let inv = zero () and t = zero () in
+    invert_into inv prefix.(n - 1);
+    for i = n - 1 downto 1 do
+      mul_into t inv prefix.(i - 1);
+      mul_into inv inv a.(i);
+      copy_into a.(i) t
+    done;
+    copy_into a.(0) inv
+  end
+
 (* z^((p - 5) / 8) = z^(2^252 - 3), the exponent of the square-root
    candidate. *)
 let pow22523_into r z =

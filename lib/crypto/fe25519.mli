@@ -57,6 +57,12 @@ val cswap : t -> t -> int -> unit
 val invert_into : t -> t -> unit
 (** Addition-chain inversion: [a^(p-2)], 254 squarings and 11 products. *)
 
+val batch_invert_into : t array -> unit
+(** [batch_invert_into a] replaces every element of [a] by its inverse
+    with one {!invert_into} and three multiplications per element
+    (Montgomery's trick). The elements must be non-zero and distinct
+    arrays. *)
+
 val pow22523_into : t -> t -> unit
 (** [a^((p-5)/8)], the square-root exponent. *)
 

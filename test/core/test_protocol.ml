@@ -19,6 +19,10 @@ let check_err what expected = function
   | Error e -> Alcotest.failf "%s: wrong error %s" what (Error.to_string e)
   | Ok _ -> Alcotest.failf "%s: unexpectedly succeeded" what
 
+let check_ok what = function
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* EphID construction (Fig. 6) *)
 
@@ -97,6 +101,12 @@ let make_cert ?(keys = as_keys) ?(expiry = now0 + 900) () =
       ~sig_pub:(Ed25519.public_key ek.sig_keypair) ~aa_ephid:aa,
     ek )
 
+(* A trust store holding [keys]' signing key as AS 64500's. *)
+let trust_with ?(keys = as_keys) () =
+  let trust = Trust.create () in
+  Trust.register_as trust (aid 64500) ~pub:(Ed25519.public_key keys.signing);
+  trust
+
 let cert_tests =
   [
     Alcotest.test_case "wire size is fixed" `Quick (fun () ->
@@ -112,16 +122,15 @@ let cert_tests =
     Alcotest.test_case "verifies under issuing key" `Quick (fun () ->
         let cert, _ = make_cert () in
         Alcotest.(check bool) "ok" true
-          (Result.is_ok
-             (Cert.verify ~as_pub:(Ed25519.public_key as_keys.signing) ~now:now0 cert)));
+          (Result.is_ok (Trust.verify_cert (trust_with ()) ~now:now0 cert)));
     Alcotest.test_case "expired certificate rejected" `Quick (fun () ->
         let cert, _ = make_cert ~expiry:(now0 - 1) () in
         check_err "expired" (Error.Expired "certificate")
-          (Cert.verify ~as_pub:(Ed25519.public_key as_keys.signing) ~now:now0 cert));
+          (Trust.verify_cert (trust_with ()) ~now:now0 cert));
     Alcotest.test_case "wrong AS key rejected" `Quick (fun () ->
         let cert, _ = make_cert () in
         check_err "wrong key" (Error.Bad_signature "certificate")
-          (Cert.verify ~as_pub:(Ed25519.public_key other_as_keys.signing) ~now:now0 cert));
+          (Trust.verify_cert (trust_with ~keys:other_as_keys ()) ~now:now0 cert));
     qtest "any field tamper invalidates" QCheck2.Gen.(int_range 0 (8 * (Cert.size - 64) - 1))
       (fun bit ->
         let cert, _ = make_cert () in
@@ -131,18 +140,49 @@ let cert_tests =
         match Cert.of_bytes (Bytes.unsafe_to_string b) with
         | Error _ -> true
         | Ok tampered ->
-            Result.is_error
-              (Cert.verify ~as_pub:(Ed25519.public_key as_keys.signing) ~now:now0
-                 tampered));
+            Result.is_error (Trust.verify_cert (trust_with ()) ~now:now0 tampered));
     Alcotest.test_case "trust store resolves issuer" `Quick (fun () ->
-        let trust = Trust.create () in
-        Trust.register_as trust (aid 64500)
-          ~pub:(Ed25519.public_key as_keys.signing);
+        let trust = trust_with () in
         let cert, _ = make_cert () in
         Alcotest.(check bool) "ok" true (Result.is_ok (Trust.verify_cert trust ~now:now0 cert));
         let foreign, _ = make_cert ~keys:other_as_keys () in
         Alcotest.(check bool) "unknown issuer" true
           (Result.is_error (Trust.verify_cert trust ~now:now0 foreign)));
+    Alcotest.test_case "memo hit skips the signature check" `Quick (fun () ->
+        let trust = trust_with () and cert, _ = make_cert () in
+        check_ok "first" (Trust.verify_cert trust ~now:now0 cert);
+        check_ok "again" (Trust.verify_cert trust ~now:now0 cert);
+        Alcotest.(check int) "one full check" 1 (Trust.signature_checks trust));
+    Alcotest.test_case "memo hit still rechecks expiry" `Quick (fun () ->
+        let trust = trust_with () and cert, _ = make_cert ~expiry:(now0 + 10) () in
+        check_ok "fresh" (Trust.verify_cert trust ~now:now0 cert);
+        check_err "expired" (Error.Expired "certificate")
+          (Trust.verify_cert trust ~now:(now0 + 11) cert));
+    Alcotest.test_case "forged signature fails twice" `Quick (fun () ->
+        let trust = trust_with () and cert, _ = make_cert () in
+        check_ok "genuine" (Trust.verify_cert trust ~now:now0 cert);
+        (* Same signed bytes as the remembered certificate, other signature. *)
+        let forged = { cert with signature = String.make 64 '\001' } in
+        for _ = 1 to 2 do
+          check_err "forged" (Error.Bad_signature "certificate")
+            (Trust.verify_cert trust ~now:now0 forged)
+        done;
+        Alcotest.(check int) "checked each time" 3 (Trust.signature_checks trust));
+    Alcotest.test_case "new AS key misses the memo" `Quick (fun () ->
+        let trust = trust_with () and cert, _ = make_cert () in
+        check_ok "under the issuer" (Trust.verify_cert trust ~now:now0 cert);
+        Trust.register_as trust (aid 64500) ~pub:(Ed25519.public_key other_as_keys.signing);
+        check_err "under the new key" (Error.Bad_signature "certificate")
+          (Trust.verify_cert trust ~now:now0 cert));
+    Alcotest.test_case "memo never exceeds its capacity" `Quick (fun () ->
+        let trust = trust_with () in
+        for _ = 1 to (2 * Trust.memo_capacity) + 3 do
+          let cert, _ = make_cert () in
+          check_ok "fresh cert" (Trust.verify_cert trust ~now:now0 cert);
+          if Trust.memo_size trust > Trust.memo_capacity then
+            Alcotest.failf "memo holds %d > %d" (Trust.memo_size trust) Trust.memo_capacity
+        done;
+        Alcotest.(check int) "full" Trust.memo_capacity (Trust.memo_size trust));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -448,8 +488,7 @@ let management_tests =
         | Ok reply ->
             let cert = Result.get_ok (Management.Client.read_reply ~kha reply) in
             Alcotest.(check bool) "signed" true
-              (Result.is_ok
-                 (Cert.verify ~as_pub:(Ed25519.public_key as_keys.signing) ~now:now0 cert));
+              (Result.is_ok (Trust.verify_cert (trust_with ()) ~now:now0 cert));
             Alcotest.(check string) "host's kx key" keys.kx_public cert.kx_pub;
             Alcotest.(check int) "short lifetime" (now0 + 60) cert.expiry;
             Alcotest.(check int) "issued count" 1 (Management.issued_count ms));
@@ -861,9 +900,8 @@ let dns_tests =
         | Some r ->
             Alcotest.(check string) "name" "svc.example.net" r.name;
             Alcotest.(check bool) "receive-only" true r.receive_only;
-            let zone_pub = Result.get_ok (Trust.zone_pub trust "example.net") in
             Alcotest.(check bool) "zone sig" true
-              (Result.is_ok (Dns_service.Record.verify ~zone_pub ~now:now0 r))
+              (Result.is_ok (Dns_service.Record.verify trust ~now:now0 r))
         | None -> Alcotest.fail "NXDOMAIN");
     Alcotest.test_case "unknown name yields NXDOMAIN" `Quick (fun () ->
         let dns, _, _ = dns_fixture () in
@@ -887,11 +925,12 @@ let dns_tests =
           (Dns_service.register dns ~now:now0 ~name:"svc" ~cert:service_cert
              ~receive_only:false ());
         let record = Option.get (Dns_service.lookup dns "svc") in
-        let rogue = Ed25519.generate rng in
+        (* A trust store that holds another key for the zone. *)
+        let rogue = Trust.create () in
+        Trust.register_zone rogue "example.net"
+          ~pub:(Ed25519.public_key (Ed25519.generate rng));
         Alcotest.(check bool) "forged" true
-          (Result.is_error
-             (Dns_service.Record.verify ~zone_pub:(Ed25519.public_key rogue)
-                ~now:now0 record)));
+          (Result.is_error (Dns_service.Record.verify rogue ~now:now0 record)));
     Alcotest.test_case "registration with expired cert refused" `Quick (fun () ->
         let dns, _, _ = dns_fixture () in
         let stale_cert, _ = make_cert ~expiry:(now0 - 1) () in

@@ -853,6 +853,107 @@ let ed25519_oracle_tests =
         v = Curve25519_ref.verify ~pub ~msg ~signature && v = (bit < 0));
   ]
 
+(* Verification under a prepared key, and the comb and batched inversion
+   beneath it: the same verdict as [Ed25519.verify] on every input. *)
+
+let flip_bit s i =
+  let b = Bytes.of_string s in
+  Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+  Bytes.unsafe_to_string b
+
+(* Both paths' verdict, with a key that does not prepare counting as a
+   refusal; [false] when the two disagree. *)
+let same_verdict ~pub ~msg ~signature ~expect =
+  let plain = Ed25519.verify ~pub ~msg ~signature in
+  let prepared =
+    match Ed25519.prepare pub with
+    | Some key -> Ed25519.verify_prepared key ~msg ~signature
+    | None -> false
+  in
+  plain = prepared && plain = expect
+
+let prepared_tests =
+  let gen_seed_msg =
+    QCheck2.Gen.(pair (string_size (return 32)) (string_size (int_range 0 200)))
+  in
+  (* Scalars below 2^255 with a[31] <= 127, as the comb requires. *)
+  let gen_scalar =
+    QCheck2.Gen.map
+      (fun s -> String.sub s 0 31 ^ String.make 1 (Char.chr (Char.code s.[31] land 0x7f)))
+      (QCheck2.Gen.string_size (QCheck2.Gen.return 32))
+  in
+  let zero = String.make 32 '\000' in
+  let comb_agrees rows =
+    qtest (Printf.sprintf "comb %d rows == double_scalar_mul" rows) ~count:20
+      QCheck2.Gen.(pair gen_scalar gen_scalar)
+      (fun (p_scalar, a) ->
+        let p = Edwards25519.scalar_mul_base p_scalar in
+        Edwards25519.equal
+          (Edwards25519.comb_mul (Edwards25519.comb_table ~rows p) a)
+          (Edwards25519.double_scalar_mul a p zero))
+  in
+  [
+    qtest "prepared == plain, random keys" ~count:30 gen_seed_msg (fun (seed, msg) ->
+        let kp = Ed25519.keypair_of_seed seed in
+        same_verdict ~pub:(Ed25519.public_key kp) ~msg ~signature:(Ed25519.sign kp msg)
+          ~expect:true);
+    qtest "prepared == plain, bit flips" ~count:60
+      QCheck2.Gen.(pair gen_seed_msg (int_range 0 1023))
+      (fun ((seed, msg), bit) ->
+        (* 0..511 flip a signature bit, 512..767 a public-key bit and
+           768..1023 a bit of the message (extended to 32 bytes). *)
+        let kp = Ed25519.keypair_of_seed seed in
+        let msg = if String.length msg < 32 then msg ^ String.make 32 'm' else msg in
+        let signature = Ed25519.sign kp msg and pub = Ed25519.public_key kp in
+        if bit < 512 then same_verdict ~pub ~msg ~signature:(flip_bit signature bit) ~expect:false
+        else if bit < 768 then
+          same_verdict ~pub:(flip_bit pub (bit - 512)) ~msg ~signature ~expect:false
+        else same_verdict ~pub ~msg:(flip_bit msg (bit - 768)) ~signature ~expect:false);
+    Alcotest.test_case "edge vectors agree" `Quick (fun () ->
+        (* Small-order R: R = identity and s = k a satisfy the equation. *)
+        let kp = Curve25519_ref.keypair_of_seed (String.make 32 'r') in
+        let pub = Curve25519_ref.public_key kp and msg = "small-order R" in
+        let k = Scalar25519.reduce (Sha512.digest_list [ identity_canonical; pub; msg ]) in
+        let s = Scalar25519.muladd k kp.secret_scalar zero in
+        Alcotest.(check bool) "small-order R" true
+          (same_verdict ~pub ~msg ~signature:(identity_canonical ^ s) ~expect:false);
+        (* Non-canonical s: s + L names the same scalar. *)
+        let kp = Ed25519.keypair_of_seed (String.make 32 's') in
+        let pub = Ed25519.public_key kp and msg = "non-canonical s" in
+        let signature = Ed25519.sign kp msg in
+        let s_plus_l = le32 (Bigint.add (big_le (String.sub signature 32 32)) l_order) in
+        Alcotest.(check bool) "canonical s" true (same_verdict ~pub ~msg ~signature ~expect:true);
+        Alcotest.(check bool) "s + L" true
+          (same_verdict ~pub ~msg ~signature:(String.sub signature 0 32 ^ s_plus_l) ~expect:false);
+        (* Identity-key forgeries under both encodings of the identity. *)
+        List.iter
+          (fun pub ->
+            Alcotest.(check bool) "identity key" true
+              (same_verdict ~pub ~msg:"any" ~signature:identity_forgery ~expect:false))
+          [ identity_canonical; identity_p_plus_1 ]);
+    Alcotest.test_case "prepare refuses bad keys" `Quick (fun () ->
+        let refused pub = Ed25519.prepare pub = None in
+        Alcotest.(check bool) "small-order A" true (refused identity_canonical);
+        Alcotest.(check bool) "non-canonical A" true (refused identity_p_plus_1);
+        Alcotest.(check bool) "off-curve A" true (refused (String.make 32 '\255'));
+        Alcotest.(check bool) "short A" true (refused "short");
+        Alcotest.(check bool) "real key" false
+          (refused (Ed25519.public_key (Ed25519.keypair_of_seed (String.make 32 's')))));
+    comb_agrees 8;
+    comb_agrees 32;
+    qtest "batch invert == invert" ~count:50
+      QCheck2.Gen.(list_size (int_range 1 20) gen_fe_bytes)
+      (fun bs ->
+        let elts =
+          List.map Fe25519.of_bytes bs |> List.filter (fun x -> not (Fe25519.is_zero x))
+        in
+        let a = Array.of_list (List.map Fe25519.copy elts) in
+        Fe25519.batch_invert_into a;
+        List.for_all2
+          (fun x y -> Fe25519.to_bytes (Fe25519.invert x) = Fe25519.to_bytes y)
+          elts (Array.to_list a));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* AEAD *)
 
@@ -1044,6 +1145,7 @@ let () =
       ("ed25519", ed25519_tests);
       ("strict", ed25519_strict_tests);
       ("oracle", ed25519_oracle_tests);
+      ("prepare", prepared_tests);
       ("scalar", scalar_tests);
       ("aead", aead_tests);
       ("into", into_tests);
