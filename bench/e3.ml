@@ -1,5 +1,7 @@
 (* E3: header overhead (Fig. 7). Pure arithmetic over the paper's frame
-   sizes, so both tiers compute the same table. *)
+   sizes, so both tiers compute the same table. The overhead comes from
+   the wire codecs and is gated exactly: a change to the header or the
+   session frame layout must update these gates on purpose. *)
 
 open Harness
 
@@ -11,10 +13,24 @@ let run _tier =
   line "%-7s | %12s %12s | %12s %12s" "frame" "APNA hdr+enc" "IPv4 hdr"
     "APNA goodput" "IPv4 goodput";
   line "%s" (String.make 64 '-');
-  (* APNA per-packet cost: header 48 + protocol shim 1 + session frame
-     (type 1 + conn 8 + seq 8) + AEAD tag 16. *)
-  let apna_over = Apna_net.Apna_header.size + 1 + 17 + Apna_crypto.Aead.tag_size in
-  let ipv4_over = Apna_net.Ipv4_header.size in
+  (* APNA per-packet cost, from the codecs: a data packet carrying an
+     empty session frame (header + protocol shim + frame type, conn id and
+     seq), plus the AEAD tag that every sealed payload adds. *)
+  let open Apna_net in
+  let zero_ephid = String.make Apna_header.ephid_size '\000' in
+  let header =
+    Apna_header.make ~src_aid:(Addr.aid_of_int 0) ~src_ephid:zero_ephid
+      ~dst_aid:(Addr.aid_of_int 0) ~dst_ephid:zero_ephid ()
+  in
+  let empty_frame =
+    Apna.Session.Frame.(to_bytes (Data { conn_id = 0L; seq = 0L; sealed = "" }))
+  in
+  let header_bytes = String.length (Apna_header.to_bytes header) in
+  let apna_over =
+    String.length (Packet.to_bytes (Packet.make ~header ~proto:Data ~payload:empty_frame))
+    + Apna_crypto.Aead.tag_size
+  in
+  let ipv4_over = Ipv4_header.size in
   let rows =
     List.map
       (fun size ->
@@ -35,7 +51,10 @@ let run _tier =
         ("ipv4_overhead_bytes", J.Int ipv4_over);
         ("frames", J.List rows);
       ],
-    [] )
+    [
+      holds "header_bytes_eq_48" (header_bytes = 48);
+      holds "per_packet_overhead_bytes_eq_82" (apna_over = 82);
+    ] )
 
 let experiment =
   { id = "E3"; title = "HEADER-OVERHEAD"; paper_ref = "Fig. 7 (header accounting)"; run }

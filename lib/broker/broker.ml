@@ -257,14 +257,14 @@ type t = {
   mutable refusals : int;
 }
 
-let create ~keys ?audit ?credential_of ?budget ?journal_cap () =
+let create ~keys ?audit ?credential_of ?budget () =
   let owner = string_of_int (Apna_net.Addr.aid_to_int keys.Keys.aid) in
   {
     keys;
     audit;
     credential_of = Option.value ~default:(fun _ -> None) credential_of;
     budget = (match budget with Some b -> b | None -> Budget.create ());
-    journal = Journal.create ?cap:journal_cap ~owner ();
+    journal = Journal.create ~owner ();
     requesters = Hashtbl.create 8;
     labels = [ ("aid", owner) ];
     grants = 0;
@@ -426,13 +426,13 @@ let attach t node =
   Accountability.set_decision_sink (As_node.accountability node)
     (fun ~now line -> ignore (Journal.append t.journal ~now ("aa " ^ line)))
 
-let for_node ?budget ?journal_cap node =
+let for_node ?budget node =
   let t =
     create ~keys:(As_node.keys node)
       ?audit:(As_node.audit node)
       ~credential_of:(fun hid ->
         Registry.credential_of_hid (As_node.registry node) hid)
-      ?budget ?journal_cap ()
+      ?budget ()
   in
   attach t node;
   t

@@ -18,8 +18,6 @@
 
 type role = Accountability_agent | Law_enforcement | Peer_as
 
-val role_label : role -> string
-
 (** Typed linkage queries, with a stable wire encoding so requests can
     travel the data plane to the broker's service EphID (reserved HID 5). *)
 module Request : sig
@@ -75,11 +73,6 @@ module Response : sig
   val of_bytes : string -> (t, Apna.Error.t) result
 end
 
-val cost_of : Request.query -> int
-(** The budget price of a query: attribution of one packet is cheapest
-    (5), deanonymizing one EphID costs 10, a full binding history — the
-    broadest disclosure — costs 25. *)
-
 val allowed : role -> Request.query -> bool
 
 type t
@@ -89,7 +82,6 @@ val create :
   ?audit:Apna.Audit.t ->
   ?credential_of:(Apna_net.Addr.hid -> string option) ->
   ?budget:Budget.t ->
-  ?journal_cap:int ->
   unit ->
   t
 (** A broker for the AS holding [keys]. Without [audit] (retention
@@ -109,11 +101,6 @@ val handle : t -> now:int -> Request.t -> Response.t
     Failed queries are still charged — probing is not free — and every
     decision is journaled and counted before the response returns. *)
 
-val handle_bytes : t -> now:int -> string -> string option
-(** Wire front end ([Request.of_bytes] → {!handle} → [Response.to_bytes]);
-    this is what {!attach} installs as the AS node's broker handler.
-    Undecodable requests yield a journaled [Refused] with [corr = 0]. *)
-
 val journal : t -> Journal.t
 val budget : t -> Budget.t
 
@@ -127,7 +114,6 @@ val attach : t -> Apna.As_node.t -> unit
     node's broker-HID dispatch handler and hooks the AA's decision sink so
     shutoff grants/refusals share this journal. *)
 
-val for_node :
-  ?budget:Budget.t -> ?journal_cap:int -> Apna.As_node.t -> t
+val for_node : ?budget:Budget.t -> Apna.As_node.t -> t
 (** Convenience: builds a broker from the node's own keys, retention log
     and registry (credential lookup), then {!attach}es it. *)

@@ -45,8 +45,6 @@ let remaining t ~id ~now =
       refresh t a ~now;
       a.balance
 
-let capacity_of t ~id =
-  match Hashtbl.find_opt t.tbl id with None -> 0 | Some a -> a.capacity
 
 let charge t ~id ~now ~cost =
   match Hashtbl.find_opt t.tbl id with

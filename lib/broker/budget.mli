@@ -31,9 +31,6 @@ val known : t -> string -> bool
 val remaining : t -> id:string -> now:int -> int
 (** Current balance after lazy refill; 0 for unknown accounts. *)
 
-val capacity_of : t -> id:string -> int
-(** Account capacity; 0 for unknown accounts. *)
-
 val charge : t -> id:string -> now:int -> cost:int -> outcome
 (** Refills lazily (min(capacity, balance + refill × elapsed epochs)),
     then debits [cost] if covered. Unknown accounts are always

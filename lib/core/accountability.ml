@@ -315,24 +315,11 @@ let admit t ~now ~arrival msg =
   r
 
 (* ------------------------------------------------------------------ *)
-(* Revoke commands (Fig. 5), single and batched *)
+(* Revoke commands (Fig. 5), batched *)
 
 module Command = struct
-  type t = { ephid : Ephid.t; expiry : int; mac : string }
-
   let expiry_bytes expiry =
     String.init 4 (fun i -> Char.chr ((expiry lsr (8 * (3 - i))) land 0xff))
-
-  let bytes_for_mac ~ephid ~expiry =
-    "revoke:" ^ Ephid.to_bytes ephid ^ expiry_bytes expiry
-
-  let make ~(keys : Keys.as_keys) ~ephid ~expiry =
-    let mac = Hmac.Sha256.mac ~key:keys.infra_mac (bytes_for_mac ~ephid ~expiry) in
-    { ephid; expiry; mac }
-
-  let verify ~(keys : Keys.as_keys) t =
-    Hmac.Sha256.verify ~key:keys.infra_mac ~tag:t.mac
-      (bytes_for_mac ~ephid:t.ephid ~expiry:t.expiry)
 
   (* A storm's worth of revocations rides one kAS-authenticated control
      message: O(batches) announcements, one MAC over the whole entry list,
@@ -372,18 +359,6 @@ let record_grant t ~hid =
   if count >= t.max_revocations_per_host then
     Host_info.revoke_hid t.host_info hid
 
-let execute_revocation t ~hid ~ephid ~expiry =
-  (* Fig. 5: the AA instructs the border routers with a kAS-authenticated
-     command; routers verify before inserting into revoked_ids. *)
-  let cmd = Command.make ~keys:t.keys ~ephid ~expiry in
-  if not (Command.verify ~keys:t.keys cmd) then
-    Error (Error.Bad_signature "revoke command")
-  else begin
-    Revocation.revoke t.revoked cmd.ephid ~expiry:cmd.expiry;
-    record_grant t ~hid;
-    Ok (hid, ephid)
-  end
-
 (* The expensive half of Fig. 5's validation: the requester's certificate
    chains to its AS, the signature proves ownership of the packet's
    destination EphID, and the per-packet MAC proves the accused source
@@ -413,28 +388,6 @@ let verify_request t ~now (job : job) =
               Error Error.Bad_mac
             else Ok (src_info.hid, src_ephid, src_info.expiry)
       end
-
-(* ------------------------------------------------------------------ *)
-(* Synchronous path: admission then immediate verification + revocation,
-   for direct callers; the AS itself always queues. *)
-
-let handle_shutoff t ~now msg =
-  match admit t ~now ~arrival:(float_of_int now) msg with
-  | Error e ->
-      report t ~now ~packet:None (Error e);
-      Error e
-  | Ok (job, _high) ->
-      let result =
-        match verify_request t ~now job with
-        | Error e ->
-            count_refusal t e;
-            Error e
-        | Ok (hid, ephid, expiry) ->
-            dedup_add t job.digest;
-            execute_revocation t ~hid ~ephid ~expiry
-      in
-      report t ~now ~packet:(Some job.parsed.packet) result;
-      result
 
 (* ------------------------------------------------------------------ *)
 (* Queued path: bounded admission queue + budgeted drain *)

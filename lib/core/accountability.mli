@@ -13,11 +13,10 @@
     control}: a per-requester token bucket, duplicate-evidence dedup by
     packet digest (one unwanted packet cannot be replayed into N
     revocations), and an evidence-freshness check against the quoted
-    source EphID's validity window. Admitted requests either run
-    synchronously ({!handle_shutoff}) or enter a bounded two-priority
-    work queue ({!enqueue}/{!drain}) that sheds presumed-spam before
-    legitimate evidence and announces revocations to the border routers
-    in batches.
+    source EphID's validity window. Admitted requests enter a bounded
+    two-priority work queue ({!enqueue}/{!drain}) that sheds presumed-spam
+    before legitimate evidence and announces revocations to the border
+    routers in batches.
 
     Per §VIII-G2, a host whose EphIDs get revoked too many times has its
     HID revoked entirely. *)
@@ -51,15 +50,7 @@ val create :
 (** [max_revocations_per_host] defaults to 6, echoing the Copyright Alert
     System's warning ladder the paper cites. *)
 
-val handle_shutoff :
-  t -> now:int -> Msgs.t -> (Apna_net.Addr.hid * Ephid.t, Error.t) result
-(** Synchronous path: admission control, then immediate validation and
-    revocation. Returns the revoked binding so the AS can notify the host
-    (§VIII-A). Admission refusals surface as [Error (Rejected "shutoff
-    rate limit")], [Error (Rejected "duplicate evidence")] or
-    [Error (Expired "evidence")] without touching {!Revocation} state. *)
-
-(** {2 Queued path} *)
+(** {2 Admission and drain} *)
 
 type verdict =
   | Queued  (** admitted; a later {!drain} will verify it *)
@@ -69,6 +60,10 @@ type verdict =
 val enqueue : t -> now:int -> at:float -> Msgs.t -> verdict
 (** Admission control plus bounded enqueue. [at] is the arrival time in
     simulation seconds — the start of the propagation-latency clock.
+    Admission refusals ([Refused (Rejected "shutoff rate limit")],
+    [Refused (Rejected "duplicate evidence")], [Refused (Expired
+    "evidence")]) touch no {!Revocation} state; a refusal in {!drain}'s
+    verification shows in {!refusal_reasons} and the decision sink.
     Requesters that have burned through half their token burst ride the
     low-priority queue and are shed first when the queue is at
     [queue_cap]; a high-priority arrival to a full queue evicts the
@@ -110,17 +105,9 @@ val set_decision_sink : t -> (now:int -> string -> unit) -> unit
     decision (grant, refusal or shed). The privacy broker attaches its
     hash-chained journal here so AA disclosures are tamper-evident too. *)
 
-(** The AA → border-router revoke command of Fig. 5, authenticated with the
-    infrastructure key kAS. Exposed for the NAT-mode access point, which
-    runs the same machinery inside its own small domain. *)
+(** The AA → border-router revoke announcement of Fig. 5: a batch of
+    revocations authenticated with the infrastructure key kAS. *)
 module Command : sig
-  type t = { ephid : Ephid.t; expiry : int; mac : string }
-
-  val make : keys:Keys.as_keys -> ephid:Ephid.t -> expiry:int -> t
-  val verify : keys:Keys.as_keys -> t -> bool
-
-  (** A whole revocation batch under one MAC — the storm-propagation
-      announcement. *)
   type batch = { entries : (Ephid.t * int) list; bmac : string }
 
   val make_batch : keys:Keys.as_keys -> entries:(Ephid.t * int) list -> batch

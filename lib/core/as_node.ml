@@ -53,9 +53,6 @@ type t = {
   mutable emit : next:Addr.aid -> Packet.t -> unit;
   (* One pending drain timer for the AA's bounded shutoff queue. *)
   mutable aa_drain_armed : bool;
-  (* Verdict store backing submit_burst/receive_burst — per-AS, so bursts
-     on different ASes never share state. *)
-  burst : Border_router.Burst.t;
   obs : obs;
 }
 
@@ -149,7 +146,6 @@ let create ~rng ~aid ~trust ~topology ~now ~now_f ~schedule ?dns_zone
     hid_of_device = Hashtbl.create 32;
     attached_hosts = [];
     aa_drain_armed = false;
-    burst = Border_router.Burst.create ();
     emit =
       (fun ~next:_ _ ->
         Logs.err (fun m -> m "AS %a: emit not wired" Addr.pp_aid aid));
@@ -446,47 +442,6 @@ and icmp_to_source t (pkt : Packet.t) msg =
       (service_packet t ~src_ephid:t.br_ephid ~dst_aid:pkt.header.src_aid
          ~dst_ephid:pkt.header.src_ephid ~proto:Packet.Icmp ~payload)
   end
-
-(* Burst drivers: one batched border-router pass, then per-packet dispatch
-   identical to [submit]/[receive]. Not reentrant — a host that submits a
-   burst synchronously from its delivery callback would clobber the
-   verdict store mid-loop (single-packet [submit] from a callback is
-   fine: it uses the router's own one-slot store). *)
-
-let submit_burst t pkts ~n =
-  Border_router.egress_burst t.border_router ~now:(t.now ()) pkts ~n t.burst;
-  for i = 0 to n - 1 do
-    match Border_router.Burst.error t.burst i with
-    | None -> route t pkts.(i)
-    | Some ((Error.Expired _ | Error.Revoked _) as e) ->
-        Logs.debug (fun m -> m "AS %a egress drop: %a" Addr.pp_aid t.aid Error.pp e);
-        egress_dead_feedback t pkts.(i) e
-    | Some e ->
-        Logs.debug (fun m -> m "AS %a egress drop: %a" Addr.pp_aid t.aid Error.pp e)
-  done
-
-let receive_burst t pkts ~n =
-  Border_router.ingress_burst t.border_router ~now:(t.now ()) pkts ~n t.burst;
-  for i = 0 to n - 1 do
-    let pkt = pkts.(i) in
-    match Border_router.Burst.error t.burst i with
-    | None ->
-        let next = Border_router.Burst.forward_aid t.burst i in
-        if next >= 0 then t.emit ~next:(Addr.aid_of_int next) pkt
-        else
-          deliver_local t
-            (Addr.hid_of_int (Border_router.Burst.hid t.burst i))
-            pkt
-    | Some (Error.Expired _) -> unreachable_feedback t pkt Icmp.Ephid_expired
-    | Some (Error.Revoked _) -> unreachable_feedback t pkt Icmp.Ephid_revoked
-    | Some Error.Unknown_host -> unreachable_feedback t pkt Icmp.Host_unknown
-    | Some Error.No_route -> unreachable_feedback t pkt Icmp.No_route
-    | Some e ->
-        Logs.debug (fun m -> m "AS %a ingress drop: %a" Addr.pp_aid t.aid Error.pp e)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Host and device attachment *)
 
 let add_device t ~name ~credential ~deliver =
   Registry.enroll t.registry ~credential;

@@ -96,16 +96,6 @@ val receive : t -> Apna_net.Packet.t -> unit
     destination-unreachable feedback to the source when delivery fails
     (§VIII-B). *)
 
-val submit_burst : t -> Apna_net.Packet.t array -> n:int -> unit
-(** Batched {!submit}: one {!Border_router.egress_burst} over
-    [pkts.(0..n-1)], then per-packet routing in order — same observable
-    behavior as [n] calls of {!submit}, without the per-packet pipeline
-    allocations. Not reentrant: a host must not submit another burst
-    synchronously from its delivery callback. *)
-
-val receive_burst : t -> Apna_net.Packet.t array -> n:int -> unit
-(** Batched {!receive}; same contract as {!submit_burst}. *)
-
 val hosts : t -> Host.t list
 
 val feedback_to_source :

@@ -25,7 +25,6 @@ let create ?(threshold = 3) ?(cooldown_s = 10.0) () =
 
 let state t = t.state
 let opens t = t.opens
-let consecutive_failures t = t.consecutive_failures
 let on_transition t f = t.on_transition <- f
 
 let state_label = function

@@ -27,8 +27,6 @@ val state : t -> state
 val opens : t -> int
 (** Number of Closed/Half_open -> Open transitions so far. *)
 
-val consecutive_failures : t -> int
-
 val acquire : t -> now:float -> bool
 (** May this request proceed? [false] means fail fast — the caller should
     apply its brownout fallback instead of issuing. An [Open] breaker whose

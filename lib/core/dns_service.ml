@@ -82,7 +82,6 @@ let create ~rng ~trust ~zone ~zone_key ~cert ~keys () =
 
 let zone t = t.zone
 let cert t = t.cert
-let record_count t = Hashtbl.length t.table
 let lookup t name = Hashtbl.find_opt t.table name
 
 let register t ~now ~name ~cert ?ipv4 ~receive_only () =

@@ -48,8 +48,6 @@ val lookup : t -> string -> Record.t option
 val handle : t -> now:int -> Msgs.t -> (Msgs.t, Error.t) result
 (** Processes a [Dns_query] or [Dns_register] message. *)
 
-val record_count : t -> int
-
 (** Host-side query/registration helpers. *)
 module Client : sig
   val make_query :

@@ -44,7 +44,6 @@ type t = {
   orig_of_conn : (int * int) I64_tbl.t;
   mutable next_vip : int;
   mutable ipv4_out : string -> unit;
-  mutable out_log_rev : string list;
 }
 
 let rec create ~name ~rng =
@@ -78,15 +77,10 @@ let rec create ~name ~rng =
       orig_of_conn = I64_tbl.create 8;
       next_vip = virtual_pool_base;
       ipv4_out = ignore;
-      out_log_rev = [];
     }
   in
   Host.on_data t.host (fun ~session ~data -> handle_tunnel_data t session data);
   t
-
-and emit_ipv4 t bytes =
-  t.out_log_rev <- bytes :: t.out_log_rev;
-  t.ipv4_out bytes
 
 (* Tunnel framing: GRE with an IPv4 ethertype around the original packet,
    matching the deployment encapsulation of Fig. 9. *)
@@ -137,19 +131,18 @@ and handle_tunnel_data t session data =
                     vip
               in
               (match rewrite_addrs inner ~src:vip ~dst:server_ip with
-              | Ok rewritten -> emit_ipv4 t rewritten
+              | Ok rewritten -> t.ipv4_out rewritten
               | Error e -> Logs.debug (fun m -> m "%s: rewrite: %s" t.gw_name e))
           | None ->
               (* Client side: the tunnel already carries the original
                  addresses; hand the packet to the LAN. *)
-              emit_ipv4 t inner
+              t.ipv4_out inner
         end
     end
 
 let host t = t.host
 
 let on_ipv4_output t f = t.ipv4_out <- f
-let ipv4_output_log t = List.rev t.out_log_rev
 let active_flows t = Hashtbl.length t.flows
 let virtual_endpoints t = Addr.Hid_tbl.length t.conn_of_vip
 

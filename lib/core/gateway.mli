@@ -28,12 +28,6 @@ val on_ipv4_output : t -> (string -> unit) -> unit
 (** Installs the LAN-side output: raw IPv4 packets the gateway emits
     toward its legacy hosts. *)
 
-val ipv4_output_log : t -> string list
-(** All LAN-side output, oldest first (kept regardless of the handler). *)
-
-val learn_destination : t -> ipv4:Apna_net.Addr.hid -> Dns_service.Record.t -> unit
-(** Static mapping: packets to [ipv4] tunnel to the record's AID:EphID. *)
-
 val resolve : t -> name:string -> ?dns:Cert.t -> (unit -> unit) -> unit
 (** DNS lookup of [name]; on success the record's IPv4 → AID:EphID mapping
     is installed (the paper's "gateway inspects the DNS reply"). *)

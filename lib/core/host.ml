@@ -173,20 +173,12 @@ type t = {
   mutable revocation_notices_rev : (Ephid.t * string option) list;
   mutable ephid_requests : int;
   mutable pkts_sent : int;
-  (* Server policy: accept 0-RTT data arriving under a receive-only EphID's
-     key? Refusing trades the first flight for protection of first packets
-     should the receive-only key later be compromised (§VII-C). *)
-  mutable accept_zero_rtt : bool;
   (* --- session survivability --- *)
-  (* Lifetime class requested for session/pool/prefetch EphIDs, and how
-     close to expiry (seconds) an endpoint counts as due for renewal. *)
+  (* Lifetime class requested for session/pool/prefetch EphIDs. *)
   mutable ephid_lifetime : Lifetime.t;
-  mutable renewal_margin : int;
   breaker : Breaker.t;
-  (* Raw EphID bytes named in a shutoff Revocation_notice or released on
-     purpose: sessions bound to them must never auto-recover (the shutoff
-     would be defeated). A release on close, with no session left on the
-     EphID, is not pinned. *)
+  (* Raw EphID bytes named in a shutoff Revocation_notice: sessions bound
+     to them must never auto-recover (the shutoff would be defeated). *)
   shutoff_inhibited : (string, unit) Hashtbl.t;
   mutable migrations : int;
   mutable recoveries : int;
@@ -237,9 +229,7 @@ let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
       revocation_notices_rev = [];
       ephid_requests = 0;
       pkts_sent = 0;
-      accept_zero_rtt = true;
       ephid_lifetime = Lifetime.Medium;
-      renewal_margin = 30;
       breaker;
       shutoff_inhibited = Hashtbl.create 4;
       migrations = 0;
@@ -318,13 +308,11 @@ let last_packet t session =
   Option.bind (I64_tbl.find_opt t.conns (Session.conn_id session)) (fun c ->
       c.last_packet)
 
-let set_zero_rtt_policy t accept = t.accept_zero_rtt <- accept
 let ephid_requests_sent t = t.ephid_requests
 let packets_sent t = t.pkts_sent
 let rpc_retries t = t.rpc_retries
 let rpc_timeouts t = t.rpc_timeouts
 let set_ephid_lifetime t lt = t.ephid_lifetime <- lt
-let set_renewal_margin t s = t.renewal_margin <- max 0 s
 let issuance_breaker t = t.breaker
 let migrations t = t.migrations
 let recoveries t = t.recoveries
@@ -585,9 +573,9 @@ let request_ephid_batch_r t ~count ?lifetime k =
           Ok endpoints)
     k
 
-(* A deliberate release means sessions bound to this EphID must die with
-   it: [pin] inhibits ICMP-driven recovery, exactly as for a shutoff. *)
-let release t ~pin (endpoint : endpoint) =
+(* Tells the MS to revoke an EphID the host is done with (§VIII-G2) and
+   drops it locally. *)
+let release t (endpoint : endpoint) =
   match require_identity t with
   | Error e -> Error e
   | Ok id ->
@@ -596,23 +584,20 @@ let release t ~pin (endpoint : endpoint) =
           ~ephid:endpoint.cert.Cert.ephid
       in
       remove_endpoint t endpoint;
-      Hashtbl.filter_map_inplace
-        (fun _ (e : endpoint) ->
-          if Cert.equal e.cert endpoint.cert then None else Some e)
-        t.pools;
-      if pin then Hashtbl.replace t.shutoff_inhibited (ephid_raw endpoint) ();
       send_to_ms t id (Msgs.to_bytes msg)
-
-let release_endpoint t endpoint = release t ~pin:true endpoint
 
 (* ------------------------------------------------------------------ *)
 (* Granularity-driven source selection *)
 
-(* Within the renewal margin an endpoint is due for replacement; past its
-   expiry it is unusable even as a brownout fallback. *)
+(* Seconds before expiry at which an endpoint is due for replacement: pooled
+   endpoints are replaced, prefetched stock is discarded at dequeue, and
+   live sessions migrate. Past its expiry an endpoint is unusable even as a
+   brownout fallback. *)
+let renewal_margin = 30
+
 let fresh_enough t (ep : endpoint) =
   match t.att with
-  | Some att -> ep.cert.Cert.expiry > att.now () + t.renewal_margin
+  | Some att -> ep.cert.Cert.expiry > att.now () + renewal_margin
   | None -> true
 
 let still_valid t (ep : endpoint) =
@@ -762,8 +747,7 @@ let forget_session t conn_id =
       (* Per-flow EphIDs die with their flow: preemptively release the
          backing EphID once no other connection is bound to it, unless it
          is pooled (per-host/per-application) or receive-only (§VIII-G2:
-         hosts manage their EphID pool). No session is left to recover on
-         it, so the release is not pinned. *)
+         hosts manage their EphID pool). *)
       let endpoint = c.local in
       if unbind t endpoint = 0 then begin
         let pooled =
@@ -771,7 +755,7 @@ let forget_session t conn_id =
             (Hashtbl.to_seq_values t.pools)
         in
         if (not pooled) && not endpoint.receive_only then
-          warn t "close: release" (release t ~pin:false endpoint)
+          warn t "close: release" (release t endpoint)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -858,7 +842,7 @@ let maybe_migrate t c =
       if
         Session.established c.session
         && (not c.migrating)
-        && ep.cert.Cert.expiry <= att.now () + t.renewal_margin
+        && ep.cert.Cert.expiry <= att.now () + renewal_margin
         && (not ep.receive_only)
         && (not (inhibited t ep))
         && not c.closed
@@ -1201,10 +1185,7 @@ let handle_init t (pkt : Packet.t) conn ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                            retransmission hitting the cache. *)
                         c.accept_resend <- Some resend;
                         resend ();
-                        if t.accept_zero_rtt then deliver0 session' data0
-                        else
-                          Logs.debug (fun m ->
-                              m "%s: 0-RTT data refused by policy" t.host_name))
+                        deliver0 session' data0)
               end))
 
 let handle_accept t c ~(cert : Cert.t) =

@@ -87,11 +87,6 @@ val last_endpoint_op_cost : t -> int
     count-based probe for the quadratic-cost regression tests; stays
     constant as the endpoint population grows. *)
 
-val release_endpoint : t -> endpoint -> (unit, Error.t) result
-(** Preemptively retires an EphID the host no longer needs (§VIII-G2):
-    tells the MS to revoke it and drops it from the local pools. The EphID
-    stays pinned: a session still bound to it never auto-recovers. *)
-
 (** {2 Data plane} *)
 
 val connect :
@@ -125,7 +120,7 @@ val send : t -> Session.t -> string -> (unit, Error.t) result
 
     Established sessions outlive the EphIDs that started them. Proactively,
     the host checks the bound source EphID's expiry on every send/receive
-    and, inside the renewal margin, acquires a fresh EphID
+    and, inside the 30 s renewal margin, acquires a fresh EphID
     and moves the session onto it with an authenticated in-session [Rekey]
     frame (retransmitted until the peer's [Rekey_ack]; duplicates are
     accepted idempotently). Reactively, ICMP [Ephid_expired]/[Ephid_revoked]
@@ -138,11 +133,6 @@ val send : t -> Session.t -> string -> (unit, Error.t) result
 val set_ephid_lifetime : t -> Lifetime.t -> unit
 (** Lifetime class requested for session, pool and prefetch EphIDs
     (default {!Lifetime.Medium}); explicit [?lifetime] arguments win. *)
-
-val set_renewal_margin : t -> int -> unit
-(** Seconds before expiry at which an endpoint counts as due for renewal
-    (default 30): pooled endpoints are replaced, prefetched stock is
-    discarded at dequeue, and live sessions migrate. *)
 
 val issuance_breaker : t -> Breaker.t
 (** The circuit breaker guarding EphID issuance round trips. *)
@@ -170,15 +160,7 @@ val sessions : t -> Session.t list
 val close : t -> Session.t -> (unit, Error.t) result
 (** Authenticated session close: sends a [Fin] frame, drops local state,
     and preemptively releases the backing EphID when it was per-flow and
-    no other connection is bound to it (§VIII-G2's pool management). Such
-    a release leaves nothing behind: unlike {!release_endpoint}, it pins
-    nothing. *)
-
-val set_zero_rtt_policy : t -> bool -> unit
-(** Server-side policy for 0-RTT data arriving under a receive-only
-    EphID's key (§VII-C): accepted by default; refusing costs the client
-    0.5 RTT but protects first-flight data against later compromise of the
-    receive-only key. *)
+    no other connection is bound to it (§VIII-G2's pool management). *)
 
 (** {2 Server role (§VII-A)} *)
 

@@ -7,29 +7,22 @@ type entry = { kha : Keys.host_as; mutable revoked : bool }
    probe of a small table. *)
 type t = {
   shards : entry Apna_net.Addr.Hid_tbl.t array;
-  mask : int;
   mutable population : int;
   mutable generation : int;
 }
 
-let default_shards = 256
+(* A power of two, so shard selection is a mask, not a div. *)
+let shards = 256
 
-(* Round up to a power of two so shard selection is a mask, not a div. *)
-let pow2_at_least n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let create ?(shards = default_shards) ?(expected_hosts = 4096) () =
-  let shards = pow2_at_least (max 1 shards) in
+let create ?(expected_hosts = 4096) () =
   let per_shard = max 16 (expected_hosts / shards) in
   {
     shards = Array.init shards (fun _ -> Apna_net.Addr.Hid_tbl.create per_shard);
-    mask = shards - 1;
     population = 0;
     generation = 0;
   }
 
-let shard t hid = t.shards.(Hashtbl.hash hid land t.mask)
+let shard t hid = t.shards.(Hashtbl.hash hid land (shards - 1))
 let shard_count t = Array.length t.shards
 
 let register t hid kha =

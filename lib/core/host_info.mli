@@ -10,9 +10,8 @@ type entry = {
 
 type t
 
-val create : ?shards:int -> ?expected_hosts:int -> unit -> t
-(** The database is sharded by HID hash into a fixed number of buckets
-    ([shards], rounded up to a power of two, default 256) so a
+val create : ?expected_hosts:int -> unit -> t
+(** The database is sharded by HID hash into 256 buckets so a
     paper-scale population (§V-A3: 1.27 M hosts) never pays a single
     monolithic Hashtbl resize; [expected_hosts] pre-sizes each shard. *)
 

@@ -65,7 +65,6 @@ type t = {
      the same faults no matter what the protocol does in between. *)
   fault_rng : Apna_crypto.Drbg.t;
   nodes : As_node.t Addr.Aid_tbl.t;
-  epoch : int;
   (* Store-and-forward FIFO per directed link: when its sender side frees
      up. Serialization happens in order, so small packets cannot overtake
      large ones queued ahead of them. *)
@@ -80,8 +79,7 @@ type t = {
   transport : transport;
 }
 
-let create ?(seed = "apna-network") ?(epoch = 1_750_000_000)
-    ?(transport = Native) () =
+let create ?(seed = "apna-network") ?(transport = Native) () =
   let engine = Apna_sim.Engine.create () in
   (* Flight-recorder events recorded inside this simulation should carry
      simulated time, not wall time. Last network created wins, like the
@@ -95,7 +93,6 @@ let create ?(seed = "apna-network") ?(epoch = 1_750_000_000)
     rng = Apna_crypto.Drbg.create ~seed;
     fault_rng = Apna_crypto.Drbg.create ~seed:(seed ^ "/faults");
     nodes = Addr.Aid_tbl.create 8;
-    epoch;
     link_busy_until = Hashtbl.create 16;
     link_queues = Hashtbl.create 16;
     host_faults = None;
@@ -126,7 +123,10 @@ let topology t = t.topology
 let trust t = t.trust
 let rng t = t.rng
 let now_f t = Apna_sim.Engine.now t.engine
-let now_unix t = t.epoch + int_of_float (now_f t)
+(* Unix time at simulation start. *)
+let epoch = 1_750_000_000
+
+let now_unix t = epoch + int_of_float (now_f t)
 let node t aid = Addr.Aid_tbl.find_opt t.nodes aid
 
 let ases t =

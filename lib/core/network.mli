@@ -15,9 +15,8 @@ type transport =
           serialized as IPv4 / GRE / APNA and re-parsed at the next router,
           with router IPv4 addresses standing in for AIDs on the wire. *)
 
-val create : ?seed:string -> ?epoch:int -> ?transport:transport -> unit -> t
-(** [epoch] is the Unix time at simulation start (default 1,750,000,000).
-    Fault injection draws from an independent DRBG derived from
+val create : ?seed:string -> ?transport:transport -> unit -> t
+(** The simulation starts at Unix time 1,750,000,000. Fault injection draws from an independent DRBG derived from
     [seed ^ "/faults"], so identical seeds inject identical faults and
     fault-free runs are byte-identical to runs built without the fault
     model at all. *)

@@ -14,7 +14,7 @@
       later present it to the source's accountability agent, which
       re-derives k_{S,i} and verifies — proof the claimant really carried
       the packet, so its shutoff request is accepted
-      ({!Accountability.handle_shutoff} remains the destination path;
+      ({!Accountability.enqueue} remains the destination path;
       {!verify_claim} is the on-path extension). *)
 
 type attestation = { aid : Apna_net.Addr.aid; mac : string }

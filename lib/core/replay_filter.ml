@@ -5,7 +5,6 @@ type t = {
   mutable current : Bytes.t;
   mutable previous : Bytes.t;
   mutable last_rotation : float;
-  mutable inserted : int;
 }
 
 let create ?(bits_log2 = 20) ?(hashes = 4) ?(rotate_every_s = 10.0) () =
@@ -19,7 +18,6 @@ let create ?(bits_log2 = 20) ?(hashes = 4) ?(rotate_every_s = 10.0) () =
     current = Bytes.make bytes '\000';
     previous = Bytes.make bytes '\000';
     last_rotation = 0.0;
-    inserted = 0;
   }
 
 type verdict = Fresh | Replayed
@@ -34,7 +32,6 @@ let rotate t ~now =
     Bytes.fill t.current 0 (Bytes.length t.current) '\000';
     Bytes.fill t.previous 0 (Bytes.length t.previous) '\000';
     t.last_rotation <- now;
-    t.inserted <- 0
   end
   else if elapsed >= t.rotate_every_s then begin
     (* Swap and clear: the old current becomes previous, keeping detection
@@ -44,7 +41,6 @@ let rotate t ~now =
     Bytes.fill old_previous 0 (Bytes.length old_previous) '\000';
     t.current <- old_previous;
     t.last_rotation <- now;
-    t.inserted <- 0
   end
 
 (* Double hashing over a SipHash-free stand-in: two independent 64-bit
@@ -80,9 +76,7 @@ let check_and_insert t ~now key =
   if in_current || in_previous then Replayed
   else begin
     Array.iter (set_bit t.current) positions;
-    t.inserted <- t.inserted + 1;
     Fresh
   end
 
-let inserted_current t = t.inserted
 let memory_bytes t = 2 * (t.bits / 8)

@@ -27,7 +27,4 @@ val check_and_insert : t -> now:float -> string -> verdict
 (** [check_and_insert t ~now key] — [key] is the packet's 8-byte MAC
     (unique per authenticated packet). Rotates generations as needed. *)
 
-val inserted_current : t -> int
-(** Insertions into the current generation (sizing diagnostics). *)
-
 val memory_bytes : t -> int

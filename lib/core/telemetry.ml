@@ -76,15 +76,14 @@ let stop t =
   t.stopped <- true;
   t.armed <- false
 
-let attach ?(interval = 0.25) ?capacity ?rules ?(events = Apna_obs.Event.default)
-    net =
+let attach ?(interval = 0.25) ?capacity ?rules net =
   M.set_enabled M.default true;
   let ts = T.create ?capacity ~interval M.default in
   T.set_enabled ts true;
   let rules =
     match rules with Some r -> r | None -> Alert.default_rules ~interval ()
   in
-  let alerts = Alert.create ~rules ~events ts in
+  let alerts = Alert.create ~rules ts in
   let t =
     {
       net;
@@ -139,7 +138,10 @@ let tail_values s n =
   let len = List.length pts in
   List.filteri (fun i _ -> i >= len - n) pts |> List.map snd
 
-let dashboard ?(width = 24) t =
+(* Sparkline width of the dashboard's indicator rows, in points. *)
+let spark_width = 24
+
+let dashboard t =
   let b = Buffer.create 1024 in
   let now = Network.now_f t.net in
   Buffer.add_string b
@@ -170,7 +172,7 @@ let dashboard ?(width = 24) t =
         Buffer.add_string b
           (Printf.sprintf "  %-52s %10s  %s\n" (T.series_id s)
              (if Float.is_nan v then "-" else Printf.sprintf "%.3f" v)
-             (spark (tail_values s width)))
+             (spark (tail_values s spark_width)))
       end)
     ();
   Buffer.contents b

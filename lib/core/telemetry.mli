@@ -25,13 +25,12 @@ val attach :
   ?interval:float ->
   ?capacity:int ->
   ?rules:Apna_obs.Alert.rule list ->
-  ?events:Apna_obs.Event.sink ->
   Network.t ->
   t
 (** [interval] is the tick period in simulated seconds (default 0.25);
     [capacity] the per-series ring size; [rules] defaults to
-    [Alert.default_rules ~interval ()]; [events] is the flight-recorder
-    sink alert transitions are written to when it is enabled. *)
+    [Alert.default_rules ~interval ()]. Alert transitions go to the
+    flight recorder ({!Apna_obs.Event.default}) when it is enabled. *)
 
 val tick_now : t -> unit
 (** One immediate tick at the network's current time — for callers that
@@ -53,6 +52,6 @@ val export : t -> Apna_obs.Json.t
 (** The [telemetry.json] document:
     [{"timeseries": {...}, "alerts": {...}, "health": [...]}]. *)
 
-val dashboard : ?width:int -> t -> string
+val dashboard : t -> string
 (** The [apnad top] frame: health table, non-inactive alerts, derived
-    indicators with [width]-point sparklines. *)
+    indicators with 24-point sparklines. *)

@@ -9,10 +9,6 @@
 
 type key
 
-type scheme =
-  | Encrypt_then_mac  (** AES-256-CTR + HMAC-SHA256 (default). *)
-  | Gcm  (** AES-256-GCM — the mode the paper cites (§IV-A). *)
-
 val key_size : int
 (** Input keying material size: 32 bytes. *)
 
@@ -22,10 +18,9 @@ val nonce_size : int
 val tag_size : int
 (** 16 bytes. *)
 
-val of_secret : ?scheme:scheme -> string -> key
-(** [of_secret ikm] derives the scheme's subkeys from a 32-byte secret
-    (e.g. an X25519 shared secret). Both peers must pick the same scheme;
-    this repository's protocols use the default. *)
+val of_secret : string -> key
+(** [of_secret ikm] derives both subkeys from a 32-byte secret (e.g. an
+    X25519 shared secret). *)
 
 val seal : key:key -> nonce:string -> ?aad:string -> string -> string
 (** [seal ~key ~nonce ~aad plaintext] is [ciphertext ^ tag]; the tag also

@@ -13,8 +13,6 @@ let create ~seed =
   update t seed;
   t
 
-let reseed t entropy = update t entropy
-
 let generate t n =
   let out = Buffer.create n in
   while Buffer.length out < n do

@@ -12,8 +12,6 @@ val create : seed:string -> t
 val generate : t -> int -> string
 (** [generate t n] produces [n] pseudo-random bytes and advances the state. *)
 
-val reseed : t -> string -> unit
-
 val uniform : t -> int -> int
 (** [uniform t n] is an unbiased integer in [\[0, n)], [n >= 1]. *)
 

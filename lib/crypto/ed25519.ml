@@ -3,8 +3,6 @@
 
 module Ge = Edwards25519
 
-let public_key_size = 32
-let signature_size = 64
 
 type keypair = { seed : string; secret_scalar : string; prefix : string; pub : string }
 

@@ -4,9 +4,6 @@
     Keys and signatures use the standard wire format: 32-byte public keys,
     32-byte seeds, 64-byte signatures. *)
 
-val public_key_size : int
-val signature_size : int
-
 type keypair
 
 val keypair_of_seed : string -> keypair

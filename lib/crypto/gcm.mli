@@ -3,8 +3,9 @@
     McGrew & Viega's GCM alongside OCB).
 
     96-bit IVs only (the standard fast path); the tag is the full 16
-    bytes. Provided both standalone and as an alternative {!Aead} scheme;
-    the Encrypt-then-MAC composition remains the default. *)
+    bytes. A standalone module with its own known-answer tests, measured
+    beside {!Aead} in the crypto microbenchmarks; the protocols seal every
+    payload with {!Aead}'s Encrypt-then-MAC composition. *)
 
 val iv_size : int
 (** 12 bytes. *)

@@ -1,60 +1,84 @@
-(* SHA-2 round constants, derived rather than transcribed.
-
-   FIPS 180-4 defines the initial hash values as the first 32 (resp. 64) bits
-   of the fractional parts of the square roots of the first 8 primes, and the
-   round constants as the same for the cube roots of the first 64 (resp. 80)
-   primes. We compute them exactly with integer k-th roots over [Bigint]:
-   frac(p^(1/k)) * 2^w = floor((p * 2^(k*w))^(1/k)) mod 2^w. *)
-
-let first_primes n =
-  let rec is_prime i d =
-    if d * d > i then true else if i mod d = 0 then false else is_prime i (d + 1)
-  in
-  let rec collect acc i =
-    if List.length acc = n then List.rev acc
-    else collect (if is_prime i 2 then i :: acc else acc) (i + 1)
-  in
-  Array.of_list (collect [] 2)
-
-(* floor(n^(1/k)) by binary search. *)
-let iroot k n =
-  let rec pow b e = if e = 0 then Bigint.one else Bigint.mul b (pow b (e - 1)) in
-  let hi_bits = (Bigint.num_bits n / k) + 1 in
-  let rec search lo hi =
-    (* Invariant: lo^k <= n < hi^k. *)
-    if Bigint.compare (Bigint.add lo Bigint.one) hi >= 0 then lo
-    else begin
-      let mid = Bigint.shift_right (Bigint.add lo hi) 1 in
-      if Bigint.compare (pow mid k) n <= 0 then search mid hi else search lo mid
-    end
-  in
-  search Bigint.zero (Bigint.shift_left Bigint.one hi_bits)
-
-let frac_root ~k ~word_bits p =
-  let n = Bigint.shift_left (Bigint.of_int p) (k * word_bits) in
-  let root = iroot k n in
-  Bigint.rem root (Bigint.shift_left Bigint.one word_bits)
-
-let to_int b = Option.get (Bigint.to_int_opt b)
-
-let to_int64 b =
-  (* 64-bit constants can exceed OCaml's 62 value bits; reassemble halves. *)
-  let lo = Bigint.rem b (Bigint.shift_left Bigint.one 32) in
-  let hi = Bigint.shift_right b 32 in
-  Int64.logor
-    (Int64.shift_left (Int64.of_int (to_int hi)) 32)
-    (Int64.of_int (to_int lo))
-
-let primes80 = first_primes 80
+(* SHA-2 initial hash values and round constants (FIPS 180-4 §4.2.2,
+   §4.2.3, §5.3.3, §5.3.5): the first 32 (resp. 64) bits of the fractional
+   parts of the square roots of the first 8 primes, and of the cube roots
+   of the first 64 (resp. 80) primes. test/crypto derives all four tables
+   from the primes with exact integer roots and checks them against these
+   literals. *)
 
 let sha256_h =
-  Array.init 8 (fun i -> to_int (frac_root ~k:2 ~word_bits:32 primes80.(i)))
+  [|
+    0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+    0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
+  |]
 
 let sha256_k =
-  Array.init 64 (fun i -> to_int (frac_root ~k:3 ~word_bits:32 primes80.(i)))
+  [|
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5;
+    0x3956c25b; 0x59f111f1; 0x923f82a4; 0xab1c5ed5;
+    0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174;
+    0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+    0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+    0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967;
+    0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+    0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3;
+    0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5;
+    0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+    0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+  |]
 
 let sha512_h =
-  Array.init 8 (fun i -> to_int64 (frac_root ~k:2 ~word_bits:64 primes80.(i)))
+  [|
+    0x6a09e667f3bcc908L; 0xbb67ae8584caa73bL;
+    0x3c6ef372fe94f82bL; 0xa54ff53a5f1d36f1L;
+    0x510e527fade682d1L; 0x9b05688c2b3e6c1fL;
+    0x1f83d9abfb41bd6bL; 0x5be0cd19137e2179L;
+  |]
 
 let sha512_k =
-  Array.init 80 (fun i -> to_int64 (frac_root ~k:3 ~word_bits:64 primes80.(i)))
+  [|
+    0x428a2f98d728ae22L; 0x7137449123ef65cdL;
+    0xb5c0fbcfec4d3b2fL; 0xe9b5dba58189dbbcL;
+    0x3956c25bf348b538L; 0x59f111f1b605d019L;
+    0x923f82a4af194f9bL; 0xab1c5ed5da6d8118L;
+    0xd807aa98a3030242L; 0x12835b0145706fbeL;
+    0x243185be4ee4b28cL; 0x550c7dc3d5ffb4e2L;
+    0x72be5d74f27b896fL; 0x80deb1fe3b1696b1L;
+    0x9bdc06a725c71235L; 0xc19bf174cf692694L;
+    0xe49b69c19ef14ad2L; 0xefbe4786384f25e3L;
+    0x0fc19dc68b8cd5b5L; 0x240ca1cc77ac9c65L;
+    0x2de92c6f592b0275L; 0x4a7484aa6ea6e483L;
+    0x5cb0a9dcbd41fbd4L; 0x76f988da831153b5L;
+    0x983e5152ee66dfabL; 0xa831c66d2db43210L;
+    0xb00327c898fb213fL; 0xbf597fc7beef0ee4L;
+    0xc6e00bf33da88fc2L; 0xd5a79147930aa725L;
+    0x06ca6351e003826fL; 0x142929670a0e6e70L;
+    0x27b70a8546d22ffcL; 0x2e1b21385c26c926L;
+    0x4d2c6dfc5ac42aedL; 0x53380d139d95b3dfL;
+    0x650a73548baf63deL; 0x766a0abb3c77b2a8L;
+    0x81c2c92e47edaee6L; 0x92722c851482353bL;
+    0xa2bfe8a14cf10364L; 0xa81a664bbc423001L;
+    0xc24b8b70d0f89791L; 0xc76c51a30654be30L;
+    0xd192e819d6ef5218L; 0xd69906245565a910L;
+    0xf40e35855771202aL; 0x106aa07032bbd1b8L;
+    0x19a4c116b8d2d0c8L; 0x1e376c085141ab53L;
+    0x2748774cdf8eeb99L; 0x34b0bcb5e19b48a8L;
+    0x391c0cb3c5c95a63L; 0x4ed8aa4ae3418acbL;
+    0x5b9cca4f7763e373L; 0x682e6ff3d6b2b8a3L;
+    0x748f82ee5defb2fcL; 0x78a5636f43172f60L;
+    0x84c87814a1f0ab72L; 0x8cc702081a6439ecL;
+    0x90befffa23631e28L; 0xa4506cebde82bde9L;
+    0xbef9a3f7b2c67915L; 0xc67178f2e372532bL;
+    0xca273eceea26619cL; 0xd186b8c721c0c207L;
+    0xeada7dd6cde0eb1eL; 0xf57d4f7fee6ed178L;
+    0x06f067aa72176fbaL; 0x0a637dc5a2c898a6L;
+    0x113f9804bef90daeL; 0x1b710b35131c471bL;
+    0x28db77f523047d84L; 0x32caab7b40c72493L;
+    0x3c9ebe0a15c9bebcL; 0x431d67c49c100d4cL;
+    0x4cc5d4becb3e42b6L; 0x597f299cfc657e2aL;
+    0x5fcb6fab3ad6faecL; 0x6c44198c4a475817L;
+  |]

@@ -8,12 +8,10 @@ let check_u32 label n =
 let aid_of_int n = check_u32 "Addr.aid_of_int" n
 let aid_to_int n = n
 let aid_equal = Int.equal
-let aid_compare = Int.compare
 let pp_aid ppf a = Format.fprintf ppf "AS%d" a
 let hid_of_int n = check_u32 "Addr.hid_of_int" n
 let hid_to_int n = n
 let hid_equal = Int.equal
-let hid_compare = Int.compare
 
 let pp_hid ppf h =
   (* Render like a dotted quad, matching the IPv4-as-HID deployment. *)

@@ -13,13 +13,11 @@ val aid_of_int : int -> aid
 
 val aid_to_int : aid -> int
 val aid_equal : aid -> aid -> bool
-val aid_compare : aid -> aid -> int
 val pp_aid : Format.formatter -> aid -> unit
 
 val hid_of_int : int -> hid
 val hid_to_int : hid -> int
 val hid_equal : hid -> hid -> bool
-val hid_compare : hid -> hid -> int
 val pp_hid : Format.formatter -> hid -> unit
 
 val aid_to_bytes : aid -> string

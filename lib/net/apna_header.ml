@@ -70,15 +70,6 @@ let of_bytes s =
   let* () = Reader.expect_end r in
   Ok { src_aid; src_ephid; dst_aid; dst_ephid; mac }
 
-let reverse t =
-  {
-    src_aid = t.dst_aid;
-    src_ephid = t.dst_ephid;
-    dst_aid = t.src_aid;
-    dst_ephid = t.src_ephid;
-    mac = String.make mac_size '\000';
-  }
-
 let pp ppf t =
   Format.fprintf ppf "%a:%s -> %a:%s" Addr.pp_aid t.src_aid
     (Apna_util.Hex.encode (String.sub t.src_ephid 0 4))

@@ -49,7 +49,4 @@ val write_for_mac : t -> Bytes.t -> off:int -> unit
     encode of the burst fast path.
     @raise Invalid_argument if [size] bytes do not fit at [off]. *)
 
-val reverse : t -> t
-(** [reverse h] swaps the endpoints (for replies); clears the MAC. *)
-
 val pp : Format.formatter -> t -> unit

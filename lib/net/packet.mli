@@ -10,9 +10,6 @@ type proto =
   | Control  (** bootstrap / EphID issuance / shutoff / DNS messages *)
   | Icmp  (** network feedback (§VIII-B) *)
 
-val proto_to_int : proto -> int
-val proto_of_int : int -> (proto, string) result
-
 type t = { header : Apna_header.t; proto : proto; payload : string }
 
 val make : header:Apna_header.t -> proto:proto -> payload:string -> t

@@ -116,5 +116,3 @@ let path_delay t ~src ~dst ~bytes =
         | [ _ ] | [] -> Some acc
       in
       total 0.0 hops
-
-let as_count t = Addr.Aid_tbl.length t.nodes

@@ -13,7 +13,6 @@ val connect : t -> Addr.aid -> Addr.aid -> Link.t -> unit
 (** Adds both ASes if needed; replaces any existing link between them. *)
 
 val link : t -> Addr.aid -> Addr.aid -> Link.t option
-val neighbors : t -> Addr.aid -> Addr.aid list
 
 val next_hop : t -> src:Addr.aid -> dst:Addr.aid -> Addr.aid option
 (** [next_hop t ~src ~dst] is the neighbor to forward to, [None] when
@@ -24,5 +23,3 @@ val path : t -> src:Addr.aid -> dst:Addr.aid -> Addr.aid list option
 
 val path_delay : t -> src:Addr.aid -> dst:Addr.aid -> bytes:int -> float option
 (** End-to-end transit delay along the path for one frame. *)
-
-val as_count : t -> int

@@ -1,10 +1,8 @@
 (** Online statistical accumulators shared by the simulator and the
     observability layer: counters, mean/variance accumulators (Welford),
-    and fixed-bucket histograms with percentile estimates.
-
-    These used to live in [Apna_sim.Stats]; that module now re-exports
-    them unchanged, so simulator code keeps its API while [Apna_obs]
-    builds the metrics registry on the same primitives. *)
+    and fixed-bucket histograms with percentile estimates. [Apna_obs]
+    builds the metrics registry on them; benches and simulations use
+    them directly. *)
 
 module Acc : sig
   type t

@@ -57,15 +57,13 @@ type transition = {
 
 type t = {
   ts : T.t;
-  mutable rules : rule list;
+  rules : rule list;
   instances : (string, instance) Hashtbl.t;
   (* Instance creation order, newest first. *)
   mutable order : string list;
-  events : Event.sink;
   (* Bounded transition history, newest first, for telemetry.json. *)
   mutable history : transition list;
   mutable history_len : int;
-  history_cap : int;
   (* Rule names that have ever reached Firing — the bench gates. *)
   fired : (string, unit) Hashtbl.t;
   (* Metric emission into the sampled registry. *)
@@ -74,16 +72,17 @@ type t = {
   transition_counters : (string * string, Metrics.Counter.m) Hashtbl.t;
 }
 
-let create ?(rules = []) ?(events = Event.default) ?(history = 1024) ts =
+(* Transitions kept for telemetry.json; half are dropped when it fills. *)
+let history_cap = 1024
+
+let create ?(rules = []) ts =
   {
     ts;
     rules;
     instances = Hashtbl.create 32;
     order = [];
-    events;
     history = [];
     history_len = 0;
-    history_cap = history;
     fired = Hashtbl.create 8;
     g_firing =
       Metrics.Gauge.register (T.registry ts)
@@ -93,7 +92,6 @@ let create ?(rules = []) ?(events = Event.default) ?(history = 1024) ts =
   }
 
 let rules t = t.rules
-let add_rule t r = t.rules <- t.rules @ [ r ]
 
 let instances t =
   List.rev_map (fun k -> Hashtbl.find t.instances k) t.order
@@ -168,9 +166,9 @@ let note_transition t i ~now st =
   let to_state = state_label st in
   (match st with Firing _ -> Hashtbl.replace t.fired i.irule.name () | _ -> ());
   Metrics.Counter.incr (transition_counter t i.irule.name to_state);
-  if t.history_len >= t.history_cap then begin
+  if t.history_len >= history_cap then begin
     (* Drop the oldest half rather than one-at-a-time list surgery. *)
-    let keep = t.history_cap / 2 in
+    let keep = history_cap / 2 in
     t.history <- List.filteri (fun idx _ -> idx < keep) t.history;
     t.history_len <- keep
   end;
@@ -178,8 +176,8 @@ let note_transition t i ~now st =
     { at = now; trule = i.irule.name; tseries = i.iseries; to_state }
     :: t.history;
   t.history_len <- t.history_len + 1;
-  if Event.enabled t.events then
-    Event.record_hashed t.events i.irule.name
+  if Event.enabled Event.default then
+    Event.record_hashed Event.default i.irule.name
       (Event.Alert_state
          { rule = i.irule.name; series = i.iseries; state = to_state })
 

@@ -48,16 +48,13 @@ type rule = {
 type state = Inactive | Pending of float | Firing of float | Resolved of float
 
 val state_label : state -> string
-val state_code : state -> int
-(** 0 inactive, 1 pending, 2 firing, 3 resolved. *)
 
 type instance
 type t
 
-val create :
-  ?rules:rule list -> ?events:Event.sink -> ?history:int -> Timeseries.t -> t
-(** [events] (default {!Event.default}) receives [Alert_state] records
-    when enabled; [history] bounds the retained transition log. *)
+val create : ?rules:rule list -> Timeseries.t -> t
+(** Transitions go to {!Event.default} as [Alert_state] records when it
+    is enabled, and to a transition log bounded at 1024 entries. *)
 
 val default_rules : ?interval:float -> unit -> rule list
 (** The ROADMAP-4 attack-signature rulepack: replay-flood, link-loss,
@@ -67,7 +64,6 @@ val default_rules : ?interval:float -> unit -> rule list
     documented in docs/OBSERVABILITY.md. *)
 
 val rules : t -> rule list
-val add_rule : t -> rule -> unit
 
 val eval : t -> now:float -> unit
 (** Evaluate every rule against the current series (run after

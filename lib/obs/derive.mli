@@ -18,10 +18,6 @@ val cache_hit_ratio : string
     lookups over the last tick. Collapses during a revocation storm
     (invalidation churn). *)
 
-val drop_ratio : string
-(** [derived:br_drop_ratio{aid,reason}] — per-reason share of all border
-    router pipeline verdicts this tick. *)
-
 val drop_ratio_total : string
 (** [derived:br_drop_ratio_total{aid}] — all drops / all verdicts. *)
 
@@ -33,10 +29,6 @@ val replay_reject_rate : string
 (** [derived:replay_reject_rate] — replayed-or-stale rejections/s:
     host session replay windows + BR-level rejected drops. *)
 
-val broker_refusal_rate : string
-(** [derived:broker_refusal_rate{aid}] — broker refusals/s, all
-    reasons. *)
-
 val budget_exhausted_rate : string
 (** [derived:budget_exhausted_rate{aid}] — refusals/s with reason
     [budget-exhausted]: the drain signature. *)
@@ -44,10 +36,6 @@ val budget_exhausted_rate : string
 val breaker_max : string
 (** [derived:issuance_breaker_max] — worst issuance-breaker state over
     all hosts (0 closed, 1 half-open, 2 open). *)
-
-val allocs_per_pkt_max : string
-(** [derived:allocs_per_pkt_max] — worst border-router allocations per
-    packet over the last burst. *)
 
 val shutoff_backlog : string
 (** [derived:shutoff_backlog] — shutoff requests built by victims but

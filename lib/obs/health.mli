@@ -11,7 +11,6 @@
 
 type status = Ok | Degraded | Critical
 
-val status_label : status -> string
 val worse : status -> status -> status
 
 type report = {

@@ -26,13 +26,6 @@ type t = private {
   outcome : outcome;
 }
 
-val classify : Event.record list -> outcome
-(** Outcome of one key's (seq-ordered) event list. *)
-
-val of_events : Event.record list -> t list
-(** Group any event list by key. Journeys appear in order of each key's
-    first retained event; each journey's events are seq-sorted. *)
-
 val assemble : Event.sink -> t list
 (** [of_events (Event.to_list sink)]. *)
 

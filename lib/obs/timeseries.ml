@@ -23,12 +23,11 @@ type t = {
   mutable on : bool;
   reg : Metrics.t;
   capacity : int;
-  mutable interval : float;
+  interval : float;
   tbl : (string, series) Hashtbl.t;
   (* Registration order, newest first. *)
   mutable order : string list;
   mutable ticks : int;
-  mutable last_tick : float;
 }
 
 let create ?(capacity = 512) ?(interval = 0.25) reg =
@@ -42,7 +41,6 @@ let create ?(capacity = 512) ?(interval = 0.25) reg =
     tbl = Hashtbl.create 64;
     order = [];
     ticks = 0;
-    last_tick = nan;
   }
 
 let default = create Metrics.default
@@ -51,13 +49,8 @@ let set_enabled t on = t.on <- on
 let enabled t = t.on
 let interval t = t.interval
 
-let set_interval t dt =
-  if dt <= 0.0 then invalid_arg "Timeseries.set_interval";
-  t.interval <- dt
-
 let registry t = t.reg
 let ticks t = t.ticks
-let last_tick t = t.last_tick
 
 (* ---- per-series ring ---- *)
 
@@ -114,8 +107,7 @@ let sample_one t ~now (s : Metrics.sample) =
 let tick t ~now =
   if t.on then begin
     List.iter (sample_one t ~now) (Metrics.samples t.reg);
-    t.ticks <- t.ticks + 1;
-    t.last_tick <- now
+    t.ticks <- t.ticks + 1
   end
 
 (* ---- reading ---- *)
@@ -201,27 +193,10 @@ let last_delta s =
     let _, v1 = nth_point s (n - 1) in
     v1 -. v0
 
-let mean_over s ~window =
-  let n = length s in
-  if n = 0 then nan
-  else begin
-    let i0 = window_start s ~window in
-    let sum = ref 0.0 and count = ref 0 in
-    for i = i0 to n - 1 do
-      let _, v = nth_point s i in
-      if not (Float.is_nan v) then begin
-        sum := !sum +. v;
-        incr count
-      end
-    done;
-    if !count = 0 then nan else !sum /. float_of_int !count
-  end
-
 let clear t =
   Hashtbl.reset t.tbl;
   t.order <- [];
-  t.ticks <- 0;
-  t.last_tick <- nan
+  t.ticks <- 0
 
 (* ---- export ---- *)
 

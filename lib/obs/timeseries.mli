@@ -39,7 +39,6 @@ val default : t
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 val interval : t -> float
-val set_interval : t -> float -> unit
 val registry : t -> Metrics.t
 
 val tick : t -> now:float -> unit
@@ -55,8 +54,6 @@ val record :
     {!Metrics}. No-op while disabled. *)
 
 val ticks : t -> int
-val last_tick : t -> float
-(** Time of the most recent tick; [nan] before the first. *)
 
 val names : t -> string list
 (** Series identities, oldest-registered first. *)
@@ -82,7 +79,6 @@ val length : series -> int
 val points : series -> (float * float) list
 (** Retained [(time, value)] points, oldest first. *)
 
-val last_point : series -> (float * float) option
 val last_value : series -> float
 (** [nan] when empty. *)
 
@@ -100,13 +96,8 @@ val last_delta : series -> float
 (** Change between the last two points — the per-tick delta {!Derive}
     builds ratios from. *)
 
-val mean_over : series -> window:float -> float
-(** Mean of retained values in the window, ignoring [nan] points;
-    [nan] if none. *)
-
 val clear : t -> unit
 
-val series_json : series -> Json.t
 val to_json : t -> Json.t
 (** [{"interval":..,"capacity":..,"ticks":..,"series":{id:{"kind":..,
     "points":[[t,v],...]},...}}] — the [telemetry.json] timeline

@@ -23,7 +23,6 @@ let create ~slots ~slot_bytes =
 
 let slots t = Array.length t.slots
 let slot_bytes t = t.slot_bytes
-let in_use t = min t.next (Array.length t.slots)
 let overflows t = t.overflows
 
 let checkout t =

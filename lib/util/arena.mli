@@ -26,9 +26,6 @@ val reset : t -> unit
 val slots : t -> int
 val slot_bytes : t -> int
 
-val in_use : t -> int
-(** Slots checked out since the last {!reset} (capped at [slots]). *)
-
 val overflows : t -> int
 (** Checkouts that missed the pool and allocated, since [create] — the
     gauge of a mis-sized arena. *)

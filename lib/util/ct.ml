@@ -22,5 +22,3 @@ let xor a b =
   if String.length a <> String.length b then invalid_arg "Ct.xor: length";
   String.init (String.length a) (fun i ->
       Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
-let zeroize b = Bytes.fill b 0 (Bytes.length b) '\000'

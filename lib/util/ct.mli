@@ -17,6 +17,3 @@ val equal_bytes : string -> Bytes.t -> off:int -> bool
 val xor : string -> string -> string
 (** [xor a b] is the byte-wise xor of two equal-length strings.
     @raise Invalid_argument if lengths differ. *)
-
-val zeroize : bytes -> unit
-(** [zeroize b] overwrites [b] with zero bytes (best-effort key hygiene). *)

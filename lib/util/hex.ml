@@ -33,7 +33,4 @@ let decode h =
     in
     loop 0
 
-let decode_exn h =
-  match decode h with Ok s -> s | Error e -> invalid_arg e
-
 let pp ppf s = Format.pp_print_string ppf (encode s)

@@ -7,9 +7,5 @@ val decode : string -> (string, string) result
 (** [decode h] parses a hexadecimal string (case-insensitive, even length)
     back into raw bytes. Returns [Error _] on odd length or non-hex input. *)
 
-val decode_exn : string -> string
-(** [decode_exn h] is [decode h], raising [Invalid_argument] on error.
-    Intended for literals in tests and examples. *)
-
 val pp : Format.formatter -> string -> unit
 (** [pp ppf s] prints [s] as hex on [ppf]. *)

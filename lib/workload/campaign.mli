@@ -40,9 +40,6 @@ type mix = {
   spam : float;
 }
 
-val default_mix : mix
-(** 40% unwanted traffic, 20% each replay / bruteforce / AA spam. *)
-
 type config = {
   trace : Trace.config;  (** population, diurnal shape, window *)
   fraction : float;  (** fraction of hosts malicious, e.g. [0.01] *)
@@ -67,5 +64,4 @@ val schedule_to_string : event list -> string
 (** Canonical one-line-per-event serialization — what the determinism
     property test compares byte-for-byte. *)
 
-val behavior_label : behavior -> string
 val count_by_behavior : event list -> (string * int) list

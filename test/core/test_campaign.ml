@@ -39,6 +39,22 @@ let aa_fixture ?limits ?(max_revocations_per_host = 100) () =
   in
   (agent, revoked, host_info, h, kha)
 
+(* A shutoff through the AA's one path, as As_node's drain timer runs it:
+   admission ([enqueue]), then a drain pass. An admission refusal comes
+   back typed; a refusal in verification is counted in
+   [refusal_reasons]. *)
+let shutoff agent ~now req =
+  let at = float_of_int now in
+  match Accountability.enqueue agent ~now ~at req with
+  | Accountability.Refused e -> Error e
+  | Shed -> Alcotest.fail "shutoff shed"
+  | Queued -> (
+      match Accountability.drain agent ~now ~at with
+      | [ grant ] -> Ok grant
+      | _ ->
+          Alcotest.failf "refused in verification: %s"
+            (String.concat ", " (List.map fst (Accountability.refusal_reasons agent))))
+
 let make_victim () =
   let keys = Keys.make_ephid_keys rng in
   let ephid =
@@ -84,33 +100,33 @@ let admission_tests =
         let victim = make_victim () in
         for i = 1 to 4 do
           match
-            Accountability.handle_shutoff agent ~now:now0
+            shutoff agent ~now:now0
               (request ~h ~kha ~victim ~payload:(Printf.sprintf "flow-%d" i) ())
           with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "request %d: %s" i (Error.to_string e)
         done;
         check_err "fifth request" (Error.Rejected "shutoff rate limit")
-          (Accountability.handle_shutoff agent ~now:now0
+          (shutoff agent ~now:now0
              (request ~h ~kha ~victim ~payload:"flow-5" ()));
         Alcotest.(check int) "four revocations" 4 (Revocation.size revoked);
         (* Tokens refill with time: a second later the victim may report
            one more flow. *)
         Alcotest.(check bool) "refill admits again" true
           (Result.is_ok
-             (Accountability.handle_shutoff agent ~now:(now0 + 2)
+             (shutoff agent ~now:(now0 + 2)
                 (request ~h ~kha ~victim ~payload:"flow-6" ()))));
     Alcotest.test_case "duplicate evidence cannot double-revoke" `Quick
       (fun () ->
         let agent, revoked, _, h, kha = aa_fixture () in
         let victim = make_victim () in
         let req = request ~h ~kha ~victim ~payload:"once" () in
-        (match Accountability.handle_shutoff agent ~now:now0 req with
+        (match shutoff agent ~now:now0 req with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "first: %s" (Error.to_string e));
         let gen = Revocation.generation revoked in
         check_err "replayed evidence" (Error.Rejected "duplicate evidence")
-          (Accountability.handle_shutoff agent ~now:now0 req);
+          (shutoff agent ~now:now0 req);
         Alcotest.(check int) "still one revocation" 1 (Revocation.size revoked);
         Alcotest.(check int) "quota counted once" 1
           (Accountability.revocations_of agent h);
@@ -128,7 +144,7 @@ let admission_tests =
         in
         let later = now0 + 901 in
         check_err "expired evidence" (Error.Expired "evidence")
-          (Accountability.handle_shutoff agent ~now:later req);
+          (shutoff agent ~now:later req);
         Alcotest.(check int) "nothing revoked" 0 (Revocation.size revoked);
         Alcotest.(check int) "no generation bump" 0
           (Revocation.generation revoked);
@@ -146,7 +162,7 @@ let admission_tests =
         in
         check_err "beyond horizon"
           (Error.Rejected "evidence EphID beyond validity horizon")
-          (Accountability.handle_shutoff agent ~now:now0 req);
+          (shutoff agent ~now:now0 req);
         Alcotest.(check int) "nothing revoked" 0 (Revocation.size revoked));
   ]
 

@@ -16,6 +16,18 @@ let make_world ?(seed = "deploy") () =
 (* ------------------------------------------------------------------ *)
 (* §VII-A: receive-only EphIDs and the client-server handshake *)
 
+(* Hands a shutoff request to an AS's accountability agent the way the AS
+   does (admission, then a drain pass), expects no grant, and returns the
+   AA's per-reason refusal counts. *)
+let aa_refusals as_node ~now req =
+  let aa = As_node.accountability as_node and at = float_of_int now in
+  (match Accountability.enqueue aa ~now ~at req with
+  | Accountability.Queued -> ()
+  | Refused e -> Alcotest.failf "refused at admission: %s" (Error.to_string e)
+  | Shed -> Alcotest.fail "shed");
+  if Accountability.drain aa ~now ~at <> [] then Alcotest.fail "shutoff granted";
+  Accountability.refusal_reasons aa
+
 let dns_e2e_tests =
   [
     Alcotest.test_case "publish, resolve, connect, reply" `Quick (fun () ->
@@ -125,13 +137,9 @@ let dns_e2e_tests =
             ~dst_keys:attacker_ep.keys
         in
         let server_as = Network.node_exn net 300 in
-        (match
-           Accountability.handle_shutoff (As_node.accountability server_as)
-             ~now:(Network.now_unix net) req
-         with
-        | Error Error.Bad_mac -> ()
-        | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-        | Ok _ -> Alcotest.fail "fabricated shutoff accepted");
+        Alcotest.(check (list (pair string int))) "refused: bad mac"
+          [ ("bad-mac", 1) ]
+          (aa_refusals server_as ~now:(Network.now_unix net) req);
         Alcotest.(check int) "nothing revoked" 0
           (Revocation.size (As_node.revoked server_as)));
   ]
@@ -265,11 +273,19 @@ let gateway_world () =
   in
   (net, gw_c, gw_s, dns_cert)
 
+(* Collects a gateway's LAN-side output, oldest first (replaces its
+   output handler). *)
+let lan_output gw =
+  let out = ref [] in
+  Gateway.on_ipv4_output gw (fun bytes -> out := bytes :: !out);
+  fun () -> List.rev !out
+
 let gateway_tests =
   [
     Alcotest.test_case "legacy request/response across APNA" `Quick (fun () ->
         let net, gw_c, gw_s, dns_cert = gateway_world () in
         let client_ip = ip 203 0 113 7 and server_ip = ip 198 51 100 80 in
+        let client_lan = lan_output gw_c in
         (* The legacy server echoes. *)
         Gateway.on_ipv4_output gw_s (fun bytes ->
             match Apna_net.Ipv4_header.of_bytes bytes with
@@ -283,7 +299,7 @@ let gateway_tests =
         Gateway.resolve gw_c ~name:"legacy.example.net" ~dns:dns_cert (fun () ->
             Gateway.ipv4_input gw_c (make_ipv4 ~src:client_ip ~dst:server_ip "req"));
         Network.run net;
-        (match Gateway.ipv4_output_log gw_c with
+        (match client_lan () with
         | [ out ] ->
             let h = Result.get_ok (Apna_net.Ipv4_header.of_bytes out) in
             Alcotest.(check bool) "src is server" true
@@ -296,7 +312,7 @@ let gateway_tests =
       (fun () ->
         let net, gw_c, gw_s, dns_cert = gateway_world () in
         let server_ip = ip 198 51 100 80 in
-        Gateway.on_ipv4_output gw_s (fun _ -> ());
+        let server_lan = lan_output gw_s in
         Gateway.expose gw_s ~name:"legacy.example.net" ~server_ip ~dns:dns_cert
           (fun () -> ());
         Network.run net;
@@ -315,7 +331,7 @@ let gateway_tests =
               match Apna_net.Ipv4_header.of_bytes bytes with
               | Ok h -> Some (Apna_net.Addr.hid_to_int h.src)
               | Error _ -> None)
-            (Gateway.ipv4_output_log gw_s)
+            (server_lan ())
           |> List.sort_uniq compare
         in
         Alcotest.(check int) "distinct sources" 2 (List.length srcs));
@@ -329,7 +345,7 @@ let gateway_tests =
     Alcotest.test_case "same flow reuses one session" `Quick (fun () ->
         let net, gw_c, gw_s, dns_cert = gateway_world () in
         let client_ip = ip 203 0 113 7 and server_ip = ip 198 51 100 80 in
-        Gateway.on_ipv4_output gw_s (fun _ -> ());
+        let server_lan = lan_output gw_s in
         Gateway.expose gw_s ~name:"legacy.example.net" ~server_ip ~dns:dns_cert
           (fun () -> ());
         Network.run net;
@@ -342,7 +358,7 @@ let gateway_tests =
         Alcotest.(check int) "one flow" 1 (Gateway.active_flows gw_c);
         Alcotest.(check int) "one virtual endpoint" 1 (Gateway.virtual_endpoints gw_s);
         Alcotest.(check int) "all five delivered" 5
-          (List.length (Gateway.ipv4_output_log gw_s)));
+          (List.length (server_lan ())));
   ]
 
 let () =

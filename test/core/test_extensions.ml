@@ -293,14 +293,9 @@ let release_tests =
         Host.connect alice ~remote:bep.cert ~data0:"before" (fun s -> session := Some s);
         Network.run net;
         Alcotest.(check int) "delivered" 1 (List.length (inbox ()));
-        (* Alice retires the EphID backing the session... *)
-        let alice_ep =
-          List.find
-            (fun (e : Host.endpoint) ->
-              Ephid.equal e.cert.ephid (Session.local_cert (Option.get !session)).ephid)
-            (Host.endpoints alice)
-        in
-        ok_or_fail "release" (Host.release_endpoint alice alice_ep);
+        (* Alice closes the flow, which retires its per-flow EphID... *)
+        let alice_ephid = (Session.local_cert (Option.get !session)).ephid in
+        ok_or_fail "close" (Host.close alice (Option.get !session));
         Network.run net;
         let node = Network.node_exn net 100 in
         Alcotest.(check int) "on the revocation list" 1
@@ -308,8 +303,21 @@ let release_tests =
         Alcotest.(check int) "MS counted it" 1
           (Management.released_count (As_node.management node));
         (* ...after which its packets die at egress. *)
-        ignore (Host.send alice (Option.get !session) "after");
-        Network.run net;
+        let header =
+          Apna_net.Apna_header.make ~src_aid:(aid 100) ~src_ephid:(Ephid.to_bytes alice_ephid)
+            ~dst_aid:(aid 300) ~dst_ephid:(Ephid.to_bytes bep.cert.ephid) ()
+        in
+        let pkt =
+          Pkt_auth.seal ~auth_key:(Option.get (Host.kha alice)).auth
+            (Apna_net.Packet.make ~header ~proto:Apna_net.Packet.Data ~payload:"after")
+        in
+        (match
+           Border_router.egress_check (As_node.border_router node)
+             ~now:(Network.now_unix net) pkt
+         with
+        | Error (Error.Revoked _) -> ()
+        | Error e -> Alcotest.failf "wrong drop: %s" (Error.to_string e)
+        | Ok _ -> Alcotest.fail "released EphID passed egress");
         Alcotest.(check int) "no more delivery" 1 (List.length (inbox ())));
     Alcotest.test_case "cannot release someone else's EphID" `Quick (fun () ->
         let net = Scenario.line ~seed:"release2" [ 100 ] in

@@ -759,14 +759,32 @@ let ephid_cache_tests =
 (* ------------------------------------------------------------------ *)
 (* Accountability (AA) quota escalation and revoke command *)
 
+(* A shutoff through the AA's one path, as As_node's drain timer runs it:
+   admission ([enqueue]), then a drain pass. An admission refusal comes
+   back typed; a refusal in verification is counted in
+   [refusal_reasons]. *)
+let shutoff agent ~now req =
+  let at = float_of_int now in
+  match Accountability.enqueue agent ~now ~at req with
+  | Accountability.Refused e -> Error e
+  | Shed -> Alcotest.fail "shutoff shed"
+  | Queued -> (
+      match Accountability.drain agent ~now ~at with
+      | [ grant ] -> Ok grant
+      | _ ->
+          Alcotest.failf "refused in verification: %s"
+            (String.concat ", " (List.map fst (Accountability.refusal_reasons agent))))
+
 let accountability_tests =
   [
     Alcotest.test_case "revoke command MAC verifies" `Quick (fun () ->
         let e = Ephid.issue_random as_keys rng ~hid:(hid 1) ~expiry:(now0 + 60) in
-        let cmd = Accountability.Command.make ~keys:as_keys ~ephid:e ~expiry:(now0 + 60) in
-        Alcotest.(check bool) "ok" true (Accountability.Command.verify ~keys:as_keys cmd);
+        let cmd =
+          Accountability.Command.make_batch ~keys:as_keys ~entries:[ (e, now0 + 60) ]
+        in
+        Alcotest.(check bool) "ok" true (Accountability.Command.verify_batch ~keys:as_keys cmd);
         Alcotest.(check bool) "foreign rejected" false
-          (Accountability.Command.verify ~keys:other_as_keys cmd));
+          (Accountability.Command.verify_batch ~keys:other_as_keys cmd));
     Alcotest.test_case "quota escalation revokes the HID" `Quick (fun () ->
         (* Build a full fixture where the victim holds valid material. *)
         let host_info = Host_info.create () in
@@ -798,7 +816,7 @@ let accountability_tests =
               ~dst_ephid:(Ephid.to_bytes victim_ephid) ~kha ()
           in
           let req = Shutoff.make_request ~packet:pkt ~dst_cert:victim_cert ~dst_keys:victim_keys in
-          (match Accountability.handle_shutoff agent ~now:now0 req with
+          (match shutoff agent ~now:now0 req with
           | Ok (revoked_hid, _) ->
               Alcotest.(check bool) "names the host" true
                 (Apna_net.Addr.hid_equal revoked_hid h)
@@ -832,7 +850,13 @@ let accountability_tests =
             ~dst_ephid:(Ephid.to_bytes victim_ephid) ()
         in
         let req = Shutoff.make_request ~packet:pkt ~dst_cert:victim_cert ~dst_keys:victim_keys in
-        check_err "bad mac" Error.Bad_mac (Accountability.handle_shutoff agent ~now:now0 req);
+        Alcotest.(check bool) "queued" true
+          (Accountability.enqueue agent ~now:now0 ~at:0.0 req = Accountability.Queued);
+        Alcotest.(check int) "no grant" 0
+          (List.length (Accountability.drain agent ~now:now0 ~at:0.0));
+        Alcotest.(check (list (pair string int))) "bad mac"
+          [ (Error.kind_label Error.Bad_mac, 1) ]
+          (Accountability.refusal_reasons agent);
         Alcotest.(check int) "nothing revoked" 0 (Revocation.size revoked));
   ]
 

@@ -61,15 +61,17 @@ let heap_tests =
 
 (* Endpoint removal must not rebuild the endpoint list: the probe counts
    entries examined, and it must not grow with how many endpoints the
-   host holds. *)
+   host holds. Each per-flow connection holds its own endpoint; closing
+   one releases and removes it. *)
 let endpoint_removal_cost () =
   let net = Scenario.line ~seed:"scale-endpoints" [ 100 ] in
   let h = Scenario.host net ~as_number:100 ~name:"h" ~credential:"h@scale" in
+  let peer = Scenario.host net ~as_number:100 ~name:"peer" ~credential:"p@scale" in
   Network.run net;
+  let remote = (Scenario.endpoint net peer).Host.cert in
   let cost_with n =
-    let eps = List.init n (fun _ -> Scenario.endpoint net h) in
-    let victim = List.nth eps (n / 2) in
-    ok_or_fail "release" (Host.release_endpoint h victim);
+    let sessions = List.init n (fun _ -> Scenario.connect net h ~remote) in
+    ok_or_fail "close" (Host.close h (List.nth sessions (n / 2)));
     Network.run net;
     Host.last_endpoint_op_cost h
   in

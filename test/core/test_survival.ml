@@ -201,9 +201,9 @@ let migration_tests =
                 (Host.endpoints alice))));
     Alcotest.test_case "shutoff-revoked sessions never auto-recover" `Quick
       (fun () ->
-        (* The inhibition list: a release (deliberate retirement) pins the
-           EphID so ICMP feedback cannot resurrect the flows it backed —
-           same mechanism that keeps a shutoff final. *)
+        (* The inhibition list: the AS's revocation notice pins the
+           shut-off EphID, so ICMP feedback about it cannot resurrect the
+           flows it backed — a shutoff stays final. *)
         let net, alice, bob = make_world ~seed:"survival-inhibit" () in
         let inbox = Scenario.inbox bob in
         let bep = ref None in
@@ -214,39 +214,37 @@ let migration_tests =
           (fun s -> session := Some s);
         Network.run net;
         let session = Option.get !session in
-        let local = Session.local_cert session in
-        let ep =
-          List.find
-            (fun (e : Host.endpoint) -> Ephid.equal e.cert.Cert.ephid local.ephid)
-            (Host.endpoints alice)
-        in
-        ok_or_fail "release" (Host.release_endpoint alice ep);
+        let bob_s = List.hd (Host.sessions bob) in
+        let evidence = Option.get (Host.last_packet bob bob_s) in
+        ok_or_fail "shutoff" (Host.request_shutoff bob ~session:bob_s ~evidence);
         Network.run net;
-        ignore (Host.send alice session "post-release");
+        ignore (Host.send alice session "post-shutoff");
         Network.run net;
-        Alcotest.(check (list string)) "no delivery after release" [ "pre" ]
+        Alcotest.(check (list string)) "no delivery after shutoff" [ "pre" ]
           (inbox ());
         Alcotest.(check int) "no recovery" 0 (Host.recoveries alice);
         Alcotest.(check int) "no migration" 0 (Host.migrations alice));
     Alcotest.test_case "a settled Rekey's timer leaves the next one alone"
       `Quick (fun () ->
-        (* Every send migrates (the renewal margin exceeds any lifetime),
-           and sends come 100 ms apart: each Rekey is acked after one
-           60 ms round trip, well before its first 250 ms timer fires —
-           by which time the next Rekey on the same connection is in
-           flight. That timer must not retransmit the newer request. *)
-        let net =
-          Scenario.line ~seed:"survival-stale-timer"
-            ~link:(fun () -> Link.make ~propagation_ms:30.0 ())
-            [ 100; 200 ]
-        in
+        (* Every send migrates (AS 100 issues 20 s EphIDs, inside the 30 s
+           renewal margin from the start), and sends come 100 ms apart:
+           each Rekey is acked after one 60 ms round trip, well before its
+           first 250 ms timer fires — by which time the next Rekey on the
+           same connection is in flight. That timer must not retransmit
+           the newer request. *)
+        let net = Network.create ~seed:"survival-stale-timer" () in
+        ignore
+          (Network.add_as net 100
+             ~lifetime_policy:{ Lifetime.default_policy with medium_s = 20 }
+             ());
+        ignore (Network.add_as net 200 ());
+        Network.connect_as net 100 200 ~link:(Link.make ~propagation_ms:30.0 ()) ();
         let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
         let bob = Scenario.host net ~as_number:200 ~name:"bob" ~credential:"b" in
         let inbox = Scenario.inbox bob in
         Network.run net;
         let bep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
         let session = Scenario.connect ~data0:"hello" net alice ~remote:bep.Host.cert in
-        Host.set_renewal_margin alice 1_000_000;
         let n = 40 in
         Scenario.pace net ~n ~span:(0.1 *. float_of_int n) (fun i ->
             ignore (Host.send alice session (Printf.sprintf "m%02d" i)));

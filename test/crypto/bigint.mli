@@ -1,10 +1,11 @@
-(** Arbitrary-precision natural numbers.
+(** Arbitrary-precision natural numbers: the test oracle.
 
-    A small, dependency-free bignum sufficient for the cryptographic needs of
-    this repository: Ed25519 scalar arithmetic modulo the group order, and
-    derivation of the SHA-2 round constants from prime roots. Values are
-    immutable and always non-negative; subtraction of a larger value from a
-    smaller one is a programming error and raises [Invalid_argument]. *)
+    A small, dependency-free bignum, slow and allocating, that the crypto
+    tests check the limb arithmetic against: Ed25519 scalars modulo the
+    group order, field exponents, and the SHA-2 round constants from prime
+    roots. Values are immutable and always non-negative; subtraction of a
+    larger value from a smaller one is a programming error and raises
+    [Invalid_argument]. *)
 
 type t
 

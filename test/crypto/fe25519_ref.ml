@@ -4,8 +4,6 @@
    every operation allocates, and exponents come from Bigint. Slow and
    obviously right; lib/crypto/fe25519.ml must agree with it. *)
 
-open Apna_crypto
-
 let limbs = 17
 let limb_bits = 15
 let limb_mask = (1 lsl limb_bits) - 1

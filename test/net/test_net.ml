@@ -1,4 +1,4 @@
-(* Wire formats, topology/routing and the baseline router. *)
+(* Wire formats and topology/routing. *)
 
 open Apna_net
 
@@ -57,11 +57,6 @@ let header_tests =
         with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
-    qtest "reverse swaps endpoints and clears mac" gen_header (fun h ->
-        let r = Apna_header.reverse h in
-        r.src_aid = h.dst_aid && r.dst_aid = h.src_aid
-        && r.src_ephid = h.dst_ephid && r.dst_ephid = h.src_ephid
-        && r.mac = String.make 8 '\000');
     qtest "bytes_for_mac zeroes only the mac" gen_header (fun h ->
         let a = Apna_header.bytes_for_mac h in
         let b = Apna_header.to_bytes { h with mac = String.make 8 '\000' } in
@@ -308,117 +303,30 @@ let topology_tests =
           edges);
   ]
 
-let lpm_tests =
-  let open Apna_baseline in
+let decode_fuzz_tests =
+  let gen_bytes = QCheck2.Gen.(string_size ~gen:char (int_range 0 120)) in
   [
-    Alcotest.test_case "longest prefix wins" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:0x0a000000 ~len:8 "ten-slash-8";
-        Lpm.add t ~prefix:0x0a010000 ~len:16 "ten-one-slash-16";
-        Alcotest.(check (option string)) "specific" (Some "ten-one-slash-16")
-          (Lpm.lookup t 0x0a010101);
-        Alcotest.(check (option string)) "general" (Some "ten-slash-8")
-          (Lpm.lookup t 0x0a020202);
-        Alcotest.(check (option string)) "none" None (Lpm.lookup t 0x0b000000));
-    Alcotest.test_case "default route" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:0 ~len:0 "default";
-        Alcotest.(check (option string)) "matches all" (Some "default")
-          (Lpm.lookup t 0xdeadbeef));
-    Alcotest.test_case "remove" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:0x0a000000 ~len:8 "r";
-        Lpm.remove t ~prefix:0x0a000000 ~len:8;
-        Alcotest.(check (option string)) "gone" None (Lpm.lookup t 0x0a000001);
-        Alcotest.(check int) "size" 0 (Lpm.size t));
-    qtest "agrees with naive scan" ~count:100
+    qtest "decoders never raise on arbitrary bytes" gen_bytes (fun s ->
+        let total = function Ok _ | Error _ -> true in
+        total (Apna_header.of_bytes s)
+        && total (Packet.of_bytes s)
+        && total (Ipv4_header.of_bytes s)
+        && total (Gre.decapsulate s));
+    qtest "header decode takes exactly size bytes" gen_bytes (fun s ->
+        match Apna_header.of_bytes s with
+        | Ok h -> String.length s = Apna_header.size && Apna_header.to_bytes h = s
+        | Error _ -> String.length s <> Apna_header.size);
+    qtest "packet decode re-encodes what it accepts"
       QCheck2.Gen.(
-        pair
-          (list_size (int_range 0 30) (pair (int_range 0 0xffffffff) (int_range 0 32)))
-          (int_range 0 0xffffffff))
-      (fun (routes, addr) ->
-        let t = Lpm.create () in
-        let canon =
-          List.map
-            (fun (p, len) ->
-              let p = if len = 0 then 0 else p land lnot ((1 lsl (32 - len)) - 1) in
-              (p, len))
-            routes
-        in
-        List.iter (fun (p, len) -> Lpm.add t ~prefix:p ~len (p, len)) canon;
-        let matches (p, len) =
-          len = 0 || (addr lxor p) lsr (32 - len) = 0
-        in
-        let best =
-          List.fold_left
-            (fun acc r ->
-              if matches r then
-                match acc with
-                | Some (_, blen) when blen >= snd r -> acc
-                | _ -> Some r
-              else acc)
-            None canon
-        in
-        (* Compare prefix lengths (several routes may share a prefix). *)
-        Option.map snd (Lpm.lookup t addr) = Option.map snd best);
-  ]
-
-let router_tests =
-  let open Apna_baseline in
-  let make_packet ?(ttl = 64) ~dst () =
-    Ipv4_header.to_bytes
-      (Ipv4_header.make ~ttl ~protocol:17 ~src:(hid 0x0a000001) ~dst:(hid dst)
-         ~payload_len:4 ())
-    ^ "data"
-  in
-  [
-    Alcotest.test_case "forwards with ttl decrement" `Quick (fun () ->
-        let r = Ipv4_router.create () in
-        Ipv4_router.add_route r ~prefix:0x08000000 ~len:8 ~next_hop:7;
-        match Ipv4_router.forward r (make_packet ~dst:0x08080808 ()) with
-        | Ipv4_router.Forwarded { next_hop; packet } ->
-            Alcotest.(check int) "hop" 7 next_hop;
-            (match Ipv4_header.of_bytes packet with
-            | Ok h -> Alcotest.(check int) "ttl" 63 h.ttl
-            | Error e -> Alcotest.fail e)
-        | Ipv4_router.Dropped e -> Alcotest.fail e);
-    Alcotest.test_case "ttl exceeded dropped" `Quick (fun () ->
-        let r = Ipv4_router.create () in
-        Ipv4_router.add_route r ~prefix:0 ~len:0 ~next_hop:1;
-        match Ipv4_router.forward r (make_packet ~ttl:1 ~dst:0x08080808 ()) with
-        | Ipv4_router.Dropped "ttl exceeded" -> ()
-        | _ -> Alcotest.fail "expected ttl drop");
-    Alcotest.test_case "no route dropped" `Quick (fun () ->
-        let r = Ipv4_router.create () in
-        match Ipv4_router.forward r (make_packet ~dst:0x08080808 ()) with
-        | Ipv4_router.Dropped "no route" -> ()
-        | _ -> Alcotest.fail "expected no-route drop");
-    Alcotest.test_case "synthetic table populates" `Quick (fun () ->
-        let r = Ipv4_router.create () in
-        Ipv4_router.synthetic_table r ~seed:3L ~routes:1000;
-        Alcotest.(check bool) "mostly there" true (Ipv4_router.route_count r > 900));
-  ]
-
-let apip_tests =
-  let open Apna_baseline in
-  [
-    Alcotest.test_case "brief then verify" `Quick (fun () ->
-        let d = Apip_sketch.create () in
-        Apip_sketch.brief d ~sender:1 ~packet:"pkt-a";
-        Alcotest.(check bool) "vouched" true (Apip_sketch.verify d ~packet:"pkt-a");
-        Alcotest.(check bool) "unknown" false (Apip_sketch.verify d ~packet:"pkt-b"));
-    Alcotest.test_case "whitelist tracking" `Quick (fun () ->
-        let d = Apip_sketch.create () in
-        Apip_sketch.whitelist d ~flow:42;
-        Alcotest.(check bool) "listed" true (Apip_sketch.is_whitelisted d ~flow:42);
-        Alcotest.(check bool) "not listed" false (Apip_sketch.is_whitelisted d ~flow:43));
-    Alcotest.test_case "storage grows with briefs" `Quick (fun () ->
-        let d = Apip_sketch.create () in
-        for i = 1 to 100 do
-          Apip_sketch.brief d ~sender:1 ~packet:(string_of_int i)
-        done;
-        Alcotest.(check int) "count" 100 (Apip_sketch.briefs_stored d);
-        Alcotest.(check int) "bytes" 2000 (Apip_sketch.brief_bytes d));
+        triple
+          (string_size ~gen:char (return Apna_header.size))
+          (int_range 0 8)
+          (string_size (int_range 0 60)))
+      (fun (header, proto, payload) ->
+        let s = header ^ String.make 1 (Char.chr proto) ^ payload in
+        match Packet.of_bytes s with
+        | Ok pkt -> Packet.to_bytes pkt = s
+        | Error _ -> true);
   ]
 
 let () =
@@ -430,7 +338,5 @@ let () =
       ("ipv4", ipv4_tests);
       ("gre", gre_tests);
       ("topology", topology_tests);
-      ("lpm", lpm_tests);
-      ("ipv4_router", router_tests);
-      ("apip", apip_tests);
+      ("decode_fuzz", decode_fuzz_tests);
     ]

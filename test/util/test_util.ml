@@ -71,11 +71,6 @@ let misc_tests =
     Alcotest.test_case "ct xor length mismatch rejected" `Quick (fun () ->
         Alcotest.check_raises "raises" (Invalid_argument "Ct.xor: length")
           (fun () -> ignore (Ct.xor "ab" "abc")));
-    Alcotest.test_case "zeroize wipes the buffer" `Quick (fun () ->
-        let b = Bytes.of_string "secret" in
-        Ct.zeroize b;
-        Alcotest.(check string) "zeroed" (String.make 6 '\000')
-          (Bytes.to_string b));
     qtest "hex encode length doubles" QCheck2.Gen.(string_size (int_range 0 64))
       (fun s -> String.length (Hex.encode s) = 2 * String.length s);
     Alcotest.test_case "hex decode accepts uppercase" `Quick (fun () ->
