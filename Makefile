@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate clean
+.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate roles-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -62,6 +62,24 @@ scenario-gate:
 	fi; \
 	echo "scenario-gate: OK (bin/ and bench/ build their worlds with Apna.Scenario)"
 
+# One implementation per role: only the RS (registry.ml) signs id_info and
+# only the host (host.ml) checks it, and the NAT-mode access point runs
+# Fig. 2, the RS and the MS check through Host, Registry and Management
+# instead of doing their key generation, signing, kHA derivation or EphID
+# decryption itself.
+roles-gate:
+	@violations=$$( (grep -rn 'id_info_bytes' lib \
+	  --include='*.ml' --include='*.mli' \
+	  | grep -v "^lib/core/registry\.mli\?:" | grep -v "^lib/core/host\.ml:"; \
+	  grep -n 'X25519\.generate\|Ed25519\.sign\|Keys\.derive_host_as\|Ephid\.parse_bytes' \
+	  lib/core/access_point.ml | sed 's|^|lib/core/access_point.ml:|') || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "roles-gate: a role implemented outside its module:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "roles-gate: OK (id_info only in Registry and Host; Access_point reuses Host, Registry and Management)"
+
 all: build
 
 build:
@@ -78,8 +96,9 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage, recorder, bigint and scenario grep gates.
-check: linkage-gate recorder-gate bigint-gate scenario-gate
+# journal dump and the linkage, recorder, bigint, scenario and roles grep
+# gates.
+check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -89,7 +108,7 @@ check: linkage-gate recorder-gate bigint-gate scenario-gate
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/) and scenario gates clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario and roles gates clean, BENCH_results.json written and validated)"
 
 # A/B comparison on one BENCHMARK.json workload: N alternating pairs of
 # `perf/run.sh --workload W --trace 0` runs, BASE (exported under $TMPDIR,

@@ -1,47 +1,44 @@
 open Apna_crypto
 open Apna_net
 
-let internal_ms_hid = Addr.hid_of_int 1
-let internal_aa_hid = Addr.hid_of_int 3
-let first_internal_hid = 0xc0a80002 (* 192.168.0.2 *)
-let internal_ctrl_lifetime_s = 86_400
-let internal_service_lifetime_s = 30 * 86_400
+(* The internal domain's reserved HIDs mirror an AS's (As_node): 1 = MS,
+   3 = AA. Devices are numbered from 192.168.0.2. *)
+let ms_hid = Addr.hid_of_int 1
+let aa_hid = Addr.hid_of_int 3
+let first_device_hid = 0xc0a80002
+let service_lifetime_s = 30 * 86_400
 
-type ap_identity = {
-  kha : Keys.host_as;
-  ctrl_ephid : Ephid.t;
-  ms_cert : Cert.t;
-}
-
-type internal_domain = {
-  keys : Keys.as_keys;  (** the AP's own domain keys, under the virtual AID *)
+(* The APNA domain the AP runs for its devices, under the virtual AID: its
+   RS is an ordinary Registry, and its MS only checks and re-wraps. *)
+type domain = {
+  up : Host.attachment;  (** The AP's own attachment to its AS... *)
+  up_kha : Keys.host_as;  (** ...and the kHA it shares with it. *)
+  keys : Keys.as_keys;
   host_info : Host_info.t;
+  registry : Registry.t;
   ms_cert : Cert.t;
-  aa_ephid : Ephid.t;
-  id_signing_rng : Drbg.t;
 }
+
+(* One ephid_info entry: the device behind a relayed EphID, the internal
+   HID it was issued to (whose kHA checks the device's MACs) and the
+   certificate's expiry, after which the binding is dropped. *)
+type binding = { device : Host.t; hid : Addr.hid; expiry : int }
+
+(* One relayed request awaiting the AS's reply: whom it is for, under which
+   kHA the reply is re-sealed, and the correlation id the device used. *)
+type relay = { to_device : Host.t; to_hid : Addr.hid; kha : Keys.host_as; corr : int64 }
 
 module I64_tbl = Apna_util.I64_tbl
 
-(* One relayed MS request: who it is for and which correlation id the host
-   used, so the re-wrapped reply can echo it. *)
-type relay = { host_name : string; host_kha : Keys.host_as; host_corr : int64 }
-
 type t = {
-  ap_name : string;
   rng : Drbg.t;
+  upstream : Host.t;  (** The AP as one ordinary host of its AS (Fig. 2). *)
   virtual_aid : Addr.aid;
-  mutable att : Host.attachment option;
-  mutable identity : ap_identity option;
-  mutable domain : internal_domain option;
-  credentials : (string, unit) Hashtbl.t;
-  mutable next_hid : int;
-  internal_hosts : (string, Host.t) Hashtbl.t;
-  hid_to_host : string Addr.Hid_tbl.t;
-  (* Real-AS EphIDs relayed to internal hosts: the AP's ephid_info list. *)
-  ephid_info : string Ephid.Tbl.t;
-  (* In-flight relayed MS requests awaiting the AS's reply, keyed by the
-     AP's own upstream correlation id. *)
+  mutable domain : domain option;
+  devices : Host.t Addr.Hid_tbl.t;
+  ephid_info : binding Ephid.Tbl.t;
+  (* Keyed by the AP's own upstream correlation id: the devices' ids are
+     not unique across devices. *)
   pending_relays : relay I64_tbl.t;
   mutable next_corr : int64;
   mutable relayed : int;
@@ -49,351 +46,228 @@ type t = {
 
 let create ~name ~rng ~virtual_as =
   {
-    ap_name = name;
     rng;
+    upstream = Host.create ~name ~rng ();
     virtual_aid = Addr.aid_of_int virtual_as;
-    att = None;
-    identity = None;
     domain = None;
-    credentials = Hashtbl.create 8;
-    next_hid = first_internal_hid;
-    internal_hosts = Hashtbl.create 8;
-    hid_to_host = Addr.Hid_tbl.create 8;
+    devices = Addr.Hid_tbl.create 8;
     ephid_info = Ephid.Tbl.create 16;
     pending_relays = I64_tbl.create 8;
     next_corr = 0L;
     relayed = 0;
   }
 
-let name t = t.ap_name
-let identify t ephid = Ephid.Tbl.find_opt t.ephid_info ephid
+let name t = Host.name t.upstream
+
+let identify t ephid =
+  Option.map (fun b -> Host.name b.device) (Ephid.Tbl.find_opt t.ephid_info ephid)
+
 let ephid_count t = Ephid.Tbl.length t.ephid_info
 let relayed_requests t = t.relayed
 
-let require name = function
-  | Some v -> Ok v
-  | None -> Error (Error.Rejected ("access point: no " ^ name))
+let debug t what msg = Logs.debug (fun m -> m "%s %s: %s" (name t) what msg)
 
 (* ------------------------------------------------------------------ *)
-(* AP packet output toward the real AS *)
+(* Internal MS: Management's Fig. 3 check, then the same body re-sealed
+   under the AP's kHA (§VII-B). The AS certifies keys it cannot link to
+   a device, and the AP never reads them. *)
 
-let submit_as_ap t ~src_ephid ~dst_aid ~dst_ephid ~proto ~payload =
-  match (require "attachment" t.att, require "identity" t.identity) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok att, Ok id ->
-      let header =
-        Apna_header.make ~src_aid:att.aid ~src_ephid ~dst_aid ~dst_ephid ()
-      in
-      let pkt = Packet.make ~header ~proto ~payload in
-      att.submit (Pkt_auth.seal ~auth_key:id.kha.auth pkt);
-      Ok ()
+let reseal t ~kha ~corr msg body =
+  let nonce = Drbg.generate t.rng Aead.nonce_size in
+  let sealed = Aead.seal ~key:(Keys.ctrl kha) ~nonce body in
+  match msg with
+  | Msgs.Ephid_request _ -> Msgs.Ephid_request { corr; nonce; sealed }
+  | Msgs.Ephid_batch_request _ -> Msgs.Ephid_batch_request { corr; nonce; sealed }
+  | Msgs.Ephid_reply _ -> Msgs.Ephid_reply { corr; nonce; sealed }
+  | Msgs.Ephid_batch_reply _ -> Msgs.Ephid_batch_reply { corr; nonce; sealed }
+  | _ -> Msgs.Ephid_release { nonce; sealed }
 
-(* ------------------------------------------------------------------ *)
-(* Internal MS: relay EphID requests to the real AS (§VII-B) *)
+(* A device may release only an EphID relayed to the identity asking. *)
+let owns t hid body =
+  match Result.map (Ephid.Tbl.find_opt t.ephid_info) (Ephid.of_bytes body) with
+  | Ok (Some b) -> Addr.hid_equal b.hid hid
+  | Ok None | Error _ -> false
 
-let handle_internal_ms t (pkt : Packet.t) =
-  let open_request () =
-    match
-      (require "domain" t.domain, require "identity" t.identity, Msgs.of_bytes pkt.payload)
-    with
-    | Error e, _, _ | _, Error e, _ -> Error e
-    | _, _, Error e -> Error e
-    | Ok domain, Ok id, Ok (Msgs.Ephid_request { corr; nonce; sealed }) -> begin
-        match Ephid.parse_bytes domain.keys pkt.header.src_ephid with
-        | Error e -> Error e
-        | Ok (_, info) -> begin
-            match Host_info.find domain.host_info info.hid with
-            | Error e -> Error e
-            | Ok entry -> begin
-                match Aead.open_ ~key:(Keys.ctrl entry.kha) ~nonce sealed with
-                | Error e -> Error (Error.Crypto e)
-                | Ok body_bytes -> begin
-                    match Msgs.Request_body.of_bytes body_bytes with
-                    | Error e -> Error e
-                    | Ok body -> Ok (id, info.hid, entry.kha, corr, body)
-                  end
-              end
-          end
-      end
-    | _, _, Ok _ -> Error (Error.Malformed "AP MS: not an EphID request")
+let relay_request t d (pkt : Packet.t) =
+  let opened =
+    match Msgs.of_bytes pkt.payload with
+    | Error e -> Error e
+    | Ok
+        (( Msgs.Ephid_request { nonce; sealed; _ }
+         | Msgs.Ephid_batch_request { nonce; sealed; _ }
+         | Msgs.Ephid_release { nonce; sealed } ) as msg) ->
+        Management.open_from_host ~keys:d.keys ~host_info:d.host_info
+          ~now:(d.up.now ()) ~src_ephid:pkt.header.src_ephid ~nonce ~sealed
+        |> Result.map (fun (hid, (entry : Host_info.entry), body) ->
+               (msg, hid, entry.kha, body))
+    | Ok _ -> Error (Error.Malformed "not an MS request")
   in
-  match open_request () with
-  | Error e -> Logs.debug (fun m -> m "%s MS: %a" t.ap_name Error.pp e)
-  | Ok (id, hid, host_kha, host_corr, body) -> begin
-      (* Relay with the AP's own credentials but the host's public keys:
-         the AS certifies keys it cannot link to the internal host. *)
-      match Addr.Hid_tbl.find_opt t.hid_to_host hid with
-      | None -> Logs.debug (fun m -> m "%s MS: unknown internal host" t.ap_name)
-      | Some host_name ->
-          (* The AP uses its own correlation id upstream (the host's ids
-             are not unique across internal hosts) and echoes the host's
-             downstream. *)
+  match opened with
+  | Error e -> debug t "MS" (Error.to_string e)
+  | Ok (msg, hid, kha, body) -> begin
+      match (Addr.Hid_tbl.find_opt t.devices hid, Msgs.corr msg) with
+      | None, _ -> debug t "MS" "unknown device"
+      | Some _, None when not (owns t hid body) ->
+          debug t "MS" "release of an EphID the device does not hold"
+      | Some device, corr ->
           t.next_corr <- Int64.add t.next_corr 1L;
-          let ap_corr = t.next_corr in
-          let relay_msg =
-            Management.Client.make_request_raw ~rng:t.rng ~corr:ap_corr
-              ~kha:id.kha ~kx_pub:body.kx_pub ~sig_pub:body.sig_pub
-              ~lifetime:body.lifetime
-          in
-          I64_tbl.replace t.pending_relays ap_corr
-            { host_name; host_kha; host_corr };
+          Option.iter
+            (fun corr ->
+              I64_tbl.replace t.pending_relays t.next_corr
+                { to_device = device; to_hid = hid; kha; corr })
+            corr;
           t.relayed <- t.relayed + 1;
-          (match
-             submit_as_ap t
-               ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-               ~dst_aid:id.ms_cert.aid
-               ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-               ~proto:Packet.Control ~payload:(Msgs.to_bytes relay_msg)
-           with
-          | Ok () -> ()
-          | Error e -> Logs.warn (fun m -> m "%s relay: %a" t.ap_name Error.pp e))
+          Result.iter_error
+            (fun e -> Logs.warn (fun m -> m "%s relay: %a" (name t) Error.pp e))
+            (Host.send_control t.upstream
+               (Msgs.to_bytes (reseal t ~kha:d.up_kha ~corr:t.next_corr msg body)))
     end
 
-let handle_relayed_reply t msg =
-  let pending =
-    match Msgs.corr msg with
-    | None -> None
-    | Some ap_corr ->
-        let r = I64_tbl.find_opt t.pending_relays ap_corr in
-        if Option.is_some r then I64_tbl.remove t.pending_relays ap_corr;
-        r
-  in
-  match (pending, require "identity" t.identity, require "domain" t.domain) with
-  | None, _, _ ->
-      Logs.debug (fun m ->
-          m "%s: MS reply with no pending relay (duplicate?)" t.ap_name)
-  | _, Error e, _ | _, _, Error e ->
-      Logs.warn (fun m -> m "%s: %a" t.ap_name Error.pp e)
-  | Some relay, Ok id, Ok domain -> begin
-      match Management.Client.read_reply ~kha:id.kha msg with
-      | Error e -> Logs.warn (fun m -> m "%s: relay reply: %a" t.ap_name Error.pp e)
-      | Ok cert -> begin
-          (* Record who is behind this EphID — the AP's accountability
-             duty — and pass the certificate on, re-encrypted for the
-             host with the host's own correlation id. *)
-          Ephid.Tbl.replace t.ephid_info cert.ephid relay.host_name;
-          let nonce = Drbg.generate t.rng Aead.nonce_size in
-          let reply =
-            Msgs.Ephid_reply
-              {
-                corr = relay.host_corr;
-                nonce;
-                sealed =
-                  Aead.seal ~key:(Keys.ctrl relay.host_kha) ~nonce (Cert.to_bytes cert);
-              }
+(* Binds every EphID the reply carries to the device (the AP's
+   accountability duty), dropping expired bindings first, and passes the
+   reply on re-sealed for the device under its own correlation id. *)
+let relay_reply t d msg ~corr ~nonce ~sealed =
+  match I64_tbl.find_opt t.pending_relays corr with
+  | None -> debug t "MS reply" "no pending relay"
+  | Some r -> begin
+      I64_tbl.remove t.pending_relays corr;
+      match Aead.open_ ~key:(Keys.ctrl d.up_kha) ~nonce sealed with
+      | Error e -> debug t "MS reply" e
+      | Ok body ->
+          let now = d.up.now () in
+          Ephid.Tbl.filter_map_inplace
+            (fun _ b -> if b.expiry < now then None else Some b)
+            t.ephid_info;
+          let certs =
+            match msg with
+            | Msgs.Ephid_batch_reply _ ->
+                Result.value ~default:[] (Msgs.Batch_reply_body.of_bytes body)
+            | _ -> [ body ]
           in
-          match Hashtbl.find_opt t.internal_hosts relay.host_name with
-          | None -> ()
-          | Some host ->
+          List.iter
+            (fun c ->
+              Result.iter
+                (fun (cert : Cert.t) ->
+                  Ephid.Tbl.replace t.ephid_info cert.ephid
+                    { device = r.to_device; hid = r.to_hid; expiry = cert.expiry })
+                (Cert.of_bytes c))
+            certs;
+          Option.iter
+            (fun ctrl ->
               let header =
                 Apna_header.make ~src_aid:t.virtual_aid
-                  ~src_ephid:(Ephid.to_bytes domain.ms_cert.ephid)
-                  ~dst_aid:t.virtual_aid
-                  ~dst_ephid:
-                    (match Host.ctrl_ephid host with
-                    | Some e -> Ephid.to_bytes e
-                    | None -> String.make 16 '\000')
-                  ()
+                  ~src_ephid:(Ephid.to_bytes d.ms_cert.ephid) ~dst_aid:t.virtual_aid
+                  ~dst_ephid:(Ephid.to_bytes ctrl) ()
               in
-              Host.deliver host
+              let reply = reseal t ~kha:r.kha ~corr:r.corr msg body in
+              Host.deliver r.to_device
                 (Packet.make ~header ~proto:Packet.Control
-                   ~payload:(Msgs.to_bytes reply))
+                   ~payload:(Msgs.to_bytes reply)))
+            (Host.ctrl_ephid r.to_device)
+    end
+
+(* ------------------------------------------------------------------ *)
+(* Router role: device -> AS. The sender is found through ephid_info (the
+   EphID hides the AP's HID, not the device's), its MAC checked under the
+   kHA of the HID the EphID was relayed to, and the packet re-sent with the
+   real source AID under the AP's own MAC (§VII-B). *)
+
+let router_submit t (pkt : Packet.t) =
+  match t.domain with
+  | None -> debug t "router" "no domain"
+  | Some d
+    when Addr.aid_equal pkt.header.dst_aid t.virtual_aid
+         && String.equal pkt.header.dst_ephid (Ephid.to_bytes d.ms_cert.ephid) ->
+      relay_request t d pkt
+  | Some d -> begin
+      let binding =
+        Result.map (Ephid.Tbl.find_opt t.ephid_info) (Ephid.of_bytes pkt.header.src_ephid)
+      in
+      match binding with
+      | Error e -> debug t "router" e
+      | Ok None -> debug t "router" "unknown source EphID"
+      | Ok (Some b) -> begin
+          match Host_info.find d.host_info b.hid with
+          | Error e -> debug t "router" (Error.to_string e)
+          | Ok entry when not (Pkt_auth.verify ~auth_key:entry.kha.auth pkt) ->
+              debug t "router" "bad device MAC"
+          | Ok _ ->
+              Result.iter_error
+                (fun e -> debug t "router" (Error.to_string e))
+                (Host.send_packet t.upstream ~src_ephid:pkt.header.src_ephid
+                   ~dst_aid:pkt.header.dst_aid ~dst_ephid:pkt.header.dst_ephid
+                   ~proto:pkt.proto ~payload:pkt.payload)
         end
     end
 
 (* ------------------------------------------------------------------ *)
-(* Router role: internal host -> AS *)
-
-let internal_kha t host_name =
-  match t.domain with
-  | None -> None
-  | Some domain ->
-      Addr.Hid_tbl.fold
-        (fun hid name acc ->
-          if String.equal name host_name then
-            match Host_info.find domain.host_info hid with
-            | Ok entry -> Some entry.kha
-            | Error _ -> acc
-          else acc)
-        t.hid_to_host None
-
-let router_submit t (pkt : Packet.t) =
-  match (require "domain" t.domain, require "identity" t.identity, require "attachment" t.att) with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      Logs.debug (fun m -> m "%s router: %a" t.ap_name Error.pp e)
-  | Ok domain, Ok id, Ok att ->
-      if
-        Addr.aid_equal pkt.header.dst_aid t.virtual_aid
-        && String.equal pkt.header.dst_ephid (Ephid.to_bytes domain.ms_cert.ephid)
-      then handle_internal_ms t pkt
-      else begin
-        (* Identify the internal sender from the EphID (via ephid_info, not
-           decryption — the EphID hides the AP's HID, not the host's) and
-           verify the host's MAC before taking responsibility for the
-           packet. *)
-        match Ephid.of_bytes pkt.header.src_ephid with
-        | Error e -> Logs.debug (fun m -> m "%s router: %s" t.ap_name e)
-        | Ok src_ephid -> begin
-            match Ephid.Tbl.find_opt t.ephid_info src_ephid with
-            | None ->
-                Logs.debug (fun m -> m "%s router: unknown source EphID" t.ap_name)
-            | Some host_name -> begin
-                match internal_kha t host_name with
-                | None -> ()
-                | Some host_kha ->
-                    if not (Pkt_auth.verify ~auth_key:host_kha.auth pkt) then
-                      Logs.debug (fun m -> m "%s router: bad host MAC" t.ap_name)
-                    else begin
-                      (* Rewrite: real source AID, AP's own MAC (§VII-B). *)
-                      let header = { pkt.header with src_aid = att.aid } in
-                      let pkt = { pkt with header } in
-                      att.submit (Pkt_auth.seal ~auth_key:id.kha.auth pkt)
-                    end
-              end
-          end
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Delivery from the AS side *)
+(* Delivery from the AS: to the device behind the EphID, or, at the AP's
+   own control EphID, the MS's replies to relayed requests. *)
 
 let deliver t (pkt : Packet.t) =
   match Ephid.of_bytes pkt.header.dst_ephid with
-  | Error e -> Logs.debug (fun m -> m "%s deliver: %s" t.ap_name e)
+  | Error e -> debug t "deliver" e
   | Ok dst -> begin
-      match Ephid.Tbl.find_opt t.ephid_info dst with
-      | Some host_name -> begin
-          match Hashtbl.find_opt t.internal_hosts host_name with
-          | Some host -> Host.deliver host pkt
-          | None -> ()
+      match (Ephid.Tbl.find_opt t.ephid_info dst, t.domain) with
+      | Some b, _ -> Host.deliver b.device pkt
+      | None, Some d
+        when pkt.proto = Packet.Control
+             && Option.fold ~none:false ~some:(Ephid.equal dst)
+                  (Host.ctrl_ephid t.upstream) -> begin
+          match Msgs.of_bytes pkt.payload with
+          | Ok
+              (( Msgs.Ephid_reply { corr; nonce; sealed }
+               | Msgs.Ephid_batch_reply { corr; nonce; sealed } ) as msg) ->
+              relay_reply t d msg ~corr ~nonce ~sealed
+          | Ok _ | Error _ -> debug t "deliver" "unexpected control"
         end
-      | None -> begin
-          (* Not an internal host's EphID: control traffic for the AP
-             itself (MS relay replies). *)
-          match (t.identity, pkt.proto) with
-          | Some id, Packet.Control
-            when String.equal pkt.header.dst_ephid (Ephid.to_bytes id.ctrl_ephid)
-            -> begin
-              match Msgs.of_bytes pkt.payload with
-              | Ok (Msgs.Ephid_reply _ as msg) -> handle_relayed_reply t msg
-              | Ok _ | Error _ ->
-                  Logs.debug (fun m -> m "%s: unexpected control" t.ap_name)
-            end
-          | _ -> Logs.debug (fun m -> m "%s: undeliverable packet" t.ap_name)
-        end
+      | None, _ -> debug t "deliver" "undeliverable packet"
     end
 
 (* ------------------------------------------------------------------ *)
 (* Attachment and bootstrap *)
 
 let attach t node ~credential =
-  let att =
-    As_node.add_device node ~name:t.ap_name ~credential ~deliver:(fun pkt ->
-        deliver t pkt)
-  in
-  t.att <- Some att
+  As_node.add_host node t.upstream ~deliver:(deliver t) ~credential ()
 
 let bootstrap t =
-  match require "attachment" t.att with
-  | Error e -> Error e
-  | Ok att -> begin
-      let dh_secret, dh_public = X25519.generate t.rng in
-      match att.bootstrap_rpc ~host_dh_pub:dh_public with
-      | Error e -> Error e
-      | Ok reply -> begin
-          match X25519.shared_secret ~secret:dh_secret ~peer:reply.as_dh_pub with
-          | Error e -> Error (Error.Crypto e)
-          | Ok shared_secret ->
-              t.identity <-
-                Some
-                  {
-                    kha = Keys.derive_host_as ~shared_secret;
-                    ctrl_ephid = reply.ctrl_ephid;
-                    ms_cert = reply.ms_cert;
-                  };
-              (* Bring up the internal domain under the virtual AID and
-                 make its key verifiable by internal hosts. *)
-              let keys = Keys.make_as t.rng ~aid:t.virtual_aid in
-              Trust.register_as att.trust t.virtual_aid
-                ~pub:(Ed25519.public_key keys.signing);
-              let host_info = Host_info.create () in
-              let expiry = att.now () + internal_service_lifetime_s in
-              List.iter
-                (fun hid -> Host_info.register host_info hid (Keys.derive_host_as ~shared_secret:(Drbg.generate t.rng 32)))
-                [ internal_ms_hid; internal_aa_hid ];
-              let aa_ephid =
-                Ephid.issue_random keys t.rng ~hid:internal_aa_hid ~expiry
-              in
-              let ms_keys = Keys.make_ephid_keys t.rng in
-              let ms_ephid =
-                Ephid.issue_random keys t.rng ~hid:internal_ms_hid ~expiry
-              in
-              let ms_cert =
-                Cert.issue keys ~ephid:ms_ephid ~expiry ~kx_pub:ms_keys.kx_public
-                  ~sig_pub:(Ed25519.public_key ms_keys.sig_keypair) ~aa_ephid
-              in
-              t.domain <-
-                Some
-                  {
-                    keys;
-                    host_info;
-                    ms_cert;
-                    aa_ephid;
-                    id_signing_rng = Drbg.split t.rng "id-signing";
-                  };
-              Ok ()
-        end
-    end
+  match (Host.bootstrap t.upstream, Host.attachment t.upstream, Host.kha t.upstream) with
+  | Error e, _, _ -> Error e
+  | Ok (), None, _ | Ok (), _, None -> Error (Error.Rejected "access point: no identity")
+  | Ok (), Some up, Some up_kha ->
+      (* The internal domain, under the virtual AID, with its key where
+         devices verify their bootstrap bundle. *)
+      let keys = Keys.make_as t.rng ~aid:t.virtual_aid in
+      Trust.register_as up.trust t.virtual_aid ~pub:(Ed25519.public_key keys.signing);
+      let host_info = Host_info.create () in
+      let expiry = up.now () + service_lifetime_s in
+      let aa_ephid = Ephid.issue_random keys t.rng ~hid:aa_hid ~expiry in
+      let ms_cert, _ =
+        As_node.service_cert ~rng:t.rng ~keys ~hid:ms_hid ~expiry ~aa_ephid
+      in
+      let registry =
+        Registry.create ~keys ~host_info ~rng:t.rng ~first_hid:first_device_hid ()
+      in
+      Registry.set_service_certs registry ~ms_cert ~dns_cert:None ~aa_ephid;
+      t.domain <- Some { up; up_kha; keys; host_info; registry; ms_cert };
+      Ok ()
 
 let attach_internal t host ~credential =
-  Hashtbl.replace t.credentials credential ();
-  Hashtbl.replace t.internal_hosts (Host.name host) host;
-  let bootstrap_rpc ~host_dh_pub =
-    match (require "domain" t.domain, require "attachment" t.att) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok domain, Ok att ->
-        if not (Hashtbl.mem t.credentials credential) then Error Error.Auth_failed
-        else begin
-          match
-            X25519.shared_secret ~secret:domain.keys.dh_secret ~peer:host_dh_pub
-          with
-          | Error e -> Error (Error.Crypto e)
-          | Ok shared_secret ->
-              let hid = Addr.hid_of_int t.next_hid in
-              t.next_hid <- t.next_hid + 1;
-              let kha = Keys.derive_host_as ~shared_secret in
-              Host_info.register domain.host_info hid kha;
-              Addr.Hid_tbl.replace t.hid_to_host hid (Host.name host);
-              let ctrl_expiry = att.now () + internal_ctrl_lifetime_s in
-              let ctrl_ephid =
-                Ephid.issue_random domain.keys t.rng ~hid ~expiry:ctrl_expiry
-              in
-              let id_info_signature =
-                Ed25519.sign domain.keys.signing
-                  (Registry.id_info_bytes ~ctrl_ephid ~ctrl_expiry)
-              in
-              Ok
-                Registry.
-                  {
-                    ctrl_ephid;
-                    ctrl_expiry;
-                    as_dh_pub = domain.keys.dh_public;
-                    ms_cert = domain.ms_cert;
-                    dns_cert = None;
-                    aa_ephid = domain.aa_ephid;
-                    id_info_signature;
-                  }
-        end
-  in
-  match t.att with
-  | None -> Logs.err (fun m -> m "%s: attach_internal before attach" t.ap_name)
-  | Some att ->
+  match Host.attachment t.upstream with
+  | None -> Logs.err (fun m -> m "%s: attach_internal before attach" (name t))
+  | Some up ->
+      let bootstrap_rpc ~host_dh_pub =
+        match t.domain with
+        | None -> Error (Error.Rejected "access point: not bootstrapped")
+        | Some d ->
+            (* As As_node.add_device: a re-bootstrap retires the old HID. *)
+            let previous = Registry.hid_of_credential d.registry ~credential in
+            Registry.enroll d.registry ~credential;
+            Registry.bootstrap d.registry ~now:(up.now ()) ~credential ~host_dh_pub
+            |> Result.map (fun (reply, hid) ->
+                   Option.iter (Addr.Hid_tbl.remove t.devices) previous;
+                   Addr.Hid_tbl.replace t.devices hid host;
+                   reply)
+      in
       Host.attach host
-        {
-          aid = t.virtual_aid;
-          now = att.now;
-          now_f = att.now_f;
-          submit = (fun pkt -> router_submit t pkt);
-          schedule = att.schedule;
-          bootstrap_rpc;
-          trust = att.trust;
-        }
+        { up with aid = t.virtual_aid; submit = router_submit t; bootstrap_rpc }

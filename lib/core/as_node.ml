@@ -58,6 +58,15 @@ type t = {
 
 let service_kha rng = Keys.derive_host_as ~shared_secret:(Drbg.generate rng 32)
 
+let service_cert ~rng ~keys ~hid ~expiry ~aa_ephid =
+  let service_keys = Keys.make_ephid_keys rng in
+  let ephid = Ephid.issue_random keys rng ~hid ~expiry in
+  let cert =
+    Cert.issue keys ~ephid ~expiry ~kx_pub:service_keys.kx_public
+      ~sig_pub:(Ed25519.public_key service_keys.sig_keypair) ~aa_ephid
+  in
+  (cert, service_keys)
+
 let create ~rng ~aid ~trust ~topology ~now ~now_f ~schedule ?dns_zone
     ?(lifetime_policy = Lifetime.default_policy) ?(retention = false)
     ?(icmp_encryption = false) ?expected_hosts ?aa_limits () =
@@ -87,15 +96,7 @@ let create ~rng ~aid ~trust ~topology ~now ~now_f ~schedule ?dns_zone
     Management.create ~keys ~host_info ~revoked ~rng ~policy:lifetime_policy
       ~aa_ephid ?audit ()
   in
-  let service_cert hid =
-    let service_keys = Keys.make_ephid_keys rng in
-    let ephid = Ephid.issue_random keys rng ~hid ~expiry in
-    let cert =
-      Cert.issue keys ~ephid ~expiry ~kx_pub:service_keys.kx_public
-        ~sig_pub:(Ed25519.public_key service_keys.sig_keypair) ~aa_ephid
-    in
-    (cert, service_keys)
-  in
+  let service_cert hid = service_cert ~rng ~keys ~hid ~expiry ~aa_ephid in
   let ms_cert, _ms_keys = service_cert ms_hid in
   let dns =
     Option.map

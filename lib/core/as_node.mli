@@ -36,6 +36,14 @@ val create :
     AA go through the bounded admission queue and a budgeted drain loop
     that it arms ({!Accountability.enqueue}/{!Accountability.drain}). *)
 
+val service_cert :
+  rng:Apna_crypto.Drbg.t -> keys:Keys.as_keys -> hid:Apna_net.Addr.hid ->
+  expiry:int -> aa_ephid:Ephid.t -> Cert.t * Keys.ephid_keys
+(** A service identity: fresh ephemeral keys and an EphID on the reserved
+    [hid], certified under [keys] and naming [aa_ephid] as the AA. The AS
+    certifies its MS and DNS with it, and a NAT-mode access point its
+    internal MS ({!Access_point}). *)
+
 val aid : t -> Apna_net.Addr.aid
 val keys : t -> Keys.as_keys
 val host_info : t -> Host_info.t

@@ -501,6 +501,9 @@ let send_to_ms t id payload =
     ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
     ~proto:Packet.Control ~payload
 
+let send_control t payload =
+  Result.bind (require_identity t) (fun id -> send_to_ms t id payload)
+
 (* One issuance round trip, single or batched. [keys] draws the key
    material, [request] seals it into the request and [read] turns the
    MS's reply into the caller's result. *)

@@ -56,6 +56,17 @@ val bootstrap : t -> (unit, Error.t) result
     id_info and of the MS/DNS service certificates against the trust
     store. *)
 
+val send_packet :
+  t -> src_ephid:string -> dst_aid:Apna_net.Addr.aid -> dst_ephid:string ->
+  proto:Apna_net.Packet.proto -> payload:string -> (unit, Error.t) result
+(** Hands the AS one packet with the host's AID as source and its kHA MAC
+    (Fig. 4's input). A NAT-mode access point forwards its devices'
+    packets this way, under its own identity (§VII-B). *)
+
+val send_control : t -> string -> (unit, Error.t) result
+(** Sends a control payload from the host's control EphID to its MS: the
+    path an access point relays its devices' MS messages on. *)
+
 val is_bootstrapped : t -> bool
 val ctrl_ephid : t -> Ephid.t option
 val ms_cert : t -> Cert.t option

@@ -99,13 +99,13 @@ let issue_batch t ~now ~hid ~items ~lifetime =
 (* Validate the control EphID and open a kHA-ctrl-sealed body — shared by
    requests, batches and releases: the Fig. 3 checks paid once per
    message, however many grants it carries. *)
-let open_from_host t ~now ~src_ephid ~nonce ~sealed =
-  match Ephid.parse_bytes t.keys src_ephid with
+let open_from_host ~keys ~host_info ~now ~src_ephid ~nonce ~sealed =
+  match Ephid.parse_bytes keys src_ephid with
   | Error e -> Error e
   | Ok (_, info) when Ephid.expired info ~now ->
       Error (Error.Expired "control EphID")
   | Ok (_, info) -> begin
-      match Host_info.find t.host_info info.hid with
+      match Host_info.find host_info info.hid with
       | Error e -> Error e
       | Ok entry -> begin
           match Aead.open_ ~key:(Keys.ctrl entry.kha) ~nonce sealed with
@@ -113,6 +113,8 @@ let open_from_host t ~now ~src_ephid ~nonce ~sealed =
           | Ok body -> Ok (info.hid, entry, body)
         end
     end
+
+let open_own t = open_from_host ~keys:t.keys ~host_info:t.host_info
 
 (* The reply is encrypted so that an observer cannot correlate issued
    EphIDs with the requesting control EphID (§IV-C). *)
@@ -124,7 +126,7 @@ let handle_request t ~now ~src_ephid msg =
   match msg with
   | Msgs.Ephid_request { corr; nonce; sealed } -> begin
       (* Fig. 3: decrypt the control EphID; check expiry; check HID. *)
-      match open_from_host t ~now ~src_ephid ~nonce ~sealed with
+      match open_own t ~now ~src_ephid ~nonce ~sealed with
       | Error e -> Error e
       | Ok (hid, entry, body_bytes) -> begin
           match Msgs.Request_body.of_bytes body_bytes with
@@ -144,7 +146,7 @@ let handle_request t ~now ~src_ephid msg =
         end
     end
   | Msgs.Ephid_batch_request { corr; nonce; sealed } -> begin
-      match open_from_host t ~now ~src_ephid ~nonce ~sealed with
+      match open_own t ~now ~src_ephid ~nonce ~sealed with
       | Error e -> Error e
       | Ok (hid, entry, body_bytes) -> begin
           match Msgs.Batch_request_body.of_bytes body_bytes with
@@ -170,7 +172,7 @@ let batch_request_count t = t.batch_requests
 let handle_release t ~now ~src_ephid msg =
   match msg with
   | Msgs.Ephid_release { nonce; sealed } -> begin
-      match open_from_host t ~now ~src_ephid ~nonce ~sealed with
+      match open_own t ~now ~src_ephid ~nonce ~sealed with
       | Error e -> Error e
       | Ok (hid, _entry, body) -> begin
           match Ephid.parse_bytes t.keys body with
@@ -189,16 +191,13 @@ let handle_release t ~now ~src_ephid msg =
   | _ -> Error (Error.Malformed "MS: not a release")
 
 module Client = struct
-  let make_request_raw ~rng ~corr ~(kha : Keys.host_as) ~kx_pub ~sig_pub
+  let make_request ~rng ~corr ~(kha : Keys.host_as) ~(keys : Keys.ephid_keys)
       ~lifetime =
-    let body = Msgs.Request_body.to_bytes { kx_pub; sig_pub; lifetime } in
+    let sig_pub = Ed25519.public_key keys.sig_keypair in
+    let body = Msgs.Request_body.to_bytes { kx_pub = keys.kx_public; sig_pub; lifetime } in
     let nonce = Drbg.generate rng Aead.nonce_size in
     Msgs.Ephid_request
       { corr; nonce; sealed = Aead.seal ~key:(Keys.ctrl kha) ~nonce body }
-
-  let make_request ~rng ~corr ~kha ~(keys : Keys.ephid_keys) ~lifetime =
-    make_request_raw ~rng ~corr ~kha ~kx_pub:keys.kx_public
-      ~sig_pub:(Ed25519.public_key keys.sig_keypair) ~lifetime
 
   let make_batch_request ~rng ~corr ~(kha : Keys.host_as) ~keys ~lifetime =
     let items =

@@ -30,11 +30,21 @@ val handle_request :
     decryption — and returns the encrypted [Ephid_reply]. [src_ephid] is
     the raw source identifier from the packet header. *)
 
+val open_from_host :
+  keys:Keys.as_keys -> host_info:Host_info.t -> now:int -> src_ephid:string ->
+  nonce:string -> sealed:string ->
+  (Apna_net.Addr.hid * Host_info.entry * string, Error.t) result
+(** The Fig. 3 check every host-to-MS message gets: [src_ephid] must be
+    a control EphID under [keys], unexpired at [now], whose HID is live in
+    [host_info]; then [sealed] is opened under that host's kHA-ctrl key.
+    Returns the HID, its entry and the plaintext body. A NAT-mode access
+    point runs the same check for its own domain (§VII-B). *)
+
 val issue_direct :
   t -> now:int -> hid:Apna_net.Addr.hid -> kx_pub:string -> sig_pub:string ->
   lifetime:Lifetime.t -> (Cert.t, Error.t) result
-(** Issuance without the message wrapper: used for AS services' own
-    EphIDs, NAT-mode access points (§VII-B) and gateways (§VII-D). *)
+(** Issuance without the message wrapper or its checks: the step
+    {!handle_request} runs once a request has passed them. *)
 
 val issue_batch :
   t -> now:int -> hid:Apna_net.Addr.hid ->
@@ -67,12 +77,6 @@ module Client : sig
     rng:Apna_crypto.Drbg.t -> corr:int64 -> kha:Keys.host_as ->
     keys:Keys.ephid_keys -> lifetime:Lifetime.t -> Msgs.t
   (** [corr] is the requester-chosen correlation id, echoed in the reply. *)
-
-  val make_request_raw :
-    rng:Apna_crypto.Drbg.t -> corr:int64 -> kha:Keys.host_as ->
-    kx_pub:string -> sig_pub:string -> lifetime:Lifetime.t -> Msgs.t
-  (** Request with externally supplied public keys — what a NAT-mode access
-      point sends on behalf of a client (§VII-B). *)
 
   val read_reply : kha:Keys.host_as -> Msgs.t -> (Cert.t, Error.t) result
 

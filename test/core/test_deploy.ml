@@ -156,9 +156,10 @@ let ap_world () =
   in
   Access_point.attach ap (Network.node_exn net 100) ~credential:"ap-tok";
   ok_or_fail "ap bootstrap" (Access_point.bootstrap ap);
-  let internal name =
+  let internal ?granularity name =
     let h =
-      Host.create ~name ~rng:(Apna_crypto.Drbg.split (Network.rng net) name) ()
+      Host.create ~name ~rng:(Apna_crypto.Drbg.split (Network.rng net) name)
+        ?granularity ()
     in
     Access_point.attach_internal ap h ~credential:(name ^ "-tok");
     ok_or_fail (name ^ " bootstrap") (Host.bootstrap h);
@@ -237,6 +238,121 @@ let ap_tests =
           (Apna_net.Packet.make ~header ~proto:Apna_net.Packet.Data ~payload:"x");
         Network.run net;
         Alcotest.(check bool) "nothing delivered" true (inbox () = []));
+  ]
+
+(* The AP runs the checks its AS runs (Fig. 2 at its own bootstrap,
+   Fig. 3 on every relayed request, §VI-A on re-bootstrap) and relays
+   every MS message a device sends: batches and releases too. *)
+
+let ap_server net =
+  let server = Scenario.host net ~as_number:300 ~name:"server" ~credential:"server-tok" in
+  (server, Scenario.endpoint net server)
+
+(* [msg] sent from [ctrl] to the device's MS through the device's own
+   attachment (the AP's router). *)
+let send_to_ms dev ~ctrl msg =
+  let ms = Option.get (Host.ms_cert dev) in
+  let header =
+    Apna_net.Apna_header.make ~src_aid:(aid 64512) ~src_ephid:(Ephid.to_bytes ctrl)
+      ~dst_aid:ms.aid ~dst_ephid:(Ephid.to_bytes ms.ephid) ()
+  in
+  (Option.get (Host.attachment dev)).submit
+    (Apna_net.Packet.make ~header ~proto:Apna_net.Packet.Control
+       ~payload:(Msgs.to_bytes msg))
+
+let ap_check_tests =
+  [
+    Alcotest.test_case "rogue AS key fails AP bootstrap" `Quick (fun () ->
+        let net = make_world ~seed:"ap" () in
+        let ap =
+          Access_point.create ~name:"ap"
+            ~rng:(Apna_crypto.Drbg.split (Network.rng net) "ap")
+            ~virtual_as:64512
+        in
+        Access_point.attach ap (Network.node_exn net 100) ~credential:"ap-tok";
+        let rogue = Apna_crypto.Ed25519.generate (Network.rng net) in
+        Trust.register_as (Network.trust net) (aid 100)
+          ~pub:(Apna_crypto.Ed25519.public_key rogue);
+        Alcotest.(check bool) "refused" true
+          (Result.is_error (Access_point.bootstrap ap)));
+    Alcotest.test_case "per-packet: 21 frames, 0 timeouts" `Quick
+      (fun () ->
+        let net, _ap, internal = ap_world () in
+        let phone = internal ~granularity:Granularity.Per_packet "phone" in
+        let server, server_ep = ap_server net in
+        let inbox = Scenario.inbox server in
+        let s = Scenario.connect ~data0:"0" net phone ~remote:server_ep.cert in
+        for i = 1 to 20 do
+          ok_or_fail "send" (Host.send phone s (string_of_int i));
+          Network.run net
+        done;
+        Alcotest.(check int) "delivered" 21 (List.length (inbox ()));
+        Alcotest.(check int) "rpc timeouts" 0 (Host.rpc_timeouts phone);
+        Alcotest.(check int) "rpc retries" 0 (Host.rpc_retries phone));
+    Alcotest.test_case "closes release upstream, own only" `Quick
+      (fun () ->
+        let net, ap, internal = ap_world () in
+        let l1 = internal "laptop1" and l2 = internal "laptop2" in
+        let _server, server_ep = ap_server net in
+        let ms = As_node.management (Network.node_exn net 100) in
+        let released0 = Management.released_count ms in
+        for _ = 1 to 5 do
+          let s = Scenario.connect ~data0:"x" net l1 ~remote:server_ep.cert in
+          ok_or_fail "close" (Host.close l1 s);
+          Network.run net
+        done;
+        Alcotest.(check int) "5 released" (released0 + 5)
+          (Management.released_count ms);
+        (* laptop2 names laptop1's live EphID in a release of its own. *)
+        let s = Scenario.connect ~data0:"y" net l1 ~remote:server_ep.cert in
+        let e1 = (Session.local_cert s).ephid in
+        let relayed = Access_point.relayed_requests ap in
+        send_to_ms l2 ~ctrl:(Option.get (Host.ctrl_ephid l2))
+          (Management.Client.make_release ~rng:(Network.rng net)
+             ~kha:(Option.get (Host.kha l2)) ~ephid:e1);
+        Network.run net;
+        Alcotest.(check int) "not relayed" relayed (Access_point.relayed_requests ap);
+        Alcotest.(check int) "nothing more released" (released0 + 5)
+          (Management.released_count ms);
+        Alcotest.(check (option string)) "still laptop1's" (Some "laptop1")
+          (Access_point.identify ap e1));
+    Alcotest.test_case "expired control EphID not relayed" `Quick (fun () ->
+        let net, ap, internal = ap_world () in
+        let laptop = internal "laptop" in
+        Network.advance_time net 86_401.0;
+        let relayed = Access_point.relayed_requests ap in
+        Host.request_ephid_r laptop (fun _ -> ());
+        Network.run net;
+        Alcotest.(check int) "none relayed" relayed (Access_point.relayed_requests ap));
+    Alcotest.test_case "re-bootstrap retires old identity" `Quick (fun () ->
+        let net, ap, internal = ap_world () in
+        let laptop = internal "laptop" in
+        let kha = Option.get (Host.kha laptop) in
+        let ctrl = Option.get (Host.ctrl_ephid laptop) in
+        ok_or_fail "re-bootstrap" (Host.bootstrap laptop);
+        let relayed = Access_point.relayed_requests ap in
+        send_to_ms laptop ~ctrl
+          (Management.Client.make_request ~rng:(Network.rng net) ~corr:1L ~kha
+             ~keys:(Keys.make_ephid_keys (Network.rng net))
+             ~lifetime:Lifetime.Medium);
+        Network.run net;
+        Alcotest.(check int) "old identity not relayed" relayed
+          (Access_point.relayed_requests ap);
+        ignore (Scenario.endpoint net laptop);
+        Alcotest.(check int) "new identity relayed" (relayed + 1)
+          (Access_point.relayed_requests ap));
+    Alcotest.test_case "expired bindings are pruned" `Quick (fun () ->
+        let net, ap, internal = ap_world () in
+        let laptop = internal "laptop" in
+        let _server, server_ep = ap_server net in
+        ignore (Scenario.connect ~data0:"x" net laptop ~remote:server_ep.cert);
+        Alcotest.(check int) "one binding" 1 (Access_point.ephid_count ap);
+        Network.advance_time net
+          (float_of_int (Lifetime.seconds Lifetime.default_policy Lifetime.Medium + 1));
+        let live = Scenario.endpoint net laptop in
+        Alcotest.(check int) "only the live binding" 1 (Access_point.ephid_count ap);
+        Alcotest.(check (option string)) "live one kept" (Some "laptop")
+          (Access_point.identify ap live.cert.ephid));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -366,6 +482,6 @@ let () =
   Alcotest.run "apna_deploy"
     [
       ("dns_receive_only", dns_e2e_tests);
-      ("access_point", ap_tests);
+      ("access_point", ap_tests @ ap_check_tests);
       ("gateway", gateway_tests);
     ]
