@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate roles-gate clean
+.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -80,6 +80,23 @@ roles-gate:
 	fi; \
 	echo "roles-gate: OK (id_info only in Registry and Host; Access_point reuses Host, Registry and Management)"
 
+# AES runs only the Fig. 6 EphID construction: Aes and its GCM mode, the
+# EphID codec and the AS key derivation. Payload and control messages go
+# through Aead (ChaCha20-Poly1305), which must not fall back on Aes or on
+# an HMAC composition. (perf/ still times Aes.Ctr as a frozen primitive
+# row.)
+aes-gate:
+	@violations=$$( (grep -rn '\bAes\.' lib --include='*.ml' --include='*.mli' \
+	  | grep -v "^lib/crypto/aes\.mli\?:" | grep -v "^lib/crypto/gcm\.mli\?:" \
+	  | grep -v "^lib/core/ephid\.mli\?:" | grep -v "^lib/core/keys\.mli\?:"; \
+	  grep -nw 'Aes\|Hmac' lib/crypto/aead.ml | sed 's|^|lib/crypto/aead.ml:|') || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "aes-gate: AES outside the EphID construction, or Aead built on Aes/Hmac:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "aes-gate: OK (Aes only in aes, gcm, ephid and keys; Aead names neither Aes nor Hmac)"
+
 all: build
 
 build:
@@ -96,9 +113,9 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage, recorder, bigint, scenario and roles grep
-# gates.
-check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate
+# journal dump and the linkage, recorder, bigint, scenario, roles and aes
+# grep gates.
+check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -108,7 +125,7 @@ check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario and roles gates clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario, roles and aes gates clean, BENCH_results.json written and validated)"
 
 # A/B comparison on one BENCHMARK.json workload: N alternating pairs of
 # `perf/run.sh --workload W --trace 0` runs, BASE (exported under $TMPDIR,

@@ -1,12 +1,16 @@
-(* E5: crypto microbenchmarks (Bechamel). Two gates, each a ratio
+(* E5: crypto microbenchmarks (Bechamel). Three gates, each a ratio
    measured within the run so it holds under machine load. A prepared
    64 B HMAC-SHA256 resumes from its ipad/opad midstates and costs 3
    compressions (inner message block, inner padding, outer block); with
    the pads hashed on every call it would cost 5. An Ed25519 verify under
    a prepared key replaces the ~253-doubling chain with two comb walks
-   (32 doublings) and reads ~0.5 plain verifies. A gated ratio is the
-   median of interleaved rounds (Fixtures.interleaved_ratio), not the
-   quotient of two Bechamel estimates taken at different moments. *)
+   (32 doublings) and reads ~0.5 plain verifies. Sealing 1 KiB with
+   ChaCha20-Poly1305 (17 ChaCha20 blocks, 66 Poly1305 blocks) reads ~14
+   SHA-256 compressions; the AES-256-CTR + HMAC-SHA256 AEAD it replaced
+   read ~38 (64 T-table AES blocks and an 18-compression HMAC). A gated
+   ratio is the median of interleaved rounds (Fixtures.interleaved_ratio),
+   not the quotient of two Bechamel estimates taken at different
+   moments. *)
 
 open Apna
 open Apna_crypto
@@ -30,6 +34,8 @@ let run tier =
     assert (Ed25519.verify ~pub:(Ed25519.public_key kp) ~msg:"msg" ~signature)
   in
   let verify_prepared () = assert (Ed25519.verify_prepared as_key ~msg:"msg" ~signature) in
+  let cp_key = String.make 32 'K' and cp_nonce = String.make 12 'n' in
+  let cp_block = String.make 64 '\x00' in
   let x_secret = Drbg.generate rng 32 in
   let x_peer = X25519.public_of_secret (Drbg.generate rng 32) in
   let sealed = Aead.seal ~key:aead_key ~nonce msg1k in
@@ -61,6 +67,9 @@ let run tier =
         test "ephid-parse" (fun () -> Ephid.parse fx.keys fx.host_ephid);
         test "aead-seal-1KiB" (fun () -> Aead.seal ~key:aead_key ~nonce msg1k);
         test "aead-open-1KiB" (fun () -> Aead.open_ ~key:aead_key ~nonce sealed);
+        test "chacha20-block" (fun () ->
+            Chacha20_poly1305.xor ~key:cp_key ~nonce:cp_nonce ~counter:1 cp_block);
+        test "poly1305-1KiB" (fun () -> Chacha20_poly1305.poly1305 ~key:cp_key msg1k);
         test "aead-gcm-seal-1KiB" (fun () -> Gcm.encrypt ~key:gcm_key ~iv:gcm_iv msg1k);
         test "pkt-mac-verify-512B" (fun () ->
             Pkt_auth.verify ~auth_key:fx.host_kha.auth pkt);
@@ -103,6 +112,14 @@ let run tier =
     "prepared 64 B HMAC = %.2f SHA-256 blocks (3 with midstates, 5 without; median \
      of %d interleaved rounds)"
     hmac_over_block rounds;
+  let seal_1k () = ignore (Aead.seal ~key:aead_key ~nonce msg1k) in
+  let seal_over_block =
+    interleaved_ratio ~rounds ~samples:30 ~batch:8 seal_1k sha_one_block
+  in
+  line
+    "1 KiB AEAD seal = %.1f SHA-256 blocks (ChaCha20-Poly1305 ~14, AES-CTR + HMAC \
+     ~38; median of %d interleaved rounds)"
+    seal_over_block rounds;
   let prepared_over_plain =
     interleaved_ratio ~rounds ~samples:9 ~batch:4 verify_prepared verify_plain
   in
@@ -114,6 +131,7 @@ let run tier =
     [
       gate "hmac_prepared_64B_over_sha256_block" hmac_over_block (At_most 4.0);
       gate "ed25519_verify_prepared_over_plain" prepared_over_plain (At_most 0.7);
+      gate "aead_seal_1KiB_over_sha256_block" seal_over_block (At_most 25.0);
     ] )
 
 let experiment =

@@ -27,18 +27,15 @@ let make_as rng ~aid =
     dh_public;
   }
 
-type host_as = { ctrl : Aead.key Lazy.t; ctrl_raw : string; auth : string }
+type host_as = { ctrl_raw : string; auth : string }
 
-(* The expanded AEAD key (AES round-key schedule) costs ~1 KB per host;
-   at the paper's 1.27 M-host population (§V-A3) eager expansion is >1 GB
-   of registry state for hosts that may never send a control message.
-   Deriving lazily keeps a dormant host at two 32-byte strings. *)
 let derive_host_as ~shared_secret =
   let okm = Hkdf.derive ~info:"apna:kha:v1" ~len:64 shared_secret in
-  let ctrl_raw = String.sub okm 0 32 in
-  { ctrl = lazy (Aead.of_secret ctrl_raw); ctrl_raw; auth = String.sub okm 32 32 }
+  { ctrl_raw = String.sub okm 0 32; auth = String.sub okm 32 32 }
 
-let ctrl (k : host_as) = Lazy.force k.ctrl
+(* A ChaCha20-Poly1305 key is the 32-byte secret itself: there is nothing
+   to expand, so a registered host is the record and its two secrets. *)
+let ctrl (k : host_as) = Aead.of_secret k.ctrl_raw
 
 type ephid_keys = {
   kx_secret : string;

@@ -26,22 +26,18 @@ type as_keys = {
 val make_as : Drbg.t -> aid:Apna_net.Addr.aid -> as_keys
 
 type host_as =
-  { ctrl : Aead.key Lazy.t;
-        (** encrypts EphID request/reply messages (§IV-C); lazily expanded
-            — see {!ctrl} *)
-    ctrl_raw : string;
+  { ctrl_raw : string;  (** encrypts EphID request/reply messages (§IV-C) *)
     auth : string  (** keys the per-packet MAC (§IV-D2) *) }
 (** kHA — the two keys shared between a host and its AS. *)
 
 val derive_host_as : shared_secret:string -> host_as
 (** [derive_host_as ~shared_secret] derives both kHA keys from the result
-    of the host–RS Diffie-Hellman exchange (Fig. 2). The control AEAD key
-    schedule (~1 KB) is expanded on first use, not at derivation: a
-    paper-scale registry (1.27 M subscribers) must not hold a gigabyte of
-    round keys for hosts that never send a control message. *)
+    of the host–RS Diffie-Hellman exchange (Fig. 2). *)
 
 val ctrl : host_as -> Aead.key
-(** Forces (and memoizes) the control-channel AEAD key. *)
+(** The control-channel AEAD key: [ctrl_raw] itself, with no schedule,
+    so a paper-scale registry (1.27 M subscribers) holds nothing per host
+    beyond the two 32-byte secrets. *)
 
 type ephid_keys = {
   kx_secret : string;  (** X25519 secret — session-key agreement. *)

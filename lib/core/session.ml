@@ -22,9 +22,16 @@ let local_cert t = t.local_cert
 let established t = t.established
 
 (* kEaEb: ECDH over the EphID-bound X25519 keys, expanded with an
-   order-independent transcript of the two EphIDs so both ends derive the
-   same key. *)
-let derive_key ~(local_keys : Keys.ephid_keys) ~(local_cert : Cert.t)
+   order-independent transcript of the two EphIDs and the connection id,
+   so both ends derive the same key and every connection has its own.
+   That per-connection key is what makes the nonce safe: the AEAD's
+   12-byte RFC 8439 nonce is direction ‖ sequence number (see [nonce]),
+   and a (key, nonce) pair never repeats because a key is bound to one
+   (EphID pair, connection) and a sequence number is never reused under
+   it. A rekey resets the sequence, so it must change the key: [rekey]
+   and [rekey_local] refuse a certificate whose EphID the session already
+   uses on that side. *)
+let derive_key ~conn_id ~(local_keys : Keys.ephid_keys) ~(local_cert : Cert.t)
     ~(remote_cert : Cert.t) =
   match
     X25519.shared_secret ~secret:local_keys.kx_secret ~peer:remote_cert.kx_pub
@@ -34,12 +41,14 @@ let derive_key ~(local_keys : Keys.ephid_keys) ~(local_cert : Cert.t)
       let a = Ephid.to_bytes local_cert.ephid
       and b = Ephid.to_bytes remote_cert.ephid in
       let lo, hi = if String.compare a b <= 0 then (a, b) else (b, a) in
-      let info = "apna:session:v1" ^ lo ^ hi in
+      let id = Bytes.create 8 in
+      Bytes.set_int64_be id 0 conn_id;
+      let info = String.concat "" [ "apna:session:v2"; lo; hi; Bytes.unsafe_to_string id ] in
       Ok (Aead.of_secret (Hkdf.derive ~info ~len:32 shared))
 
 let create ~conn_id ~initiator ~local_cert ~local_keys ~remote_cert
     ?(window = 64) ?(await_accept = false) () =
-  match derive_key ~local_keys ~local_cert ~remote_cert with
+  match derive_key ~conn_id ~local_keys ~local_cert ~remote_cert with
   | Error e -> Error e
   | Ok key ->
       Ok
@@ -58,34 +67,47 @@ let create ~conn_id ~initiator ~local_cert ~local_keys ~remote_cert
         }
 
 let rekey t ~remote_cert =
-  match derive_key ~local_keys:t.local_keys ~local_cert:t.local_cert ~remote_cert with
-  | Error e -> Error e
-  | Ok key ->
-      t.prev <- Some (t.key, t.replay);
-      t.remote_cert <- remote_cert;
-      t.key <- key;
-      t.send_seq <- 0L;
-      t.replay <- Replay_window.create ~size:t.window ();
-      t.established <- true;
-      Ok ()
+  if Ephid.equal remote_cert.Cert.ephid t.remote_cert.ephid then
+    Error (Error.Rejected "rekey: the peer's EphID is unchanged")
+  else
+    match
+      derive_key ~conn_id:t.conn_id ~local_keys:t.local_keys
+        ~local_cert:t.local_cert ~remote_cert
+    with
+    | Error e -> Error e
+    | Ok key ->
+        t.prev <- Some (t.key, t.replay);
+        t.remote_cert <- remote_cert;
+        t.key <- key;
+        t.send_seq <- 0L;
+        t.replay <- Replay_window.create ~size:t.window ();
+        t.established <- true;
+        Ok ()
 
 let rekey_local t ~local_cert ~local_keys =
-  match derive_key ~local_keys ~local_cert ~remote_cert:t.remote_cert with
-  | Error e -> Error e
-  | Ok key ->
-      t.prev <- Some (t.key, t.replay);
-      t.local_cert <- local_cert;
-      t.local_keys <- local_keys;
-      t.key <- key;
-      t.send_seq <- 0L;
-      t.replay <- Replay_window.create ~size:t.window ();
-      Ok ()
+  if Ephid.equal local_cert.Cert.ephid t.local_cert.ephid then
+    Error (Error.Rejected "rekey: the local EphID is unchanged")
+  else
+    match
+      derive_key ~conn_id:t.conn_id ~local_keys ~local_cert
+        ~remote_cert:t.remote_cert
+    with
+    | Error e -> Error e
+    | Ok key ->
+        t.prev <- Some (t.key, t.replay);
+        t.local_cert <- local_cert;
+        t.local_keys <- local_keys;
+        t.key <- key;
+        t.send_seq <- 0L;
+        t.replay <- Replay_window.create ~size:t.window ();
+        Ok ()
 
-let nonce ~conn_id ~dir seq =
-  (* conn id (8 B) ‖ direction bit in the top byte ‖ low 56 bits of seq:
-     unique per (key, direction, sequence number). *)
+let nonce ~dir seq =
+  (* Four zero bytes (Aead's authenticated prefix), then the 12-byte RFC
+     8439 nonce: four zero bytes ‖ direction bit in the top byte ‖ low 56
+     bits of seq. Unique per (key, direction, sequence number); the key
+     already differs per connection. *)
   let b = Bytes.make Aead.nonce_size '\000' in
-  Bytes.set_int64_be b 0 conn_id;
   Bytes.set_int64_be b 8
     (Int64.logor (Int64.shift_left (if dir then 1L else 0L) 56) seq);
   Bytes.unsafe_to_string b
@@ -93,11 +115,11 @@ let nonce ~conn_id ~dir seq =
 let seal t data =
   let seq = t.send_seq in
   t.send_seq <- Int64.add seq 1L;
-  let n = nonce ~conn_id:t.conn_id ~dir:t.initiator seq in
+  let n = nonce ~dir:t.initiator seq in
   (seq, Aead.seal ~key:t.key ~nonce:n data)
 
 let open_sealed t ~seq ~sealed =
-  let n = nonce ~conn_id:t.conn_id ~dir:(not t.initiator) seq in
+  let n = nonce ~dir:(not t.initiator) seq in
   let checked replay data =
     (* Authenticate first, then replay-check: only genuine packets may
        advance the window (§VIII-D). *)

@@ -36,7 +36,8 @@ val create :
   conn_id:int64 -> initiator:bool -> local_cert:Cert.t ->
   local_keys:Keys.ephid_keys -> remote_cert:Cert.t -> ?window:int ->
   ?await_accept:bool -> unit -> (t, Error.t) result
-(** Derives the session key from ECDH(local EphID key, remote EphID key).
+(** Derives the session key from ECDH(local EphID key, remote EphID key),
+    the two EphIDs and [conn_id], so every connection has its own key.
     [initiator] fixes the nonce direction bit so the two directions of one
     session never reuse a nonce. [await_accept] marks a client session
     towards a receive-only EphID (§VII-A). *)
@@ -46,14 +47,18 @@ val rekey : t -> remote_cert:Cert.t -> (unit, Error.t) result
     certificate (§VII-A) or a mid-session [Rekey] — and re-derive the key;
     marks the session established and resets sequence state. The key being
     replaced is retained as a one-deep grace window so frames sealed under
-    it and still in flight continue to open. *)
+    it and still in flight continue to open. Refused ([Error (Rejected _)])
+    when [remote_cert] carries the peer's current EphID: the key would not
+    change while the sequence restarts, repeating nonces. *)
 
 val rekey_local : t -> local_cert:Cert.t -> local_keys:Keys.ephid_keys ->
   (unit, Error.t) result
 (** Local side of mid-session EphID migration: rebind the session to a
     fresh local certificate/key pair and re-derive the session key against
     the unchanged remote certificate. Resets sequence state and retains the
-    replaced key as the grace window, exactly like {!rekey}. *)
+    replaced key as the grace window, exactly like {!rekey}, and is
+    refused in the same way when [local_cert] carries the current local
+    EphID. *)
 
 val seal : t -> string -> int64 * string
 (** [seal t data] is [(seq, sealed)] for the next outgoing frame. *)

@@ -396,6 +396,54 @@ let session_tests =
         Alcotest.(check bool) "remote updated" true
           (Cert.equal (Session.remote_cert sa) serving);
         ignore sb);
+    Alcotest.test_case "per-connection keys: same EphIDs, other conn id" `Quick
+      (fun () ->
+        let (cert_a, ek_a), (cert_b, ek_b) = (make_cert (), make_cert ()) in
+        let session conn_id ~initiator (local_cert, local_keys) remote_cert =
+          Result.get_ok
+            (Session.create ~conn_id ~initiator ~local_cert ~local_keys ~remote_cert ())
+        in
+        let sa = session 77L ~initiator:true (cert_a, ek_a) cert_b in
+        let sb = session 77L ~initiator:false (cert_b, ek_b) cert_a in
+        let sb' = session 78L ~initiator:false (cert_b, ek_b) cert_a in
+        let seq, sealed = Session.seal sa "conn 77" in
+        Alcotest.(check bool) "conn 78 cannot open" true
+          (Result.is_error (Session.open_sealed sb' ~seq ~sealed));
+        Alcotest.(check string) "conn 77 opens" "conn 77"
+          (Result.get_ok (Session.open_sealed sb ~seq ~sealed)));
+    Alcotest.test_case "rekey changes the key the sequence restarts under"
+      `Quick (fun () ->
+        let (cert_a, ek_a), (cert_b, ek_b) = (make_cert (), make_cert ()) in
+        let session ~initiator (local_cert, local_keys) remote_cert =
+          Result.get_ok
+            (Session.create ~conn_id:5L ~initiator ~local_cert ~local_keys ~remote_cert ())
+        in
+        let sa = session ~initiator:true (cert_a, ek_a) cert_b in
+        let before = List.init 3 (fun i -> (i, Session.seal sa "before")) in
+        let cert_a', ek_a' = make_cert () in
+        Alcotest.(check bool) "rekey_local ok" true
+          (Result.is_ok (Session.rekey_local sa ~local_cert:cert_a' ~local_keys:ek_a'));
+        let after = List.init 3 (fun i -> (i, Session.seal sa "after")) in
+        (* Sequence numbers restart, so the nonces repeat; the keys must
+           not: a frame opens only at a peer holding its own key. *)
+        let old_peer () = session ~initiator:false (cert_b, ek_b) cert_a in
+        let new_peer () = session ~initiator:false (cert_b, ek_b) cert_a' in
+        List.iter2
+          (fun (i, (s0, f0)) (_, (s1, f1)) ->
+            Alcotest.(check int64) (Printf.sprintf "seq %d repeats" i) s0 s1;
+            Alcotest.(check bool) "old key opens old frame" true
+              (Result.is_ok (Session.open_sealed (old_peer ()) ~seq:s0 ~sealed:f0));
+            Alcotest.(check bool) "old key rejects new frame" true
+              (Result.is_error (Session.open_sealed (old_peer ()) ~seq:s1 ~sealed:f1));
+            Alcotest.(check bool) "new key rejects old frame" true
+              (Result.is_error (Session.open_sealed (new_peer ()) ~seq:s0 ~sealed:f0)))
+          before after;
+        (* A rekey onto an EphID the session already uses would keep the
+           key and restart the sequence: refused on both sides. *)
+        Alcotest.(check bool) "same local EphID refused" true
+          (Result.is_error (Session.rekey_local sa ~local_cert:cert_a' ~local_keys:ek_a'));
+        Alcotest.(check bool) "same remote EphID refused" true
+          (Result.is_error (Session.rekey sa ~remote_cert:cert_b)));
   ]
 
 (* ------------------------------------------------------------------ *)

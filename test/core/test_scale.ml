@@ -188,6 +188,20 @@ let registry_lookup_cost () =
     (Registry.last_lookup_cost reg);
   Alcotest.(check int) "population indexed" 4_096 (Registry.customer_count reg)
 
+(* A control key in use is the 32-byte secret and nothing else: a 6-word
+   heap string (header, four words of key, one of padding). A key
+   schedule or MAC midstates held per host would show here; the AES-CTR
+   + HMAC AEAD's key read 218 words. *)
+let control_key_words_max = 6
+
+let control_key_words () =
+  let kha = Keys.derive_host_as ~shared_secret:(String.make 32 'c') in
+  let key = Keys.ctrl kha in
+  ignore (Aead.seal ~key ~nonce:(String.make Aead.nonce_size 'n') "request");
+  let words = Obj.reachable_words (Obj.repr (Keys.ctrl kha)) in
+  if words > control_key_words_max then
+    Alcotest.failf "control key reaches %d words (max %d)" words control_key_words_max
+
 let sentinel_tests =
   [
     Alcotest.test_case "endpoint removal is O(1), not O(endpoints)" `Quick
@@ -200,6 +214,8 @@ let sentinel_tests =
       `Quick revocation_rerevoke_cost;
     Alcotest.test_case "registry reverse lookup is one probe" `Quick
       registry_lookup_cost;
+    Alcotest.test_case "a used kHA control key is its 32 bytes" `Quick
+      control_key_words;
   ]
 
 (* ------------------------------------------------------------------ *)

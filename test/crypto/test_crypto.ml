@@ -1172,6 +1172,131 @@ let into_tests =
             x25519_words_ceiling v verify_words_ceiling);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* ChaCha20-Poly1305 (RFC 8439): the vectors are typed in from the RFC;
+   Poly1305 is checked against Bigint as an oracle. *)
+
+module Cp = Chacha20_poly1305
+
+(* Poly1305 the long way (§2.5.1): each 16-byte chunk, with a 0x01 byte
+   appended, is added to the accumulator, which is then multiplied by the
+   clamped r modulo 2^130 - 5; the tag is (acc + s) mod 2^128. *)
+let poly1305_oracle ~key msg =
+  let r = Bytes.of_string (String.sub key 0 16) in
+  List.iter (fun i -> Bytes.set r i (Char.chr (Char.code (Bytes.get r i) land 15))) [ 3; 7; 11; 15 ];
+  List.iter (fun i -> Bytes.set r i (Char.chr (Char.code (Bytes.get r i) land 252))) [ 4; 8; 12 ];
+  let r = Bigint.of_bytes_le (Bytes.to_string r) in
+  let p = Bigint.sub (Bigint.shift_left Bigint.one 130) (Bigint.of_int 5) in
+  let acc = ref Bigint.zero in
+  let len = String.length msg in
+  let i = ref 0 in
+  while !i < len do
+    let chunk = String.sub msg !i (min 16 (len - !i)) in
+    let n = Bigint.of_bytes_le (chunk ^ "\x01") in
+    acc := Bigint.mod_mul (Bigint.add !acc n) r p;
+    i := !i + 16
+  done;
+  let s = Bigint.of_bytes_le (String.sub key 16 16) in
+  Bigint.to_bytes_le (Bigint.rem (Bigint.add !acc s) (Bigint.shift_left Bigint.one 128)) 16
+
+(* Minor words per [Aead.seal] and per [Aead.open_] of [msg]. *)
+let aead_words ~key ~nonce msg =
+  let sealed = Aead.seal ~key ~nonce msg in
+  let seal = words_per_call 100 (fun () -> ignore (Aead.seal ~key ~nonce msg)) in
+  let open_ = words_per_call 100 (fun () -> ignore (Aead.open_ ~key ~nonce sealed)) in
+  (seal, open_)
+
+(* Words of a heap string of [n] bytes, header included. *)
+let string_words n = float_of_int ((n / 8) + 2)
+
+let chacha_tests =
+  let rfc_aead_key = String.init 32 (fun i -> Char.chr (0x80 + i)) in
+  let rfc_aead_nonce = hex "070000004041424344454647" in
+  let rfc_aad = hex "50515253c0c1c2c3c4c5c6c7" in
+  let sunscreen =
+    "Ladies and Gentlemen of the class of '99: If I could offer you only one tip \
+     for the future, sunscreen would be it."
+  in
+  let rfc_ct =
+    "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d63dbea45e8ca967\
+     1282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b3692ddbd7f2d778b8c9803aee3280\
+     91b58fab324e4fad675945585808b4831d7bc3ff4def08e4b7a9de576d26586cec64b6116"
+  in
+  let gen_key = QCheck2.Gen.(string_size ~gen:char (return 32)) in
+  let gen_msg =
+    QCheck2.Gen.(
+      let* len = oneof [ int_range 0 300; oneofl [ 15; 16; 17 ] ] in
+      oneof
+        [ string_size ~gen:char (return len); return (String.make len '\xff') ])
+  in
+  [
+    Alcotest.test_case "rfc8439 2.3.2 block" `Quick (fun () ->
+        check_hex "keystream"
+          "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
+           d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+          (Cp.xor ~key:(String.init 32 Char.chr) ~nonce:(hex "000000090000004a00000000")
+             ~counter:1 (String.make 64 '\x00')));
+    Alcotest.test_case "rfc8439 2.5.2 poly1305" `Quick (fun () ->
+        check_hex "tag" "a8061dc1305136c6c22b8baf0c0127a9"
+          (Cp.poly1305
+             ~key:(hex "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b")
+             "Cryptographic Forum Research Group"));
+    Alcotest.test_case "rfc8439 2.8.2 aead" `Quick (fun () ->
+        let sealed = Cp.seal ~key:rfc_aead_key ~nonce:rfc_aead_nonce ~aad:rfc_aad sunscreen in
+        check_hex "ciphertext ‖ tag" (rfc_ct ^ "1ae10b594f09e26a7e902ecbd0600691") sealed;
+        Alcotest.(check (result string string)) "opens" (Ok sunscreen)
+          (Cp.open_ ~key:rfc_aead_key ~nonce:rfc_aead_nonce ~aad:rfc_aad sealed));
+    qtest "poly1305 = bigint oracle" ~count:300
+      QCheck2.Gen.(pair (oneof [ gen_key; return (String.make 32 '\xff') ]) gen_msg)
+      (fun (key, msg) -> Cp.poly1305 ~key msg = poly1305_oracle ~key msg);
+    Alcotest.test_case "poly1305 reduction edges" `Quick (fun () ->
+        (* r = 2, s = 0, m = 2^128 - 1: acc = 2^130 - 2 >= p before the
+           final reduction, which must leave 3. Then r = 2, s = 2^128 - 1,
+           m = 2: acc + s wraps 2^128 and leaves 3. (RFC 8439 A.3 #6, #7.) *)
+        let r2 = "\x02" ^ String.make 15 '\x00' and three = "\x03" ^ String.make 15 '\x00' in
+        List.iter
+          (fun (key, msg) ->
+            Alcotest.(check string) "tag" (hex_of three) (hex_of (Cp.poly1305 ~key msg));
+            Alcotest.(check string) "oracle" (hex_of three) (hex_of (poly1305_oracle ~key msg)))
+          [ (r2 ^ String.make 16 '\x00', String.make 16 '\xff');
+            (r2 ^ String.make 16 '\xff', r2) ]);
+    Alcotest.test_case "xor = block-by-block keystream" `Quick (fun () ->
+        let key = String.make 32 'k' and nonce = String.make 12 'n' in
+        List.iter
+          (fun len ->
+            let msg = String.init len (fun i -> Char.chr (i land 0xff)) in
+            let stream =
+              String.concat ""
+                (List.init ((len + 63) / 64) (fun b ->
+                     Cp.xor ~key ~nonce ~counter:(7 + b) (String.make 64 '\x00')))
+            in
+            Alcotest.(check string) (string_of_int len)
+              (Apna_util.Ct.xor msg (String.sub stream 0 len))
+              (Cp.xor ~key ~nonce ~counter:7 msg))
+          [ 1; 63; 64; 65; 1400 ]);
+    Alcotest.test_case "any nonce byte flip fails open" `Quick (fun () ->
+        let key = Aead.of_secret (String.make 32 'K') and nonce = String.make 16 'N' in
+        let sealed = Aead.seal ~key ~nonce "payload" in
+        for i = 0 to Aead.nonce_size - 1 do
+          let n = Bytes.of_string nonce in
+          Bytes.set n i (Char.chr (Char.code (Bytes.get n i) lxor 0x80));
+          Alcotest.(check bool) (Printf.sprintf "byte %d" i) true
+            (Result.is_error (Aead.open_ ~key ~nonce:(Bytes.to_string n) sealed))
+        done);
+    Alcotest.test_case "seal/open allocate their result" `Quick (fun () ->
+        let key = Aead.of_secret (String.make 32 'K') and nonce = String.make 16 'N' in
+        List.iter
+          (fun len ->
+            let seal, open_ = aead_words ~key ~nonce (String.make len 'p') in
+            (* The sealed string; the plaintext plus its [Ok] block. *)
+            let seal_max = string_words (len + Aead.tag_size) +. 2.
+            and open_max = string_words len +. 2. +. 2. in
+            if seal > seal_max || open_ > open_max then
+              Alcotest.failf "%d B: seal %.1f words (max %.0f), open %.1f (max %.0f)" len
+                seal seal_max open_ open_max)
+          [ 0; 64; 1400 ]);
+  ]
+
 let () =
   Alcotest.run "apna_crypto"
     [
@@ -1191,4 +1316,5 @@ let () =
       ("scalar", scalar_tests);
       ("aead", aead_tests);
       ("into", into_tests);
+      ("chacha", chacha_tests);
     ]
