@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate clean
+.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate mac-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -97,6 +97,20 @@ aes-gate:
 	fi; \
 	echo "aes-gate: OK (Aes only in aes, gcm, ephid and keys; Aead names neither Aes nor Hmac)"
 
+# The packet MAC is hash-then-PRF (Poly1305 and ChaCha20): no SHA-256 or
+# HMAC on the per-packet path, from the host's seal through the border
+# router's check. Hmac stays for HKDF, the DRBG, the broker, Path_proof
+# and the AA's batch MAC.
+mac-gate:
+	@violations=$$(grep -nw 'Hmac\|Sha256' \
+	  lib/core/pkt_auth.ml lib/core/border_router.ml lib/core/host.ml || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "mac-gate: HMAC or SHA-256 on the packet path:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "mac-gate: OK (no Hmac or Sha256 in pkt_auth, border_router or host)"
+
 all: build
 
 build:
@@ -113,9 +127,9 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage, recorder, bigint, scenario, roles and aes
-# grep gates.
-check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate
+# journal dump and the linkage, recorder, bigint, scenario, roles, aes and
+# mac grep gates.
+check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate mac-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -125,7 +139,7 @@ check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario, roles and aes gates clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario, roles, aes and mac gates clean, BENCH_results.json written and validated)"
 
 # A/B comparison on one BENCHMARK.json workload: N alternating pairs of
 # `perf/run.sh --workload W --trace 0` runs, BASE (exported under $TMPDIR,

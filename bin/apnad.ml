@@ -564,7 +564,7 @@ let broker_cmd =
     Printf.printf "retention: %d issuance, %d egress entries\n"
       (Audit.issuance_count audit) (Audit.egress_count audit);
     let digests =
-      List.map (fun (p : Apna_net.Packet.t) -> p.header.mac) !captured
+      List.map Apna_net.Packet.digest !captured
     in
     let rng = Apna_sim.Rng.create 7L in
     Printf.printf "\n%-4s %-10s %-17s %-40s\n" "#" "requester" "query" "outcome";

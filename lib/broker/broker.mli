@@ -27,8 +27,8 @@ module Request : sig
     | Bindings_of of Apna_net.Addr.hid
         (** Every (time, EphID) the retention log holds for a subscriber. *)
     | Attribute_packet of string
-        (** Packet digest → (time, EphID, HID, credential) from the
-            egress retention stream. *)
+        (** Packet digest ({!Apna_net.Packet.digest}) → (time, EphID,
+            HID, credential) from the egress retention stream. *)
 
   type t = {
     corr : int64;

@@ -51,7 +51,8 @@ type bucket = { mutable tokens : float; mutable last : int }
    Ed25519 verification waits for the drain pass. *)
 type job = {
   parsed : Shutoff.parsed;
-  digest : string;  (** evidence packet MAC — the dedup key *)
+  digest : string;
+      (** SHA-256 of the evidence packet's MAC input — the dedup key *)
   src_ephid : Ephid.t;
   src_info : Ephid.info;
   arrival : float;  (** sim seconds; start of the propagation clock *)
@@ -300,7 +301,13 @@ let admit t ~now ~arrival msg =
         match take_token t ~now (Ephid.to_bytes parsed.cert.ephid) with
         | Error e -> Error e
         | Ok high ->
-            let digest = parsed.packet.header.mac in
+            (* Not the tag: a host knows its own Poly1305 r and can give
+               any number of its packets, under any of its EphIDs, one
+               tag (DESIGN.md, "Packet MAC"). The bytes the tag covers
+               name one packet however they were chosen. *)
+            let digest =
+              Sha256.digest (Apna_net.Packet.bytes_for_mac parsed.packet)
+            in
             if dedup_mem t digest then
               Error (Error.Rejected "duplicate evidence")
             else begin

@@ -272,7 +272,7 @@ and observe_certs t (pkt : Packet.t) =
   match t.cert_cache with
   | None -> ()
   | Some cache ->
-      if pkt.proto = Packet.Data then begin
+      if pkt.proto = Packet.Data && Session.Frame.has_cert pkt.payload then begin
         match Session.Frame.of_bytes pkt.payload with
         | Ok (Session.Frame.Init { cert; _ })
         | Ok (Session.Frame.Accept { cert; _ })

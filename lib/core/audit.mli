@@ -5,7 +5,8 @@
     An AS that enables retention records two append-only streams:
     - issuance: (time, EphID → HID) — the binding only it can produce;
     - egress: (time, EphID, packet digest) — evidence a specific packet
-      left its network.
+      left its network. The border router records
+      {!Apna_net.Packet.digest} (source EphID ‖ MAC).
 
     Both support the lawful, targeted queries of §VIII-H — and nothing
     more: payloads are end-to-end encrypted, so retention never includes

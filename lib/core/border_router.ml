@@ -47,9 +47,8 @@ type cache_entry = {
   ephid : Ephid.t;
   info : Ephid.info;
   entry : Host_info.entry;
-  (* Prepared packet-MAC key: HMAC midstates computed at insert time,
-     reused for every packet of the flow. [None] only in the uncached
-     config. *)
+  (* Prepared packet-MAC key: subkeys derived at insert time, reused for
+     every packet of the flow. [None] only in the uncached config. *)
   verifier : Pkt_auth.prepared option;
   rev_gen : int;
   host_gen : int;
@@ -326,11 +325,11 @@ let egress_pipeline t ~now ~scratch (pkt : Packet.t) =
   if not mac_ok then reject Error.Bad_mac;
   t.stats.egress_ok <- t.stats.egress_ok + 1;
   M.Counter.incr t.obs.m_egress_ok;
-  (* Data retention (§VIII-H): the packet's MAC doubles as its digest —
-     unique per authenticated packet. The EphID was validated above; no
-     re-parse. *)
+  (* Data retention (§VIII-H): the digest is source EphID ‖ MAC, so a
+     host that gives packets of two EphIDs one tag still leaves two
+     entries. The EphID was validated above; no re-parse. *)
   (match t.audit with
-  | Some a -> Audit.record_egress a ~now ~ephid:e.ephid ~digest:pkt.header.mac
+  | Some a -> Audit.record_egress a ~now ~ephid:e.ephid ~digest:(Packet.digest pkt)
   | None -> ());
   Addr.hid_to_int e.info.hid
 
@@ -398,7 +397,7 @@ let egress_burst t ~now pkts ~n b =
   let measure = M.enabled M.default in
   let w0 = if measure then Gc.minor_words () else 0. in
   (* One scratch slot for the whole burst: the MAC input is consumed by
-     the HMAC before the next packet overwrites it, and reusing one hot
+     the packet MAC before the next packet overwrites it, and reusing one hot
      2 KB buffer keeps the working set in L1 (32 distinct slots
      measurably thrash it). *)
   Arena.reset t.arena;

@@ -10,7 +10,7 @@
     toward the destination AID.
 
     Only symmetric cryptography runs here — one AES-CTR decryption, one
-    CBC-MAC over a single block, two table lookups and one HMAC
+    CBC-MAC over a single block, two table lookups and one packet-MAC
     verification per packet — which is the design point the Fig. 8
     forwarding benchmark measures.
 

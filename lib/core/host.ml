@@ -328,15 +328,14 @@ let pending_rpc_count t =
   I64_tbl.fold (fun _ c n -> n + count c.accept_wait + count c.rekey) t.conns
     (I64_tbl.length t.rpcs + Hashtbl.length t.pending_pings)
 
+let not_attached = Error.Rejected "host is not attached to an AS"
+let not_bootstrapped = Error.Rejected "host is not bootstrapped"
+
 let require_att t =
-  match t.att with
-  | Some att -> Ok att
-  | None -> Error (Error.Rejected "host is not attached to an AS")
+  match t.att with Some att -> Ok att | None -> Error not_attached
 
 let require_identity t =
-  match t.identity with
-  | Some id -> Ok id
-  | None -> Error (Error.Rejected "host is not bootstrapped")
+  match t.identity with Some id -> Ok id | None -> Error not_bootstrapped
 
 (* Every certificate a peer presents is checked against its issuing AS. *)
 let verify_peer_cert t cert =
@@ -477,9 +476,10 @@ let bootstrap t =
 (* Packet construction *)
 
 let send_packet t ~src_ephid ~dst_aid ~dst_ephid ~proto ~payload =
-  match (require_att t, require_identity t) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok att, Ok id ->
+  match (t.att, t.identity) with
+  | None, _ -> Error not_attached
+  | Some _, None -> Error not_bootstrapped
+  | Some att, Some id ->
       let header =
         Apna_header.make ~src_aid:att.aid ~src_ephid ~dst_aid ~dst_ephid ()
       in
@@ -1416,6 +1416,9 @@ let rec handle_icmp t (pkt : Packet.t) =
   | Ok (Icmp.Frag_needed { mtu; _ }) ->
       t.path_mtu <- Some (Option.fold ~none:mtu ~some:(min mtu) t.path_mtu)
 
+let warn_unknown_conn t what =
+  Logs.warn (fun m -> m "%s: %s for unknown conn" t.host_name what)
+
 let deliver t (pkt : Packet.t) =
   match pkt.proto with
   | Packet.Control -> begin
@@ -1460,15 +1463,12 @@ let deliver t (pkt : Packet.t) =
           (* The session demux: one lookup, and nothing is kept for a
              connection the host does not have. *)
           let conn_id = frame_conn_id frame in
-          let unknown what =
-            Logs.warn (fun m -> m "%s: %s for unknown conn" t.host_name what)
-          in
           match (frame, I64_tbl.find_opt t.conns conn_id) with
           | Init { cert; seq; sealed; _ }, conn ->
               handle_init t pkt conn ~conn_id ~cert ~seq ~sealed
-          | Accept _, None -> unknown "accept"
-          | Rekey _, None -> unknown "rekey"
-          | Data _, None -> unknown "data"
+          | Accept _, None -> warn_unknown_conn t "accept"
+          | Rekey _, None -> warn_unknown_conn t "rekey"
+          | Data _, None -> warn_unknown_conn t "data"
           | (Fin _ | Rekey_ack _), None -> ()
           | Accept { cert; _ }, Some c -> handle_accept t c ~cert
           | Data { seq; sealed; _ }, Some c ->

@@ -55,6 +55,21 @@ let decapsulate bytes =
     else Packet.of_bytes apna
   end
 
+(* The sender side of one directed link, found once: the peer, the wire
+   (the link itself stays in [Topology], which may replace it); when
+   serialization frees up (store-and-forward FIFO, so small packets cannot
+   overtake large ones queued ahead of them); and the departure times of
+   frames admitted to a bounded sender queue (entries at or before "now"
+   have left it; only touched when the link has a queue bound). *)
+type busy = { mutable until : float }
+
+type port = {
+  peer : As_node.t;
+  wire : Topology.wire;
+  busy : busy;  (** a float-only record: updated without boxing *)
+  departures : float Queue.t;
+}
+
 type t = {
   engine : Apna_sim.Engine.t;
   topology : Topology.t;
@@ -65,14 +80,6 @@ type t = {
      the same faults no matter what the protocol does in between. *)
   fault_rng : Apna_crypto.Drbg.t;
   nodes : As_node.t Addr.Aid_tbl.t;
-  (* Store-and-forward FIFO per directed link: when its sender side frees
-     up. Serialization happens in order, so small packets cannot overtake
-     large ones queued ahead of them. *)
-  link_busy_until : (int * int, float ref) Hashtbl.t;
-  (* Departure times of frames admitted to a bounded sender queue; entries
-     at or before "now" have left the queue. Only touched when the link
-     has a queue bound. *)
-  link_queues : (int * int, float Queue.t) Hashtbl.t;
   mutable host_faults : Link.faults option;
   host_fault_stats : Link.fault_stats;
   mutable tap : from:Addr.aid -> to_:Addr.aid -> Packet.t -> unit;
@@ -93,8 +100,6 @@ let create ?(seed = "apna-network") ?(transport = Native) () =
     rng = Apna_crypto.Drbg.create ~seed;
     fault_rng = Apna_crypto.Drbg.create ~seed:(seed ^ "/faults");
     nodes = Addr.Aid_tbl.create 8;
-    link_busy_until = Hashtbl.create 16;
-    link_queues = Hashtbl.create 16;
     host_faults = None;
     host_fault_stats = Link.fresh_fault_stats ();
     tap = (fun ~from:_ ~to_:_ _ -> ());
@@ -157,19 +162,25 @@ let add_as t as_number ?dns_zone ?retention ?icmp_encryption ?lifetime_policy
       ?dns_zone ?retention ?icmp_encryption ?lifetime_policy ?expected_hosts
       ?aa_limits ()
   in
+  (* The port towards [next], made on the first emit to it; raises
+     [Not_found] while [next] is not a connected node. *)
+  let ports = Addr.Aid_tbl.create 4 in
+  let port next =
+    match Addr.Aid_tbl.find ports next with
+    | p -> p
+    | exception Not_found -> (
+        match (Addr.Aid_tbl.find_opt t.nodes next, Topology.wire t.topology aid next) with
+        | Some peer, Some wire ->
+            let p = { peer; wire; busy = { until = 0.0 }; departures = Queue.create () } in
+            Addr.Aid_tbl.replace ports next p;
+            p
+        | _ -> raise Not_found)
+  in
   As_node.set_emit node (fun ~next pkt ->
-      match (Addr.Aid_tbl.find_opt t.nodes next, Topology.link t.topology aid next) with
-      | Some peer, Some link ->
+      match port next with
+      | port ->
+          let peer = port.peer and link = Topology.current port.wire in
           t.tap ~from:aid ~to_:next pkt;
-          let key = (as_number, Addr.aid_to_int next) in
-          let busy =
-            match Hashtbl.find_opt t.link_busy_until key with
-            | Some b -> b
-            | None ->
-                let b = ref 0.0 in
-                Hashtbl.replace t.link_busy_until key b;
-                b
-          in
           let now = Apna_sim.Engine.now t.engine in
           (* In GRE mode the packet really crosses the wire as IPv4/GRE
              bytes (Fig. 9): serialize, pay the encapsulation overhead, and
@@ -206,14 +217,7 @@ let add_as t as_number ?dns_zone ?retention ?icmp_encryption ?lifetime_policy
             let admitted =
               faults.Link.queue_frames = 0
               ||
-              let q =
-                match Hashtbl.find_opt t.link_queues key with
-                | Some q -> q
-                | None ->
-                    let q = Queue.create () in
-                    Hashtbl.replace t.link_queues key q;
-                    q
-              in
+              let q = port.departures in
               while (not (Queue.is_empty q)) && Queue.peek q <= now do
                 ignore (Queue.pop q)
               done;
@@ -231,31 +235,33 @@ let add_as t as_number ?dns_zone ?retention ?icmp_encryption ?lifetime_policy
               let serialization =
                 float_of_int (8 * wire_bytes) /. link.Link.capacity_bps
               in
-              let departure = Float.max now !busy +. serialization in
-              busy := departure;
-              if faults.Link.queue_frames > 0 then
-                Queue.add departure (Hashtbl.find t.link_queues key);
+              let departure = Float.max now port.busy.until +. serialization in
+              port.busy.until <- departure;
+              if faults.Link.queue_frames > 0 then Queue.add departure port.departures;
+              let arrival = departure +. link.Link.propagation_s in
               (* One event per delivered copy: [] = lost on the wire (the
                  sender still paid serialization), extra delay = reorder
                  jitter. Fault-free links take the exact pre-fault path —
                  no DRBG draw, a single on-time delivery. *)
-              let copies =
-                if Link.faults_active faults then
-                  Link.plan_delivery link ~rand:(fault_rand t)
-                else [ 0.0 ]
-              in
-              if E.enabled E.default then
-                record_copy_fates ~src:as_number ~dst:(Addr.aid_to_int next)
-                  pkt copies;
-              List.iter
-                (fun extra ->
-                  Apna_sim.Engine.schedule t.engine
-                    ~at:(departure +. link.Link.propagation_s +. extra)
-                    deliver)
-                copies
+              if Link.faults_active faults then begin
+                let copies = Link.plan_delivery link ~rand:(fault_rand t) in
+                if E.enabled E.default then
+                  record_copy_fates ~src:as_number ~dst:(Addr.aid_to_int next)
+                    pkt copies;
+                List.iter
+                  (fun extra ->
+                    Apna_sim.Engine.schedule t.engine ~at:(arrival +. extra) deliver)
+                  copies
+              end
+              else begin
+                if E.enabled E.default then
+                  transit_event ~src:as_number ~dst:(Addr.aid_to_int next) pkt
+                    E.Delivered;
+                Apna_sim.Engine.schedule t.engine ~at:arrival deliver
+              end
             end
           end
-      | _ ->
+      | exception Not_found ->
           Logs.debug (fun m ->
               m "network: dropping packet for unknown neighbor %a" Addr.pp_aid next));
   Addr.Aid_tbl.replace t.nodes aid node;

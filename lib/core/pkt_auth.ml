@@ -1,32 +1,44 @@
 open Apna_net
+module C = Apna_crypto.Chacha20_poly1305
 
-let mac ~auth_key pkt =
-  String.sub
-    (Apna_crypto.Hmac.Sha256.mac ~key:auth_key (Packet.bytes_for_mac pkt))
-    0 Apna_header.mac_size
+(* Hash-then-PRF (DESIGN.md, "Packet MAC"): the first 48 bytes of the
+   ChaCha20 block under kHA's auth key and this fixed nonce are the
+   [hash_prf] key, r ‖ PRF key; the tag is the first 8 bytes of its
+   output over the MAC input. *)
+let domain = "apna-pkt-mac"
 
-let seal ~auth_key (pkt : Packet.t) =
-  { pkt with header = Apna_header.with_mac pkt.header (mac ~auth_key pkt) }
-
-let verify ~auth_key (pkt : Packet.t) =
-  Apna_util.Ct.equal pkt.header.mac (mac ~auth_key pkt)
-
-(* A key prepared for repeated use: HMAC midstates computed once, digest
-   buffer reused. One in-flight MAC per value (the prepared HMAC context
-   is mutable), which the border router's single-domain burst loop and a
-   host's send path both respect. *)
-type prepared = { hmac : Apna_crypto.Hmac.Sha256.prepared; digest : Bytes.t }
+(* A key prepared for repeated use: the subkeys, the 16-byte output and
+   the buffer [seal_prepared] assembles the MAC input in, grown on demand
+   (a border router, which passes its own scratch, never grows it). One
+   in-flight MAC per value, which the border router's single-domain burst
+   loop and a host's send path both respect. *)
+type prepared = { key : string; out : Bytes.t; mutable input : Bytes.t }
 
 let prepare ~auth_key =
-  { hmac = Apna_crypto.Hmac.Sha256.prepare ~key:auth_key; digest = Bytes.create 32 }
+  {
+    key = C.xor ~key:auth_key ~nonce:domain ~counter:0 (String.make C.hash_prf_key_size '\000');
+    out = Bytes.create 16;
+    input = Bytes.empty;
+  }
+
+(* The tag of buf[0..len) in p.out[0..mac_size). *)
+let[@inline] tag_into p buf len = C.hash_prf ~key:p.key buf ~off:0 ~len ~out:p.out
 
 let mac_prepared p pkt =
-  String.sub
-    (Apna_crypto.Hmac.Sha256.mac_list_prepared p.hmac [ Packet.bytes_for_mac pkt ])
-    0 Apna_header.mac_size
+  if Bytes.length p.input < Packet.wire_size pkt then
+    p.input <- Bytes.create (Packet.wire_size pkt);
+  tag_into p p.input (Packet.write_for_mac pkt p.input);
+  Bytes.sub_string p.out 0 Apna_header.mac_size
+
+let mac ~auth_key pkt = mac_prepared (prepare ~auth_key) pkt
 
 let seal_prepared p (pkt : Packet.t) =
   { pkt with header = Apna_header.with_mac pkt.header (mac_prepared p pkt) }
+
+let seal ~auth_key pkt = seal_prepared (prepare ~auth_key) pkt
+
+let verify ~auth_key (pkt : Packet.t) =
+  Apna_util.Ct.equal pkt.header.mac (mac ~auth_key pkt)
 
 let verify_in ~scratch p (pkt : Packet.t) =
   if Bytes.length scratch < Packet.wire_size pkt then
@@ -34,8 +46,6 @@ let verify_in ~scratch p (pkt : Packet.t) =
        rather than constrain the MTU here. *)
     Apna_util.Ct.equal pkt.header.mac (mac_prepared p pkt)
   else begin
-    let len = Packet.write_for_mac pkt scratch in
-    Apna_crypto.Hmac.Sha256.mac_into p.hmac ~src:scratch ~off:0 ~len
-      ~out:p.digest ~out_off:0;
-    Apna_util.Ct.equal_bytes pkt.header.mac p.digest ~off:0
+    tag_into p scratch (Packet.write_for_mac pkt scratch);
+    Apna_util.Ct.equal_bytes pkt.header.mac p.out ~off:0
   end

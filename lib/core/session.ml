@@ -147,76 +147,61 @@ module Frame = struct
     | Rekey of { conn_id : int64; cert : Cert.t; seq : int64; sealed : string }
     | Rekey_ack of { conn_id : int64; seq : int64; sealed : string }
 
-  let to_bytes f =
-    let w = Apna_util.Rw.Writer.create ~capacity:64 () in
-    let open Apna_util.Rw.Writer in
-    (match f with
-    | Init { conn_id; cert; seq; sealed } ->
-        u8 w 0;
-        u64 w conn_id;
-        bytes w (Cert.to_bytes cert);
-        u64 w seq;
-        bytes w sealed
-    | Accept { conn_id; cert; seq; sealed } ->
-        u8 w 1;
-        u64 w conn_id;
-        bytes w (Cert.to_bytes cert);
-        u64 w seq;
-        bytes w sealed
-    | Data { conn_id; seq; sealed } ->
-        u8 w 2;
-        u64 w conn_id;
-        u64 w seq;
-        bytes w sealed
-    | Fin { conn_id; seq; sealed } ->
-        u8 w 3;
-        u64 w conn_id;
-        u64 w seq;
-        bytes w sealed
-    | Rekey { conn_id; cert; seq; sealed } ->
-        u8 w 4;
-        u64 w conn_id;
-        bytes w (Cert.to_bytes cert);
-        u64 w seq;
-        bytes w sealed
-    | Rekey_ack { conn_id; seq; sealed } ->
-        u8 w 5;
-        u64 w conn_id;
-        u64 w seq;
-        bytes w sealed);
-    contents w
+  (* kind ‖ conn_id ‖ cert ‖ seq ‖ sealed, written once into a buffer of
+     the frame's exact size. *)
+  let encode kind conn_id cert seq sealed =
+    let c = String.length cert and n = String.length sealed in
+    let b = Bytes.create (17 + c + n) in
+    Bytes.set_uint8 b 0 kind;
+    Bytes.set_int64_be b 1 conn_id;
+    Bytes.blit_string cert 0 b 9 c;
+    Bytes.set_int64_be b (9 + c) seq;
+    Bytes.blit_string sealed 0 b (17 + c) n;
+    Bytes.unsafe_to_string b
+
+  let to_bytes = function
+    | Init { conn_id; cert; seq; sealed } -> encode 0 conn_id (Cert.to_bytes cert) seq sealed
+    | Accept { conn_id; cert; seq; sealed } -> encode 1 conn_id (Cert.to_bytes cert) seq sealed
+    | Data { conn_id; seq; sealed } -> encode 2 conn_id "" seq sealed
+    | Fin { conn_id; seq; sealed } -> encode 3 conn_id "" seq sealed
+    | Rekey { conn_id; cert; seq; sealed } -> encode 4 conn_id (Cert.to_bytes cert) seq sealed
+    | Rekey_ack { conn_id; seq; sealed } -> encode 5 conn_id "" seq sealed
+
+  let has_cert s =
+    String.length s > 0 && match s.[0] with '\000' | '\001' | '\004' -> true | _ -> false
+
+  (* The decoder reads fields in place: kind, conn_id, [cert], seq, then
+     the sealed rest, with the errors a field-by-field reader gives. *)
+  let malformed e = Error (Error.Malformed ("frame: " ^ e))
+
+  let plain s k =
+    let n = String.length s in
+    if n < 17 then malformed "short read"
+    else Ok (k (String.get_int64_be s 1) (String.get_int64_be s 9) (String.sub s 17 (n - 17)))
+
+  let with_cert s k =
+    let n = String.length s in
+    if n < 9 + Cert.size then malformed "short read"
+    else
+      match Cert.of_bytes (String.sub s 9 Cert.size) with
+      | Error e -> malformed (Error.to_string e)
+      | Ok cert ->
+          let m = 9 + Cert.size in
+          if n < m + 8 then malformed "short read"
+          else
+            Ok
+              (k (String.get_int64_be s 1) cert (String.get_int64_be s m)
+                 (String.sub s (m + 8) (n - m - 8)))
 
   let of_bytes s =
-    let open Apna_util.Rw in
-    let r = Reader.of_string s in
-    let with_cert k =
-      let* conn_id = Reader.u64 r in
-      let* cert_bytes = Reader.bytes r Cert.size in
-      let* cert =
-        Result.map_error Error.to_string (Cert.of_bytes cert_bytes)
-      in
-      let* seq = Reader.u64 r in
-      Ok (k ~conn_id ~cert ~seq ~sealed:(Reader.rest r))
-    in
-    let parse =
-      let* kind = Reader.u8 r in
-      match kind with
-      | 0 -> with_cert (fun ~conn_id ~cert ~seq ~sealed -> Init { conn_id; cert; seq; sealed })
-      | 1 -> with_cert (fun ~conn_id ~cert ~seq ~sealed -> Accept { conn_id; cert; seq; sealed })
-      | 2 ->
-          let* conn_id = Reader.u64 r in
-          let* seq = Reader.u64 r in
-          Ok (Data { conn_id; seq; sealed = Reader.rest r })
-      | 3 ->
-          let* conn_id = Reader.u64 r in
-          let* seq = Reader.u64 r in
-          Ok (Fin { conn_id; seq; sealed = Reader.rest r })
-      | 4 -> with_cert (fun ~conn_id ~cert ~seq ~sealed -> Rekey { conn_id; cert; seq; sealed })
-      | 5 ->
-          let* conn_id = Reader.u64 r in
-          let* seq = Reader.u64 r in
-          Ok (Rekey_ack { conn_id; seq; sealed = Reader.rest r })
-      | n -> Error (Printf.sprintf "unknown frame type %d" n)
-    in
-    Result.map_error (fun e -> Error.Malformed ("frame: " ^ e)) parse
+    if String.length s = 0 then malformed "short read"
+    else
+      match Char.code s.[0] with
+      | 0 -> with_cert s (fun conn_id cert seq sealed -> Init { conn_id; cert; seq; sealed })
+      | 1 -> with_cert s (fun conn_id cert seq sealed -> Accept { conn_id; cert; seq; sealed })
+      | 2 -> plain s (fun conn_id seq sealed -> Data { conn_id; seq; sealed })
+      | 3 -> plain s (fun conn_id seq sealed -> Fin { conn_id; seq; sealed })
+      | 4 -> with_cert s (fun conn_id cert seq sealed -> Rekey { conn_id; cert; seq; sealed })
+      | 5 -> plain s (fun conn_id seq sealed -> Rekey_ack { conn_id; seq; sealed })
+      | n -> malformed (Printf.sprintf "unknown frame type %d" n)
 end

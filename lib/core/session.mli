@@ -78,4 +78,8 @@ module Frame : sig
 
   val to_bytes : f -> string
   val of_bytes : string -> (f, Error.t) result
+
+  val has_cert : string -> bool
+  (** [has_cert s] reads only the kind byte: whether [s] would decode to
+      an [Init], [Accept] or [Rekey], the frames that carry a certificate. *)
 end

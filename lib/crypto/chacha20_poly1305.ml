@@ -35,18 +35,19 @@ let[@inline] rotl v n =
 (* The output word: final state plus input state, back to a 32-bit int. *)
 let[@inline] word x input = Int64.to_int (Int64.shift_right_logical (Int64.add x input) 32)
 
-(* One ChaCha20 block (§2.3) for [key], the 12 nonce bytes of [nonce] at
-   [noff] and the block [counter]. Its 16 keystream words go to [k], after
-   [k]'s own four arguments. This function is always inlined and every [k]
-   is a top-level function, so the state lives in registers and stack
-   slots and nothing is allocated. *)
-let[@inline] block key nonce noff counter k a b c d =
+(* One ChaCha20 block (§2.3) for the 32 key bytes of [key] at [koff], the
+   12 nonce bytes of [nonce] at [noff] and the block [counter]. Its 16
+   keystream words go to [k], after [k]'s own four arguments. This
+   function is always inlined and every [k] is a top-level function, so
+   the state lives in registers and stack slots and nothing is
+   allocated. *)
+let[@inline] block key koff nonce noff counter k a b c d =
   let c0 = high 0x61707865 and c1 = high 0x3320646e and c2 = high 0x79622d32
   and c3 = high 0x6b206574 in
-  let k0 = high (get32 key 0) and k1 = high (get32 key 4) and k2 = high (get32 key 8)
-  and k3 = high (get32 key 12) and k4 = high (get32 key 16)
-  and k5 = high (get32 key 20) and k6 = high (get32 key 24)
-  and k7 = high (get32 key 28) in
+  let k0 = high (get32 key koff) and k1 = high (get32 key (koff + 4))
+  and k2 = high (get32 key (koff + 8)) and k3 = high (get32 key (koff + 12))
+  and k4 = high (get32 key (koff + 16)) and k5 = high (get32 key (koff + 20))
+  and k6 = high (get32 key (koff + 24)) and k7 = high (get32 key (koff + 28)) in
   let n0 = high (get32 nonce noff) and n1 = high (get32 nonce (noff + 4))
   and n2 = high (get32 nonce (noff + 8)) and ctr = high (counter land m32) in
   let x0 = ref c0 and x1 = ref c1 and x2 = ref c2 and x3 = ref c3
@@ -122,7 +123,7 @@ let[@inline] xor_block src dst off n x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11
 let xor_stream key nonce noff counter src dst len =
   for b = 0 to ((len + 63) / 64) - 1 do
     let off = 64 * b in
-    block key nonce noff (counter + b) xor_block src dst off (Int.min 64 (len - off))
+    block key 0 nonce noff (counter + b) xor_block src dst off (Int.min 64 (len - off))
   done
 
 (* Word [p / 4] of nonce[0..noff) ‖ aad; [noff] is a multiple of 4. *)
@@ -133,14 +134,14 @@ let[@inline] aad_word nonce noff aad p =
 let[@inline] select mask a b = (a land lnot mask) lor (b land mask)
 
 (* Poly1305 (§2.5) under the one-time key r ‖ s = k0..k7 (r is clamped
-   here). With [raw], the message is buf[0..len) and a final partial block
-   ends in a 0x01 byte (§2.5.1). Otherwise it is the §2.8 AEAD input
-   pad16(nonce[0..noff) ‖ aad) ‖ pad16(buf[0..len)) ‖ le64 (noff + |aad|)
-   ‖ le64 len. The tag's place is buf[len..len+16): [write] stores it there
-   and returns 0; otherwise the result is 0 iff the tag already there
-   equals it, accumulated over all four words with no early exit. *)
-let poly ~raw ~write nonce noff aad buf len k0 k1 k2 k3 k4 k5 k6 k7 =
-  let s = Bytes.unsafe_to_string buf in
+   here). With [raw], the message is src[off..off+len) and a final partial
+   block ends in a 0x01 byte (§2.5.1). Otherwise it is the §2.8 AEAD input
+   pad16(nonce[0..noff) ‖ aad) ‖ pad16(src[off..off+len)) ‖ le64 (noff +
+   |aad|) ‖ le64 len. The tag's place is dst[doff..doff+16): [write] stores
+   it there and returns 0; otherwise the result is 0 iff the tag already
+   there equals it, accumulated over all four words with no early exit. *)
+let poly ~raw ~write nonce noff aad src off len dst doff k0 k1 k2 k3 k4 k5 k6 k7 =
+  let s = Bytes.unsafe_to_string src and stop = off + len in
   let r0 = k0 land 0x3ffffff
   and r1 = ((k0 lsr 26) lor (k1 lsl 6)) land 0x3ffff03
   and r2 = ((k1 lsr 20) lor (k2 lsl 12)) land 0x3ffc0ff
@@ -160,10 +161,10 @@ let poly ~raw ~write nonce noff aad buf len k0 k1 k2 k3 k4 k5 k6 k7 =
       w2 := aad_word nonce noff aad (p + 8); w3 := aad_word nonce noff aad (p + 12)
     end
     else if b < a_blocks + m_blocks then begin
-      let p = 16 * (b - a_blocks) in
-      w0 := get32_upto s p len; w1 := get32_upto s (p + 4) len;
-      w2 := get32_upto s (p + 8) len; w3 := get32_upto s (p + 12) len;
-      let q = len - p in
+      let p = off + (16 * (b - a_blocks)) in
+      w0 := get32_upto s p stop; w1 := get32_upto s (p + 4) stop;
+      w2 := get32_upto s (p + 8) stop; w3 := get32_upto s (p + 12) stop;
+      let q = stop - p in
       if raw && q < 16 then begin
         let one = 1 lsl (8 * (q land 3)) in
         (match q lsr 2 with
@@ -225,22 +226,23 @@ let poly ~raw ~write nonce noff aad buf len k0 k1 k2 k3 k4 k5 k6 k7 =
   let t0 = f0 land m32 and t1 = f1 land m32 and t2 = f2 land m32
   and t3 = f3 land m32 in
   if write then begin
-    set32 buf len t0; set32 buf (len + 4) t1;
-    set32 buf (len + 8) t2; set32 buf (len + 12) t3;
+    set32 dst doff t0; set32 dst (doff + 4) t1;
+    set32 dst (doff + 8) t2; set32 dst (doff + 12) t3;
     0
   end
   else
-    (t0 lxor get32 s len) lor (t1 lxor get32 s (len + 4))
-    lor (t2 lxor get32 s (len + 8)) lor (t3 lxor get32 s (len + 12))
+    let d = Bytes.unsafe_to_string dst in
+    (t0 lxor get32 d doff) lor (t1 lxor get32 d (doff + 4))
+    lor (t2 lxor get32 d (doff + 8)) lor (t3 lxor get32 d (doff + 12))
 
 (* Block 0 of the message's keystream is the Poly1305 key (§2.6): its
    first eight words go straight to [poly]. *)
 let tag_write nonce aad buf len x0 x1 x2 x3 x4 x5 x6 x7 _ _ _ _ _ _ _ _ =
-  poly ~raw:false ~write:true nonce (String.length nonce - 12) aad buf len
+  poly ~raw:false ~write:true nonce (String.length nonce - 12) aad buf 0 len buf len
     x0 x1 x2 x3 x4 x5 x6 x7
 
 let tag_diff nonce aad buf len x0 x1 x2 x3 x4 x5 x6 x7 _ _ _ _ _ _ _ _ =
-  poly ~raw:false ~write:false nonce (String.length nonce - 12) aad buf len
+  poly ~raw:false ~write:false nonce (String.length nonce - 12) aad buf 0 len buf len
     x0 x1 x2 x3 x4 x5 x6 x7
 
 let tag_size = 16
@@ -263,14 +265,31 @@ let xor ~key ~nonce ~counter src =
 
 let poly1305 ~key msg =
   check_key key;
-  let len = String.length msg in
-  let buf = Bytes.create (len + tag_size) in
-  Bytes.blit_string msg 0 buf 0 len;
+  let tag = Bytes.create tag_size in
   ignore
-    (poly ~raw:true ~write:true "" 0 "" buf len (get32 key 0) (get32 key 4)
-       (get32 key 8) (get32 key 12) (get32 key 16) (get32 key 20) (get32 key 24)
-       (get32 key 28));
-  Bytes.sub_string buf len tag_size
+    (poly ~raw:true ~write:true "" 0 "" (Bytes.unsafe_of_string msg) 0 (String.length msg)
+       tag 0 (get32 key 0) (get32 key 4) (get32 key 8) (get32 key 12) (get32 key 16)
+       (get32 key 20) (get32 key 24) (get32 key 28));
+  Bytes.unsafe_to_string tag
+
+(* Keystream words 0..3 of one block, stored at out[0..16). *)
+let store4 out _ _ _ x0 x1 x2 x3 _ _ _ _ _ _ _ _ _ _ _ _ =
+  set32 out 0 x0; set32 out 4 x1; set32 out 8 x2; set32 out 12 x3
+
+let hash_prf_key_size = 48
+
+let hash_prf ~key src ~off ~len ~out =
+  if String.length key <> hash_prf_key_size then invalid_arg "Chacha20_poly1305: key size";
+  if off < 0 || len < 0 || off > Bytes.length src - len || Bytes.length out < 16 then
+    invalid_arg "Chacha20_poly1305.hash_prf: range";
+  (* h = the polynomial under r = key[0..16) with s = 0, written to
+     out[0..16); then h is the counter ‖ nonce of the block under
+     key[16..48), read before the block overwrites it. *)
+  ignore
+    (poly ~raw:true ~write:true "" 0 "" src off len out 0 (get32 key 0) (get32 key 4)
+       (get32 key 8) (get32 key 12) 0 0 0 0);
+  let h = Bytes.unsafe_to_string out in
+  block key 16 h 4 (get32 h 0) store4 out 0 0 0
 
 let seal ~key ~nonce ~aad plaintext =
   check_key key;
@@ -278,7 +297,7 @@ let seal ~key ~nonce ~aad plaintext =
   let len = String.length plaintext in
   let out = Bytes.create (len + tag_size) in
   xor_stream key nonce noff 1 plaintext out len;
-  ignore (block key nonce noff 0 tag_write nonce aad out len);
+  ignore (block key 0 nonce noff 0 tag_write nonce aad out len);
   Bytes.unsafe_to_string out
 
 let open_ ~key ~nonce ~aad sealed =
@@ -286,7 +305,7 @@ let open_ ~key ~nonce ~aad sealed =
   let noff = nonce_offset nonce in
   let len = String.length sealed - tag_size in
   if len < 0 then Error "aead: too short"
-  else if block key nonce noff 0 tag_diff nonce aad (Bytes.unsafe_of_string sealed) len <> 0
+  else if block key 0 nonce noff 0 tag_diff nonce aad (Bytes.unsafe_of_string sealed) len <> 0
   then Error "aead: authentication failure"
   else begin
     let out = Bytes.create len in

@@ -14,8 +14,10 @@ let check_len label expected s =
   if String.length s <> expected then
     invalid_arg (Printf.sprintf "Apna_header: %s must be %d bytes" label expected)
 
-let make ~src_aid ~src_ephid ~dst_aid ~dst_ephid ?(mac = String.make mac_size '\000')
-    () =
+(* Strings are immutable, so one zero MAC serves every fresh header. *)
+let zero_mac = String.make mac_size '\000'
+
+let make ~src_aid ~src_ephid ~dst_aid ~dst_ephid ?(mac = zero_mac) () =
   check_len "src_ephid" ephid_size src_ephid;
   check_len "dst_ephid" ephid_size dst_ephid;
   check_len "mac" mac_size mac;
@@ -35,7 +37,7 @@ let encode t ~mac =
   Apna_util.Rw.Writer.contents w
 
 let to_bytes t = encode t ~mac:t.mac
-let bytes_for_mac t = encode t ~mac:(String.make mac_size '\000')
+let bytes_for_mac t = encode t ~mac:zero_mac
 
 (* In-place encode with a zeroed MAC field: byte-identical to
    [bytes_for_mac] but written into a caller buffer without allocating —

@@ -86,8 +86,11 @@ let transit_delay t ~bytes =
 (* Called once per frame by the network layer when it commits a frame to a
    link — not from [transit_delay], which path estimators call repeatedly. *)
 let observe_transit ~bytes =
-  M.Counter.incr m_transits;
-  M.Counter.incr ~by:bytes m_bytes
+  (* Tested first: [~by] would box [bytes] even while metrics are off. *)
+  if M.enabled M.default then begin
+    M.Counter.incr m_transits;
+    M.Counter.incr ~by:bytes m_bytes
+  end
 
 (* Decide the fate of one frame. Draws from [rand] only for fault classes
    whose probability is non-zero, so a faults record with every probability

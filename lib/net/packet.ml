@@ -25,6 +25,7 @@ let encode header_bytes t =
   Apna_util.Rw.Writer.contents w
 
 let to_bytes t = encode (Apna_header.to_bytes t.header) t
+let digest t = t.header.src_ephid ^ t.header.mac
 let bytes_for_mac t = encode (Apna_header.bytes_for_mac t.header) t
 
 (* [bytes_for_mac] assembled in place: header with zeroed MAC, protocol

@@ -20,6 +20,13 @@ val wire_size : t -> int
 val to_bytes : t -> string
 val of_bytes : string -> (t, string) result
 
+val digest : t -> string
+(** Source EphID ‖ MAC (24 bytes): the key under which an AS's retention
+    log records a packet's egress and its broker attributes it. The MAC
+    alone does not name one packet: a host holding its host–AS key can
+    give packets of two of its EphIDs the same tag (DESIGN.md, "Packet
+    MAC"). *)
+
 val bytes_for_mac : t -> string
 (** Serialization with a zeroed MAC field — the input the source host and
     its AS agree to authenticate (§IV-D2). *)

@@ -4,9 +4,13 @@ module Aid_pair = struct
   let canon (a, b) = if a <= b then (a, b) else (b, a)
 end
 
+(* One cell per connected pair: [connect] on a linked pair swaps the
+   cell's content, so a [wire] handed out earlier sees the new link. *)
+type wire = { mutable current : Link.t }
+
 type t = {
   nodes : unit Addr.Aid_tbl.t;
-  links : (Aid_pair.t, Link.t) Hashtbl.t;
+  links : (Aid_pair.t, wire) Hashtbl.t;
   adjacency : Addr.aid list Addr.Aid_tbl.t;
   (* next.(src) : dst -> neighbor, rebuilt lazily on mutation. *)
   mutable routes : Addr.aid Addr.Aid_tbl.t Addr.Aid_tbl.t option;
@@ -35,15 +39,19 @@ let connect t a b link =
   add_as t a;
   add_as t b;
   let key = Aid_pair.canon (Addr.aid_to_int a, Addr.aid_to_int b) in
-  if not (Hashtbl.mem t.links key) then begin
-    Addr.Aid_tbl.replace t.adjacency a (b :: neighbors t a);
-    Addr.Aid_tbl.replace t.adjacency b (a :: neighbors t b)
-  end;
-  Hashtbl.replace t.links key link;
+  (match Hashtbl.find_opt t.links key with
+  | Some w -> w.current <- link
+  | None ->
+      Addr.Aid_tbl.replace t.adjacency a (b :: neighbors t a);
+      Addr.Aid_tbl.replace t.adjacency b (a :: neighbors t b);
+      Hashtbl.replace t.links key { current = link });
   t.routes <- None
 
-let link t a b =
+let wire t a b =
   Hashtbl.find_opt t.links (Aid_pair.canon (Addr.aid_to_int a, Addr.aid_to_int b))
+
+let current w = w.current
+let link t a b = Option.map current (wire t a b)
 
 (* All-pairs next-hop via one BFS per node: topologies here are AS-level
    graphs of at most a few hundred nodes. *)
@@ -86,8 +94,9 @@ let routes t = match t.routes with Some r -> r | None -> build_routes t
 let next_hop t ~src ~dst =
   if Addr.aid_equal src dst then None
   else
-    Option.bind (Addr.Aid_tbl.find_opt (routes t) src) (fun hops ->
-        Addr.Aid_tbl.find_opt hops dst)
+    match Addr.Aid_tbl.find (routes t) src with
+    | hops -> Addr.Aid_tbl.find_opt hops dst
+    | exception Not_found -> None
 
 let path t ~src ~dst =
   if Addr.aid_equal src dst then Some [ src ]

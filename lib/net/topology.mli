@@ -14,6 +14,13 @@ val connect : t -> Addr.aid -> Addr.aid -> Link.t -> unit
 
 val link : t -> Addr.aid -> Addr.aid -> Link.t option
 
+type wire
+(** The connection between two ASes, found once: {!current} is always the
+    link {!connect} last installed between them. *)
+
+val wire : t -> Addr.aid -> Addr.aid -> wire option
+val current : wire -> Link.t
+
 val next_hop : t -> src:Addr.aid -> dst:Addr.aid -> Addr.aid option
 (** [next_hop t ~src ~dst] is the neighbor to forward to, [None] when
     unreachable or already at the destination. *)

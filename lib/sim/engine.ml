@@ -93,9 +93,11 @@ let step t =
   else begin
     let ev = pop_event t in
     t.clock <- ev.time;
-    M.Counter.incr m_events;
-    M.Gauge.set m_queue (float_of_int t.size);
-    M.Gauge.set m_clock ev.time;
+    if M.enabled M.default then begin
+      M.Counter.incr m_events;
+      M.Gauge.set m_queue (float_of_int t.size);
+      M.Gauge.set m_clock ev.time
+    end;
     ev.action ();
     true
   end

@@ -419,7 +419,7 @@ let e2e_tests =
            inter-AS link. *)
         let req =
           B.Request.sign ~key:le_key ~corr:42L ~requester:"le"
-            ~query:(B.Request.Attribute_packet evidence.header.mac)
+            ~query:(B.Request.Attribute_packet (Apna_net.Packet.digest evidence))
         in
         let bob_ephid = bep.cert.Cert.ephid in
         let header =

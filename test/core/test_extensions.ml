@@ -388,6 +388,23 @@ let mtu_tests =
           (fun _ -> ());
         Network.run net;
         Alcotest.(check int) "retry delivered" 1 (List.length (inbox ())));
+    Alcotest.test_case "a replaced link's MTU applies" `Quick (fun () ->
+        let net = Scenario.line ~seed:"mtu3" [ 100; 300 ] in
+        let alice = Scenario.host net ~as_number:100 ~name:"alice" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:300 ~name:"bob" ~credential:"b" in
+        let bep = Scenario.endpoint net bob in
+        let inbox = Scenario.inbox bob in
+        let connect () =
+          Host.connect alice ~remote:bep.cert ~data0:(String.make 1000 'x') (fun _ -> ());
+          Network.run net
+        in
+        connect ();
+        Alcotest.(check int) "fits the default link" 1 (List.length (inbox ()));
+        Network.connect_as net 100 300 ~link:(Apna_net.Link.make ~mtu:600 ()) ();
+        connect ();
+        Alcotest.(check int) "dropped on the new link" 1 (List.length (inbox ()));
+        Alcotest.(check bool) "frag-needed from the new link" true
+          (match Host.path_mtu alice with Some mtu -> mtu <= 600 | None -> false));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -471,9 +488,10 @@ let audit_tests =
           B.handle broker ~now:now0
             (B.Request.sign ~key:"le-key" ~corr:7L ~requester:"le" ~query:q)
         in
-        (* Step 1: attribute the captured packet's digest (its MAC). *)
+        (* Step 1: attribute the captured packet's digest (source EphID
+           ‖ MAC). *)
         let logged_ephid, hid_of_sender =
-          match ask (B.Request.Attribute_packet pkt.header.mac) with
+          match ask (B.Request.Attribute_packet (Apna_net.Packet.digest pkt)) with
           | B.Response.Granted
               { grant = B.Response.Attribution { ephid; hid; credential; _ }; _ }
             ->

@@ -367,7 +367,10 @@ let session_tests =
           | 4 -> Session.Frame.Rekey { conn_id; cert; seq; sealed }
           | _ -> Session.Frame.Rekey_ack { conn_id; seq; sealed }
         in
-        match Session.Frame.of_bytes (Session.Frame.to_bytes f) with
+        let bytes = Session.Frame.to_bytes f in
+        Session.Frame.has_cert bytes = List.mem kind [ 0; 1; 4 ]
+        &&
+        match Session.Frame.of_bytes bytes with
         | Ok f' -> f' = f
         | Error _ -> false);
     qtest "frame decoder is total on arbitrary bytes" ~count:200

@@ -1181,23 +1181,31 @@ module Cp = Chacha20_poly1305
 (* Poly1305 the long way (§2.5.1): each 16-byte chunk, with a 0x01 byte
    appended, is added to the accumulator, which is then multiplied by the
    clamped r modulo 2^130 - 5; the tag is (acc + s) mod 2^128. *)
-let poly1305_oracle ~key msg =
-  let r = Bytes.of_string (String.sub key 0 16) in
+let p1305 = Bigint.sub (Bigint.shift_left Bigint.one 130) (Bigint.of_int 5)
+
+let clamp r =
+  let r = Bytes.of_string r in
   List.iter (fun i -> Bytes.set r i (Char.chr (Char.code (Bytes.get r i) land 15))) [ 3; 7; 11; 15 ];
   List.iter (fun i -> Bytes.set r i (Char.chr (Char.code (Bytes.get r i) land 252))) [ 4; 8; 12 ];
-  let r = Bigint.of_bytes_le (Bytes.to_string r) in
-  let p = Bigint.sub (Bigint.shift_left Bigint.one 130) (Bigint.of_int 5) in
+  Bigint.of_bytes_le (Bytes.to_string r)
+
+(* The accumulator mod p after the last chunk, under the clamped [r]. *)
+let poly_acc ~r msg =
   let acc = ref Bigint.zero in
   let len = String.length msg in
   let i = ref 0 in
   while !i < len do
     let chunk = String.sub msg !i (min 16 (len - !i)) in
     let n = Bigint.of_bytes_le (chunk ^ "\x01") in
-    acc := Bigint.mod_mul (Bigint.add !acc n) r p;
+    acc := Bigint.mod_mul (Bigint.add !acc n) r p1305;
     i := !i + 16
   done;
+  !acc
+
+let poly1305_oracle ~key msg =
+  let acc = poly_acc ~r:(clamp (String.sub key 0 16)) msg in
   let s = Bigint.of_bytes_le (String.sub key 16 16) in
-  Bigint.to_bytes_le (Bigint.rem (Bigint.add !acc s) (Bigint.shift_left Bigint.one 128)) 16
+  Bigint.to_bytes_le (Bigint.rem (Bigint.add acc s) (Bigint.shift_left Bigint.one 128)) 16
 
 (* Minor words per [Aead.seal] and per [Aead.open_] of [msg]. *)
 let aead_words ~key ~nonce msg =
@@ -1297,6 +1305,254 @@ let chacha_tests =
           [ 0; 64; 1400 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The packet MAC (Pkt_auth): hash-then-PRF, checked against a composition
+   of independent parts — subkeys from the RFC-checked ChaCha20 block, h
+   from the Bigint Poly1305 oracle with s = 0, the tag from one more
+   block. *)
+
+module Pkt = Apna_net.Packet
+
+(* h = the Poly1305 polynomial of [msg] under [r], no s, mod 2^128. *)
+let poly_hash_oracle ~r msg = poly1305_oracle ~key:(r ^ String.make 16 '\x00') msg
+
+(* The first 16 bytes of the ChaCha20 block whose counter ‖ nonce is h. *)
+let prf_oracle ~key h =
+  String.sub
+    (Cp.xor ~key ~nonce:(String.sub h 4 12) ~counter:(Int32.to_int (String.get_int32_le h 0) land 0xffffffff)
+       (String.make 64 '\x00'))
+    0 16
+
+let hash_prf_bytes ~r ~key msg =
+  let out = Bytes.create 16 in
+  Cp.hash_prf ~key:(r ^ key) (Bytes.of_string msg) ~off:0 ~len:(String.length msg) ~out;
+  Bytes.to_string out
+
+(* Pkt_auth.mac the long way: subkeys from block 0 under the domain nonce,
+   the MAC input through Packet.bytes_for_mac. *)
+let pkt_mac_oracle ~auth_key pkt =
+  let sub = Cp.xor ~key:auth_key ~nonce:"apna-pkt-mac" ~counter:0 (String.make 48 '\x00') in
+  let h = poly_hash_oracle ~r:(String.sub sub 0 16) (Pkt.bytes_for_mac pkt) in
+  String.sub (prf_oracle ~key:(String.sub sub 16 32) h) 0 8
+
+let mac_packet ~seed ~payload_len =
+  let b n i = String.init n (fun j -> Char.chr (((seed * 31) + (i * 7) + j) land 0xff)) in
+  let header =
+    Apna_net.Apna_header.make ~src_aid:(Apna_net.Addr.aid_of_int (64500 + seed))
+      ~src_ephid:(b 16 1) ~dst_aid:(Apna_net.Addr.aid_of_int 64502) ~dst_ephid:(b 16 2) ()
+  in
+  Pkt.make ~header ~proto:Pkt.Data ~payload:(b payload_len 3)
+
+let gen_packet =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1000 and* payload_len = int_range 0 1500 in
+    let* auth_key = string_size ~gen:char (return 32) in
+    return (auth_key, mac_packet ~seed ~payload_len))
+
+(* Every single-bit flip of the MAC input or the tag, applied to the wire
+   bytes; a flip that leaves no valid packet (the shim's protocol tag)
+   counts as rejected. Returns the flips that verified. *)
+let accepted_flips verify pkt =
+  let wire = Pkt.to_bytes pkt in
+  let accepted = ref 0 in
+  for bit = 0 to (8 * String.length wire) - 1 do
+    let b = Bytes.of_string wire in
+    Bytes.set b (bit / 8) (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit land 7))));
+    match Pkt.of_bytes (Bytes.to_string b) with
+    | Ok tampered -> if verify tampered then incr accepted
+    | Error _ -> ()
+  done;
+  !accepted
+
+let mod_pow b e =
+  let acc = ref Bigint.one in
+  for i = Bigint.num_bits e - 1 downto 0 do
+    acc := Bigint.mod_mul !acc !acc p1305;
+    if Bigint.bit e i then acc := Bigint.mod_mul !acc b p1305
+  done;
+  !acc
+
+(* What a host holding kHA can do: it knows r, so it can set the first
+   16-byte block that lies wholly in [pkt]'s payload to make its
+   polynomial, and so its tag, equal to [target]'s. The block enters the
+   polynomial times r^k; a solution outside [0, 2^128) changes the last
+   payload byte and tries again. [pkt]'s payload must reach past that
+   block. *)
+let collide ~auth_key ~target (pkt : Pkt.t) =
+  let sub = Cp.xor ~key:auth_key ~nonce:"apna-pkt-mac" ~counter:0 (String.make 16 '\x00') in
+  let r = clamp sub in
+  let goal = poly_acc ~r (Pkt.bytes_for_mac target) in
+  let shim_end = Apna_net.Apna_header.size + 1 in
+  let block = (shim_end + 15) / 16 in
+  let weight = mod_pow r (Bigint.of_int (((Pkt.wire_size pkt + 15) / 16) - block)) in
+  let inv_weight = mod_pow weight (Bigint.sub p1305 (Bigint.of_int 2)) in
+  let with_block tweak x =
+    let payload = Bytes.of_string pkt.payload in
+    Bytes.set payload (Bytes.length payload - 1) (Char.chr tweak);
+    Bytes.blit_string x 0 payload ((16 * block) - shim_end) 16;
+    { pkt with payload = Bytes.to_string payload }
+  in
+  let rec go tweak =
+    let zero = with_block tweak (String.make 16 '\x00') in
+    let x =
+      Bigint.mod_mul
+        (Bigint.mod_add goal (Bigint.sub p1305 (poly_acc ~r (Pkt.bytes_for_mac zero))) p1305)
+        inv_weight p1305
+    in
+    if Bigint.num_bits x <= 128 then with_block tweak (Bigint.to_bytes_le x 16) else go (tweak + 1)
+  in
+  go 0
+
+(* The accountability agent of AS 64500 with one host registered, and a
+   victim in AS 64501 that reports the host's packets. *)
+let collision_world () =
+  let module A = Apna in
+  let rng = Drbg.create ~seed:"pktmac-collision" and now = 1_750_000_000 in
+  let aid = Apna_net.Addr.aid_of_int and hid = Apna_net.Addr.hid_of_int in
+  let as_keys = A.Keys.make_as rng ~aid:(aid 64500) in
+  let victim_as = A.Keys.make_as rng ~aid:(aid 64501) in
+  let h = hid 0x0a000001 in
+  let kha = A.Keys.derive_host_as ~shared_secret:(Drbg.generate rng 32) in
+  let host_info = A.Host_info.create () in
+  A.Host_info.register host_info h kha;
+  let revoked = A.Revocation.create () and trust = A.Trust.create () in
+  A.Trust.register_as trust (aid 64501) ~pub:(Ed25519.public_key victim_as.signing);
+  let agent = A.Accountability.create ~keys:as_keys ~host_info ~revoked ~trust () in
+  let vkeys = A.Keys.make_ephid_keys rng in
+  let vephid = A.Ephid.issue_random victim_as rng ~hid:(hid 7) ~expiry:(now + 900) in
+  let vcert =
+    A.Cert.issue victim_as ~ephid:vephid ~expiry:(now + 900) ~kx_pub:vkeys.kx_public
+      ~sig_pub:(Ed25519.public_key vkeys.sig_keypair) ~aa_ephid:vephid
+  in
+  let ephid () = A.Ephid.issue_random as_keys rng ~hid:h ~expiry:(now + 900) in
+  let packet src payload =
+    let header =
+      Apna_net.Apna_header.make ~src_aid:(aid 64500) ~src_ephid:(A.Ephid.to_bytes src)
+        ~dst_aid:(aid 64501) ~dst_ephid:(A.Ephid.to_bytes vephid) ()
+    in
+    Pkt.make ~header ~proto:Pkt.Data ~payload
+  in
+  let complain pkt =
+    let at = float_of_int now in
+    match
+      A.Accountability.enqueue agent ~now ~at
+        (A.Shutoff.make_request ~packet:pkt ~dst_cert:vcert ~dst_keys:vkeys)
+    with
+    | A.Accountability.Queued -> Ok (List.length (A.Accountability.drain agent ~now ~at))
+    | Refused e -> Error (A.Error.to_string e)
+    | Shed -> Alcotest.fail "shed"
+  in
+  (kha.A.Keys.auth, h, agent, revoked, ephid, packet, complain)
+
+let verify_in_words p pkt scratch =
+  ignore (Apna.Pkt_auth.verify_in ~scratch p pkt);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 200 do
+    ignore (Apna.Pkt_auth.verify_in ~scratch p pkt)
+  done;
+  (Gc.minor_words () -. w0) /. 200.
+
+let pktmac_tests =
+  let r = hex "85d6be7857556d337f4452fe42d506a8" and key = String.init 32 Char.chr in
+  let msg len = String.init len (fun i -> Char.chr ((i * 13) land 0xff)) in
+  [
+    Alcotest.test_case "hash_prf = oracle at 0..1482 B" `Quick (fun () ->
+        List.iter
+          (fun len ->
+            Alcotest.(check string) (string_of_int len)
+              (hex_of (prf_oracle ~key (poly_hash_oracle ~r (msg len))))
+              (hex_of (hash_prf_bytes ~r ~key (msg len))))
+          [ 0; 15; 16; 17; 1482 ]);
+    Alcotest.test_case "hash_prf fixed vector" `Quick (fun () ->
+        (* r from RFC 8439 §2.5.2 and the §2.3.2 key. The message is the
+           §2.5.2 one, so h is that tag minus s mod 2^128. *)
+        let m = "Cryptographic Forum Research Group" in
+        let le = Bigint.of_bytes_le and two128 = Bigint.shift_left Bigint.one 128 in
+        let h =
+          Bigint.rem
+            (Bigint.sub
+               (Bigint.add (le (hex "a8061dc1305136c6c22b8baf0c0127a9")) two128)
+               (le (hex "0103808afb0db2fd4abff6af4149f51b")))
+            two128
+        in
+        check_hex "h" (hex_of (Bigint.to_bytes_le h 16)) (poly_hash_oracle ~r m);
+        check_hex "tag" "b51ec76b41530c0d89fd071c01d7436a" (hash_prf_bytes ~r ~key m));
+    qtest "hash_prf = oracle, any r and range" ~count:200
+      QCheck2.Gen.(
+        triple (string_size ~gen:char (return 16)) (string_size (int_range 0 200)) (int_range 0 7))
+      (fun (r, m, off) ->
+        let out = Bytes.create 16 in
+        Cp.hash_prf ~key:(r ^ key) (Bytes.of_string (String.make off 'x' ^ m)) ~off ~len:(String.length m) ~out;
+        Bytes.to_string out = prf_oracle ~key (poly_hash_oracle ~r m));
+    Alcotest.test_case "mac = oracle at 49..1482 B" `Quick (fun () ->
+        let auth_key = String.make 32 'A' in
+        List.iter
+          (fun payload_len ->
+            let pkt = mac_packet ~seed:1 ~payload_len in
+            Alcotest.(check string) (string_of_int payload_len)
+              (hex_of (pkt_mac_oracle ~auth_key pkt))
+              (hex_of (Apna.Pkt_auth.mac ~auth_key pkt)))
+          [ 0; 15; 16; 17; 1433 ]);
+    qtest "seal = seal_prepared; all verify" ~count:100 gen_packet (fun (auth_key, pkt) ->
+        let p = Apna.Pkt_auth.prepare ~auth_key in
+        let sealed = Apna.Pkt_auth.seal ~auth_key pkt in
+        Apna.Pkt_auth.seal_prepared p pkt = sealed
+        && Apna.Pkt_auth.verify ~auth_key sealed
+        && Apna.Pkt_auth.verify_in ~scratch:(Bytes.create 2048) p sealed
+        && Apna.Pkt_auth.verify_in ~scratch:(Bytes.create 16) p sealed);
+    Alcotest.test_case "every bit flip is rejected" `Quick (fun () ->
+        let auth_key = String.make 32 'K' in
+        let p = Apna.Pkt_auth.prepare ~auth_key and scratch = Bytes.create 2048 in
+        List.iter
+          (fun payload_len ->
+            let pkt = Apna.Pkt_auth.seal ~auth_key (mac_packet ~seed:2 ~payload_len) in
+            Alcotest.(check int) (Printf.sprintf "verify, %d B" payload_len) 0
+              (accepted_flips (Apna.Pkt_auth.verify ~auth_key) pkt);
+            Alcotest.(check int) (Printf.sprintf "verify_in, %d B" payload_len) 0
+              (accepted_flips (Apna.Pkt_auth.verify_in ~scratch p) pkt))
+          [ 0; 64; 1433 ]);
+    Alcotest.test_case "verify_in allocates nothing" `Quick (fun () ->
+        let auth_key = String.make 32 'K' in
+        let p = Apna.Pkt_auth.prepare ~auth_key and scratch = Bytes.create 2048 in
+        List.iter
+          (fun payload_len ->
+            let pkt = Apna.Pkt_auth.seal ~auth_key (mac_packet ~seed:3 ~payload_len) in
+            Alcotest.(check (float 0.)) (string_of_int payload_len) 0.
+              (verify_in_words p pkt scratch))
+          [ 0; 64; 1433 ]);
+    Alcotest.test_case "own tag collisions: all granted" `Quick (fun () ->
+        let auth_key, h, agent, revoked, ephid, packet, complain = collision_world () in
+        let e1 = ephid () and e2 = ephid () in
+        let seal = Apna.Pkt_auth.seal ~auth_key in
+        let p1 = seal (packet e1 (String.make 64 'a')) in
+        (* Same tag from a second EphID, and from the first EphID again. *)
+        let p2 = seal (collide ~auth_key ~target:p1 (packet e2 (String.make 64 'b'))) in
+        let p3 = seal (collide ~auth_key ~target:p1 (packet e1 (String.make 200 'c'))) in
+        List.iter
+          (fun (name, p) ->
+            check_hex name (hex_of p1.header.mac) p.Pkt.header.mac;
+            Alcotest.(check bool) (name ^ " verifies") true (Apna.Pkt_auth.verify ~auth_key p))
+          [ ("p2", p2); ("p3", p3) ];
+        (* The AA dedups on the authenticated bytes, not the tag: each
+           packet is its own evidence and counts toward the host's
+           revocation threshold; a replay of one is still refused. *)
+        let outcome = Alcotest.(result int string) in
+        List.iter
+          (fun (name, p) -> Alcotest.check outcome (name ^ " granted") (Ok 1) (complain p))
+          [ ("p1", p1); ("p2", p2); ("p3", p3) ];
+        Alcotest.check outcome "p2 replayed" (Error "rejected: duplicate evidence") (complain p2);
+        Alcotest.(check int) "three grants counted" 3 (Apna.Accountability.revocations_of agent h);
+        Alcotest.(check bool) "both EphIDs revoked" true
+          (Apna.Revocation.is_revoked revoked e1 && Apna.Revocation.is_revoked revoked e2);
+        (* Retention keys egress on source EphID ‖ tag: p1 and p2 keep
+           two entries. *)
+        let audit = Apna.Audit.create () in
+        List.iter
+          (fun (e, p) -> Apna.Audit.record_egress audit ~now:1 ~ephid:e ~digest:(Pkt.digest p))
+          [ (e1, p1); (e2, p2) ];
+        Alcotest.(check int) "two egress entries" 2 (Apna.Audit.egress_count audit));
+  ]
+
 let () =
   Alcotest.run "apna_crypto"
     [
@@ -1317,4 +1573,5 @@ let () =
       ("aead", aead_tests);
       ("into", into_tests);
       ("chacha", chacha_tests);
+      ("pktmac", pktmac_tests);
     ]
