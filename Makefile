@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work.
 
-.PHONY: all build test bench check ab linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate mac-gate clean
+.PHONY: all build test bench check ab flake linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate mac-gate counter-gate clean
 
 # Linkage exclusivity: the privacy broker is the only sanctioned path from
 # an EphID back to a host identity. Any direct Audit.bindings_of /
@@ -111,6 +111,28 @@ mac-gate:
 	fi; \
 	echo "mac-gate: OK (no Hmac or Sha256 in pkt_auth, border_router or host)"
 
+# One counting concept: a role counts in its own record of plain ints and
+# the metrics registry reads it (Counter.register_fn / Gauge.register_fn).
+# No pushed counter or gauge in lib/ outside lib/obs, and `M.enabled` only
+# at the opt-in sites listed below, which do extra work while the registry
+# is enabled:
+#   - border_router.ml: the allocs-per-packet measurement (two Gc reads per
+#     burst), which E17's observed gate reads.
+# (Histograms, Tally registrations and pushed series check the flag inside
+# lib/obs.)
+COUNTER_GATE_ALLOW = ^lib/core/border_router\.ml:[0-9]+:  let measure = M\.enabled M\.default in$$
+counter-gate:
+	@violations=$$( (grep -rnE '\b(Counter\.incr|Gauge\.set|Gauge\.add)\b' lib \
+	  --include='*.ml' --include='*.mli' | grep -v "^lib/obs/"; \
+	  grep -rnE '\b(M|Metrics)\.enabled\b' lib --include='*.ml' --include='*.mli' \
+	  | grep -v "^lib/obs/" | grep -vE '$(COUNTER_GATE_ALLOW)') || true); \
+	if [ -n "$$violations" ]; then \
+	  echo "counter-gate: a pushed metric or an enabled check outside lib/obs:"; \
+	  echo "$$violations"; \
+	  exit 1; \
+	fi; \
+	echo "counter-gate: OK (lib/ counts in role records; the registry reads them)"
+
 all: build
 
 build:
@@ -127,9 +149,9 @@ bench:
 # array whose every element carries name/ph/ts), one quick-tier run of
 # the benchmark harness (all 18 experiments; it exits non-zero if any
 # gate fails and writes a parse-checked BENCH_results.json), a broker
-# journal dump and the linkage, recorder, bigint, scenario, roles, aes and
-# mac grep gates.
-check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate mac-gate
+# journal dump and the linkage, recorder, bigint, scenario, roles, aes, mac
+# and counter grep gates.
+check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate mac-gate counter-gate
 	dune build @all
 	dune runtest
 	dune exec bin/apnad.exe -- trace --loss 0.05 --drops --chrome /tmp/apna_chrome_trace.json > /dev/null
@@ -139,7 +161,7 @@ check: linkage-gate recorder-gate bigint-gate scenario-gate roles-gate aes-gate 
 	test -s BENCH_results.json
 	dune exec bin/apnad.exe -- broker --dump /tmp/apna_broker_journal.txt > /dev/null
 	test -s /tmp/apna_broker_journal.txt
-	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario, roles, aes and mac gates clean, BENCH_results.json written and validated)"
+	@echo "check: OK (trace smoke, all bench gates at the quick tier, linkage, recorder, bigint (no Bigint outside test/), scenario, roles, aes, mac and counter gates clean, BENCH_results.json written and validated)"
 
 # A/B comparison on one BENCHMARK.json workload: N alternating pairs of
 # `perf/run.sh --workload W --trace 0` runs, BASE (exported under $TMPDIR,
@@ -153,6 +175,14 @@ ab:
 	dune build bench/ab.exe
 	./_build/default/bench/ab.exe --base $(BASE) --workload $(W) -n $(N) \
 	  $(if $(SEED),--seed $(SEED)) $(if $(SECONDS),--seconds $(SECONDS))
+
+# Flake runner: reruns one named check N times in a `git archive` copy of
+# REV (default HEAD) and prints the failure count and each failing reading.
+#   make flake CHECK=smoke|test:NAME|bench:ID [N=10] [REV=HEAD]
+flake:
+	@if [ -z "$(CHECK)" ]; then \
+	  echo "usage: make flake CHECK=smoke|test:NAME|bench:ID [N=10] [REV=HEAD]"; exit 2; fi
+	@bash bench/flake.sh $(N) $(CHECK) $(if $(REV),$(REV),HEAD)
 
 clean:
 	dune clean

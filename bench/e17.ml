@@ -100,16 +100,11 @@ let run tier =
 
   (* The cost of the instrumentation itself: the same cached burst with
      metrics and the flight recorder on. The allocs-per-packet gauge then
-     reads the last of those bursts back through the registry. *)
+     holds the last of those bursts. *)
   M.set_enabled M.default true;
   Event.set_enabled Event.default true;
   let observed_allocs = allocs_per_pkt (run_burst cached) in
-  let gauge =
-    M.Gauge.register M.default
-      ~labels:[ ("aid", string_of_int (Apna_net.Addr.aid_to_int (fst cached).keys.aid)) ]
-      "apna_br_allocs_per_packet"
-  in
-  let gauge_v = M.Gauge.value gauge in
+  let gauge_v = Border_router.allocs_per_packet (fst cached).br in
   Event.set_enabled Event.default false;
   Event.clear Event.default;
   M.set_enabled M.default false;

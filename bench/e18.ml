@@ -226,8 +226,7 @@ let campaign_tier ~fraction ~acceptance =
     List.fold_left (fun acc br -> acc + (Border_router.counters br).dropped) 0 routers
   in
   let dropped_base = dropped () in
-  let m_replay_rejected = M.Counter.register M.default "apna_host_replay_rejected_total" in
-  let replay_rejected_base = M.Counter.value m_replay_rejected in
+  let replay_rejected_base = Host.replay_rejected_total () in
   let br500 = As_node.border_router n500 in
   let cache_base = Border_router.ephid_cache_stats br500 in
   (* Flight recorder on for the campaign: drop forensics by reason. *)
@@ -311,7 +310,7 @@ let campaign_tier ~fraction ~acceptance =
   let drops_by_reason = drop_deltas drop_base in
   let drops_total = List.fold_left (fun acc (_, n) -> acc + n) 0 drops_by_reason in
   let dropped_counter_delta = dropped () - dropped_base in
-  let replay_rejected = M.Counter.value m_replay_rejected - replay_rejected_base in
+  let replay_rejected = Host.replay_rejected_total () - replay_rejected_base in
   let granted = Accountability.granted_count aa500
   and refused = Accountability.refused_count aa500
   and shed = Accountability.shed_count aa500

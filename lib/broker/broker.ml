@@ -253,12 +253,13 @@ type t = {
   journal : Journal.t;
   requesters : (string, requester) Hashtbl.t;
   labels : (string * string) list;
-  mutable grants : int;
-  mutable refusals : int;
+  grant_tally : M.Tally.tally;  (** by query kind *)
+  refusal_tally : M.Tally.tally;  (** by reason *)
 }
 
 let create ~keys ?audit ?credential_of ?budget () =
   let owner = string_of_int (Apna_net.Addr.aid_to_int keys.Keys.aid) in
+  let labels = [ ("aid", owner) ] in
   {
     keys;
     audit;
@@ -266,9 +267,13 @@ let create ~keys ?audit ?credential_of ?budget () =
     budget = (match budget with Some b -> b | None -> Budget.create ());
     journal = Journal.create ~owner ();
     requesters = Hashtbl.create 8;
-    labels = [ ("aid", owner) ];
-    grants = 0;
-    refusals = 0;
+    labels;
+    grant_tally =
+      M.Tally.create M.default ~labels ~label:"query"
+        ~help:"Broker linkage requests granted" "apna_broker_grants_total";
+    refusal_tally =
+      M.Tally.create M.default ~labels ~label:"reason"
+        ~help:"Broker linkage requests refused" "apna_broker_refusals_total";
   }
 
 let register_requester ?capacity ?refill t ~id ~role ~key ~now =
@@ -278,24 +283,17 @@ let register_requester ?capacity ?refill t ~id ~role ~key ~now =
 let journal t = t.journal
 let budget t = t.budget
 let verify_journal t = Journal.verify t.journal
-let grants t = t.grants
-let refusals t = t.refusals
+let grants t = M.Tally.total t.grant_tally
+let refusals t = M.Tally.total t.refusal_tally
 
-let m_grants t ~query =
-  M.Counter.register M.default
-    ~labels:(t.labels @ [ ("query", query) ])
-    ~help:"Broker linkage requests granted" "apna_broker_grants_total"
-
-let m_refusals t ~reason =
-  M.Counter.register M.default
-    ~labels:(t.labels @ [ ("reason", reason) ])
-    ~help:"Broker linkage requests refused" "apna_broker_refusals_total"
-
-let g_budget t ~requester =
-  M.Gauge.register M.default
+(* Registered at a requester's first charge; a later charge replaces the
+   reader with an identical one. *)
+let show_budget t ~requester =
+  let budget = t.budget in
+  M.Gauge.register_fn M.default
     ~labels:(t.labels @ [ ("requester", requester) ])
-    ~help:"Remaining privacy budget per requester"
-    "apna_broker_budget_remaining"
+    ~help:"Remaining privacy budget per requester" "apna_broker_budget_remaining"
+    (fun () -> float_of_int (Budget.balance budget ~id:requester))
 
 let aid_int t = Apna_net.Addr.aid_to_int t.keys.Keys.aid
 
@@ -343,8 +341,7 @@ let execute t (query : Request.query) =
     end
 
 let refuse t ~now ~corr ~requester ~query_label ~reason ~remaining =
-  t.refusals <- t.refusals + 1;
-  M.Counter.incr (m_refusals t ~reason:(Error.kind_label reason));
+  M.Tally.incr t.refusal_tally (Error.kind_label reason);
   record_event t ~corr ~granted:false ~query:query_label;
   ignore
     (Journal.append t.journal ~now
@@ -382,16 +379,12 @@ let handle t ~now (req : Request.t) =
                 Printf.sprintf "%s costs %d, balance %d, retry in %ds" label
                   cost remaining retry_after_s
             in
-            M.Gauge.set
-              (g_budget t ~requester:req.requester)
-              (float_of_int remaining);
+            show_budget t ~requester:req.requester;
             refuse t ~now ~corr:req.corr ~requester:req.requester
               ~query_label:label ~reason:(Error.Budget_exhausted what)
               ~remaining
         | Budget.Charged { remaining; _ } ->
-            M.Gauge.set
-              (g_budget t ~requester:req.requester)
-              (float_of_int remaining);
+            show_budget t ~requester:req.requester;
             (* The budget is spent either way: a failed query still
                probed the logs, and free probing would let a requester
                binary-search identities at no cost. *)
@@ -400,8 +393,7 @@ let handle t ~now (req : Request.t) =
                 refuse t ~now ~corr:req.corr ~requester:req.requester
                   ~query_label:label ~reason ~remaining
             | Ok grant ->
-                t.grants <- t.grants + 1;
-                M.Counter.incr (m_grants t ~query:label);
+                M.Tally.incr t.grant_tally label;
                 record_event t ~corr:req.corr ~granted:true ~query:label;
                 ignore
                   (Journal.append t.journal ~now

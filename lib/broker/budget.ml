@@ -38,6 +38,9 @@ let refresh t a ~now =
     a.epoch <- epoch
   end
 
+let balance t ~id =
+  match Hashtbl.find_opt t.tbl id with None -> 0 | Some a -> a.balance
+
 let remaining t ~id ~now =
   match Hashtbl.find_opt t.tbl id with
   | None -> 0

@@ -31,6 +31,10 @@ val known : t -> string -> bool
 val remaining : t -> id:string -> now:int -> int
 (** Current balance after lazy refill; 0 for unknown accounts. *)
 
+val balance : t -> id:string -> int
+(** The balance as the last charge or refill left it, with no refill
+    applied; 0 for unknown accounts. *)
+
 val charge : t -> id:string -> now:int -> cost:int -> outcome
 (** Refills lazily (min(capacity, balance + refill × elapsed epochs)),
     then debits [cost] if covered. Unknown accounts are always

@@ -9,25 +9,18 @@ type t = {
   mutable appended : int;
   mutable anchor : string;  (* hash preceding the oldest retained entry *)
   mutable head : string;  (* hash of the newest entry; anchor when empty *)
-  g_entries : M.Gauge.m;
 }
 
 let genesis = Sha256.digest "apna-broker-journal-genesis"
 
 let create ?(cap = 65536) ?(owner = "default") () =
   if cap <= 0 then invalid_arg "Journal.create: cap must be > 0";
-  {
-    cap;
-    entries = Queue.create ();
-    appended = 0;
-    anchor = genesis;
-    head = genesis;
-    g_entries =
-      M.Gauge.register M.default
-        ~labels:[ ("owner", owner) ]
-        ~help:"Decision entries retained in the broker journal"
-        "apna_broker_journal_entries";
-  }
+  let entries = Queue.create () in
+  M.Gauge.register_fn M.default
+    ~labels:[ ("owner", owner) ]
+    ~help:"Decision entries retained in the broker journal" "apna_broker_journal_entries"
+    (fun () -> float_of_int (Queue.length entries));
+  { cap; entries; appended = 0; anchor = genesis; head = genesis }
 
 let entry_hash ~prev ~seq ~at ~payload =
   let w = Apna_util.Rw.Writer.create () in
@@ -54,7 +47,6 @@ let append t ~now payload =
     let dropped = Queue.pop t.entries in
     t.anchor <- dropped.hash
   done;
-  M.Gauge.set t.g_entries (float_of_int (Queue.length t.entries));
   e
 
 let length t = Queue.length t.entries

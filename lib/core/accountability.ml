@@ -58,16 +58,13 @@ type job = {
   arrival : float;  (** sim seconds; start of the propagation clock *)
 }
 
-type refusal_stat = { mutable count : int; metric : M.Counter.m Lazy.t }
-
-type obs = {
-  aid_label : M.labels;
-  m_requests : M.Counter.m;
-  m_granted : M.Counter.m;
-  m_shed : M.Counter.m;
-  m_batches : M.Counter.m;
-  m_batched : M.Counter.m;
-  g_queue : M.Gauge.m;
+(* Shown in the default registry labeled by AID. *)
+type counters = {
+  mutable requests : int;
+  mutable granted : int;
+  mutable shed : int;
+  mutable batches : int;
+  mutable batched : int;
 }
 
 type t = {
@@ -90,11 +87,9 @@ type t = {
   q_hi : job Queue.t;
   q_lo : job Queue.t;
   mutable queue_peak : int;
-  mutable shed : int;
-  mutable granted : int;
-  refusals : (string, refusal_stat) Hashtbl.t;
+  counts : counters;
+  refusals : M.Tally.tally;
   mutable prop_samples : float list;
-  obs : obs;
   (* Legal-plane accountability: every shutoff decision (grant or refusal)
      is reported here; the privacy broker installs its hash-chained journal
      so the AA's disclosures share the broker's tamper-evident record. *)
@@ -103,9 +98,26 @@ type t = {
 
 let create ~keys ~host_info ~revoked ~trust ?(max_revocations_per_host = 6)
     ?(limits = default_limits) () =
-  let aid_label =
-    [ ("aid", string_of_int (Apna_net.Addr.aid_to_int keys.Keys.aid)) ]
-  in
+  let labels = [ ("aid", string_of_int (Apna_net.Addr.aid_to_int keys.Keys.aid)) ] in
+  let counts = { requests = 0; granted = 0; shed = 0; batches = 0; batched = 0 }
+  and q_hi = Queue.create ()
+  and q_lo = Queue.create () in
+  (* Registration order is scrape order, which the stats goldens pin. *)
+  M.Gauge.register_fn M.default ~labels
+    ~help:"Shutoff requests queued awaiting verification" "apna_aa_queue_depth"
+    (fun () -> float_of_int (Queue.length q_hi + Queue.length q_lo));
+  let counter name help read = M.Counter.register_fn M.default ~labels ~help name read in
+  counter "apna_aa_batched_revocations_total"
+    "Revocations carried inside batched announcements" (fun () -> counts.batched);
+  counter "apna_aa_revocation_batches_total"
+    "Batched revocation announcements sent to border routers" (fun () -> counts.batches);
+  counter "apna_aa_shed_total"
+    "Shutoff requests dropped unprocessed by work-queue load-shedding"
+    (fun () -> counts.shed);
+  counter "apna_aa_granted_total" "Shutoff requests granted (EphID revoked)"
+    (fun () -> counts.granted);
+  counter "apna_aa_requests_total" "Shutoff requests reaching the accountability agent"
+    (fun () -> counts.requests);
   {
     keys;
     host_info;
@@ -118,43 +130,14 @@ let create ~keys ~host_info ~revoked ~trust ?(max_revocations_per_host = 6)
     bucket_fifo = Queue.create ();
     dedup = Hashtbl.create 256;
     dedup_fifo = Queue.create ();
-    q_hi = Queue.create ();
-    q_lo = Queue.create ();
+    q_hi;
+    q_lo;
     queue_peak = 0;
-    shed = 0;
-    granted = 0;
-    refusals = Hashtbl.create 8;
+    counts;
+    refusals =
+      M.Tally.create M.default ~labels ~label:"reason"
+        ~help:"Shutoff requests refused, by reason" "apna_aa_refusals_total";
     prop_samples = [];
-    obs =
-      {
-        aid_label;
-        m_requests =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Shutoff requests reaching the accountability agent"
-            "apna_aa_requests_total";
-        m_granted =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Shutoff requests granted (EphID revoked)"
-            "apna_aa_granted_total";
-        m_shed =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:
-              "Shutoff requests dropped unprocessed by work-queue \
-               load-shedding"
-            "apna_aa_shed_total";
-        m_batches =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Batched revocation announcements sent to border routers"
-            "apna_aa_revocation_batches_total";
-        m_batched =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Revocations carried inside batched announcements"
-            "apna_aa_batched_revocations_total";
-        g_queue =
-          M.Gauge.register M.default ~labels:aid_label
-            ~help:"Shutoff requests queued awaiting verification"
-            "apna_aa_queue_depth";
-      };
     decision_sink = None;
   }
 
@@ -166,47 +149,20 @@ let revocations_of t hid =
 
 let queue_depth t = Queue.length t.q_hi + Queue.length t.q_lo
 let queue_peak t = t.queue_peak
-let shed_count t = t.shed
-let granted_count t = t.granted
+let shed_count t = t.counts.shed
+let granted_count t = t.counts.granted
 let propagation_samples t = t.prop_samples
-
-let refusal_reasons t =
-  Hashtbl.fold (fun k (v : refusal_stat) acc -> (k, v.count) :: acc) t.refusals []
-  |> List.sort compare
-
-let refused_count t =
-  Hashtbl.fold (fun _ (v : refusal_stat) acc -> acc + v.count) t.refusals 0
+let refusal_reasons t = M.Tally.to_list t.refusals
+let refused_count t = M.Tally.total t.refusals
 
 (* ------------------------------------------------------------------ *)
 (* Accounting helpers *)
 
-let count_refusal t e =
-  let label = Error.kind_label e in
-  let stat =
-    match Hashtbl.find_opt t.refusals label with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            count = 0;
-            metric =
-              lazy
-                (M.Counter.register M.default
-                   ~labels:(("reason", label) :: t.obs.aid_label)
-                   ~help:"Shutoff requests refused, by reason"
-                   "apna_aa_refusals_total");
-          }
-        in
-        Hashtbl.add t.refusals label s;
-        s
-  in
-  stat.count <- stat.count + 1;
-  if M.enabled M.default then M.Counter.incr (Lazy.force stat.metric)
+let count_refusal t e = M.Tally.incr t.refusals (Error.kind_label e)
 
-let update_queue_gauge t =
+let note_queue_peak t =
   let d = queue_depth t in
-  if d > t.queue_peak then t.queue_peak <- d;
-  M.Gauge.set t.obs.g_queue (float_of_int d)
+  if d > t.queue_peak then t.queue_peak <- d
 
 (* Legal plane: report the decision (either way) to the installed journal
    sink; flight recorder: a granted shutoff is the final event of the
@@ -293,7 +249,7 @@ let check_freshness t ~now (parsed : Shutoff.parsed) =
       else Ok (src_ephid, info)
 
 let admit t ~now ~arrival msg =
-  M.Counter.incr t.obs.m_requests;
+  t.counts.requests <- t.counts.requests + 1;
   let r =
     match Shutoff.parse_request msg with
     | Error e -> Error e
@@ -359,8 +315,7 @@ end
    identity itself past the threshold. Counting is immediate even when the
    router announcement is batched. *)
 let record_grant t ~hid =
-  t.granted <- t.granted + 1;
-  M.Counter.incr t.obs.m_granted;
+  t.counts.granted <- t.counts.granted + 1;
   let count = revocations_of t hid + 1 in
   Apna_net.Addr.Hid_tbl.replace t.revocation_counts hid count;
   if count >= t.max_revocations_per_host then
@@ -402,8 +357,7 @@ let verify_request t ~now (job : job) =
 type verdict = Queued | Refused of Error.t | Shed
 
 let shed_one t ~now =
-  t.shed <- t.shed + 1;
-  M.Counter.incr t.obs.m_shed;
+  t.counts.shed <- t.counts.shed + 1;
   match t.decision_sink with
   | None -> ()
   | Some sink -> sink ~now "shutoff shed under load"
@@ -432,7 +386,7 @@ let enqueue t ~now ~at msg =
           Shed
         end
       in
-      update_queue_gauge t;
+      note_queue_peak t;
       verdict
 
 let flush_batch t entries =
@@ -443,8 +397,8 @@ let flush_batch t entries =
       if Command.verify_batch ~keys:t.keys cmd then begin
         let changed = Revocation.revoke_many t.revoked cmd.Command.entries in
         ignore changed;
-        M.Counter.incr t.obs.m_batches;
-        M.Counter.incr t.obs.m_batched ~by:(List.length entries)
+        t.counts.batches <- t.counts.batches + 1;
+        t.counts.batched <- t.counts.batched + List.length entries
       end
 
 let drain t ~now ~at =
@@ -493,5 +447,5 @@ let drain t ~now ~at =
     decr budget
   done;
   flush ();
-  update_queue_gauge t;
+  note_queue_peak t;
   List.rev !grants

@@ -10,13 +10,14 @@ let broker_hid = Addr.hid_of_int 5
 let first_customer_hid = 0x0a000001
 let service_lifetime_s = 30 * 86_400
 
-(* Per-AS service counters in the default registry, labeled by AID. *)
-type obs = {
-  m_ms : M.Counter.m;
-  m_dns : M.Counter.m;
-  m_shutoff : M.Counter.m;
-  m_icmp : M.Counter.m;
-  m_broker : M.Counter.m;
+(* Per-AS service dispatch counts, shown in the default registry labeled
+   by AID. *)
+type counters = {
+  mutable ms : int;
+  mutable dns : int;
+  mutable shutoff : int;
+  mutable icmp : int;
+  mutable broker : int;
 }
 
 type t = {
@@ -53,7 +54,7 @@ type t = {
   mutable emit : next:Addr.aid -> Packet.t -> unit;
   (* One pending drain timer for the AA's bounded shutoff queue. *)
   mutable aa_drain_armed : bool;
-  obs : obs;
+  counts : counters;
 }
 
 let service_kha rng = Keys.derive_host_as ~shared_secret:(Drbg.generate rng 32)
@@ -120,6 +121,20 @@ let create ~rng ~aid ~trust ~topology ~now ~now_f ~schedule ?dns_zone
   let accountability =
     Accountability.create ~keys ~host_info ~revoked ~trust ?limits:aa_limits ()
   in
+  let counts = { ms = 0; dns = 0; shutoff = 0; icmp = 0; broker = 0 } in
+  (let labels = [ ("aid", string_of_int (Addr.aid_to_int aid)) ] in
+   let counter name help read = M.Counter.register_fn M.default ~labels ~help name read in
+   (* Registration order is scrape order, which the stats goldens pin. *)
+   counter "apna_as_broker_requests_total" "Requests dispatched to the privacy broker"
+     (fun () -> counts.broker);
+   counter "apna_as_icmp_sent_total" "ICMP feedback packets sent to sources"
+     (fun () -> counts.icmp);
+   counter "apna_as_shutoff_requests_total"
+     "Shutoff requests handled by the accountability agent" (fun () -> counts.shutoff);
+   counter "apna_as_dns_queries_total" "Queries dispatched to the DNS service"
+     (fun () -> counts.dns);
+   counter "apna_as_ms_requests_total" "Requests dispatched to the management service"
+     (fun () -> counts.ms));
   {
     aid;
     keys;
@@ -150,30 +165,7 @@ let create ~rng ~aid ~trust ~topology ~now ~now_f ~schedule ?dns_zone
     emit =
       (fun ~next:_ _ ->
         Logs.err (fun m -> m "AS %a: emit not wired" Addr.pp_aid aid));
-    obs =
-      (let labels = [ ("aid", string_of_int (Addr.aid_to_int aid)) ] in
-       {
-         m_ms =
-           M.Counter.register M.default ~labels
-             ~help:"Requests dispatched to the management service"
-             "apna_as_ms_requests_total";
-         m_dns =
-           M.Counter.register M.default ~labels
-             ~help:"Queries dispatched to the DNS service"
-             "apna_as_dns_queries_total";
-         m_shutoff =
-           M.Counter.register M.default ~labels
-             ~help:"Shutoff requests handled by the accountability agent"
-             "apna_as_shutoff_requests_total";
-         m_icmp =
-           M.Counter.register M.default ~labels
-             ~help:"ICMP feedback packets sent to sources"
-             "apna_as_icmp_sent_total";
-         m_broker =
-           M.Counter.register M.default ~labels
-             ~help:"Requests dispatched to the privacy broker"
-             "apna_as_broker_requests_total";
-       });
+    counts;
   }
 
 let aid t = t.aid
@@ -240,7 +232,7 @@ and egress_dead_feedback t (pkt : Packet.t) err =
           | Error.Revoked _ -> Icmp.Ephid_revoked
           | _ -> Icmp.Ephid_expired
         in
-        M.Counter.incr t.obs.m_icmp;
+        t.counts.icmp <- t.counts.icmp + 1;
         deliver_local t info.hid
           (service_packet t ~src_ephid:t.br_ephid ~dst_aid:t.aid
              ~dst_ephid:pkt.header.src_ephid ~proto:Packet.Icmp
@@ -304,7 +296,7 @@ and deliver_local t hid (pkt : Packet.t) =
   end
 
 and dispatch_ms t (pkt : Packet.t) =
-  M.Counter.incr t.obs.m_ms;
+  t.counts.ms <- t.counts.ms + 1;
   match Msgs.of_bytes pkt.payload with
   | Error e -> Logs.debug (fun m -> m "MS: %a" Error.pp e)
   | Ok (Msgs.Ephid_release _ as msg) -> begin
@@ -329,7 +321,7 @@ and dispatch_ms t (pkt : Packet.t) =
     end
 
 and dispatch_dns t (pkt : Packet.t) =
-  M.Counter.incr t.obs.m_dns;
+  t.counts.dns <- t.counts.dns + 1;
   match t.dns with
   | None -> Logs.debug (fun m -> m "AS %a: no DNS service" Addr.pp_aid t.aid)
   | Some dns -> begin
@@ -379,7 +371,7 @@ and arm_aa_drain t =
   end
 
 and dispatch_aa t (pkt : Packet.t) =
-  M.Counter.incr t.obs.m_shutoff;
+  t.counts.shutoff <- t.counts.shutoff + 1;
   match Msgs.of_bytes pkt.payload with
   | Error e -> Logs.debug (fun m -> m "AA: %a" Error.pp e)
   | Ok msg -> begin
@@ -398,7 +390,7 @@ and dispatch_aa t (pkt : Packet.t) =
     end
 
 and dispatch_broker t (pkt : Packet.t) =
-  M.Counter.incr t.obs.m_broker;
+  t.counts.broker <- t.counts.broker + 1;
   match t.broker_handler with
   | None ->
       Logs.debug (fun m -> m "AS %a: no privacy broker attached" Addr.pp_aid t.aid)
@@ -438,7 +430,7 @@ and icmp_to_source t (pkt : Packet.t) msg =
         end
       | None -> Icmp.to_bytes msg
     in
-    M.Counter.incr t.obs.m_icmp;
+    t.counts.icmp <- t.counts.icmp + 1;
     route t
       (service_packet t ~src_ephid:t.br_ephid ~dst_aid:pkt.header.src_aid
          ~dst_ephid:pkt.header.src_ephid ~proto:Packet.Icmp ~payload)

@@ -29,34 +29,33 @@ type t = {
   egress_expiry : string Heap.t;
   mutable last_query_cost : int;
   mutable last_gc_cost : int;
-  g_issuance : M.Gauge.m;
-  g_egress : M.Gauge.m;
 }
 
 let create ?(retain_s = 7 * 86_400) ?(owner = "default") () =
-  let labels = [ ("owner", owner) ] in
-  {
-    retain_s;
-    issuance_by_hid = Apna_net.Addr.Hid_tbl.create 256;
-    issuance_expiry = Heap.create ~dummy:(Apna_net.Addr.hid_of_int 0) ();
-    issuance_total = 0;
-    egress_by_digest = Hashtbl.create 256;
-    egress_expiry = Heap.create ~dummy:"" ();
-    last_query_cost = 0;
-    last_gc_cost = 0;
-    g_issuance =
-      M.Gauge.register M.default ~labels
-        ~help:"Issuance (EphID -> HID) entries retained in the audit log"
-        "apna_audit_issuance_entries";
-    g_egress =
-      M.Gauge.register M.default ~labels
-        ~help:"Egress (digest -> EphID) entries retained in the audit log"
-        "apna_audit_egress_entries";
-  }
-
-let update_gauges t =
-  M.Gauge.set t.g_issuance (float_of_int t.issuance_total);
-  M.Gauge.set t.g_egress (float_of_int (Hashtbl.length t.egress_by_digest))
+  let t =
+    {
+      retain_s;
+      issuance_by_hid = Apna_net.Addr.Hid_tbl.create 256;
+      issuance_expiry = Heap.create ~dummy:(Apna_net.Addr.hid_of_int 0) ();
+      issuance_total = 0;
+      egress_by_digest = Hashtbl.create 256;
+      egress_expiry = Heap.create ~dummy:"" ();
+      last_query_cost = 0;
+      last_gc_cost = 0;
+    }
+  in
+  let gauge name help read =
+    M.Gauge.register_fn M.default ~labels:[ ("owner", owner) ] ~help name (fun () ->
+        float_of_int (read ()))
+  in
+  (* Registration order is scrape order, which the stats goldens pin. *)
+  gauge "apna_audit_egress_entries"
+    "Egress (digest -> EphID) entries retained in the audit log" (fun () ->
+      Hashtbl.length t.egress_by_digest);
+  gauge "apna_audit_issuance_entries"
+    "Issuance (EphID -> HID) entries retained in the audit log" (fun () ->
+      t.issuance_total);
+  t
 
 let record_issuance t ~now ~ephid ~hid =
   (match Apna_net.Addr.Hid_tbl.find_opt t.issuance_by_hid hid with
@@ -71,13 +70,11 @@ let record_issuance t ~now ~ephid ~hid =
       let b = { entries = [ { at = now; ephid; hid } ]; len = 1; oldest = now } in
       Apna_net.Addr.Hid_tbl.replace t.issuance_by_hid hid b;
       Heap.push t.issuance_expiry ~prio:now hid);
-  t.issuance_total <- t.issuance_total + 1;
-  update_gauges t
+  t.issuance_total <- t.issuance_total + 1
 
 let record_egress t ~now ~ephid ~digest =
   Hashtbl.replace t.egress_by_digest digest { at = now; ephid };
-  Heap.push t.egress_expiry ~prio:now digest;
-  update_gauges t
+  Heap.push t.egress_expiry ~prio:now digest
 
 let bindings_of t hid =
   match Apna_net.Addr.Hid_tbl.find_opt t.issuance_by_hid hid with
@@ -143,7 +140,6 @@ let gc t ~now =
   in
   drain_egress ();
   t.last_gc_cost <- !cost;
-  update_gauges t;
   before - (t.issuance_total + Hashtbl.length t.egress_by_digest)
 
 let last_gc_cost t = t.last_gc_cost

@@ -16,17 +16,10 @@ type cache_stats = {
   mutable invalidations : int;
 }
 
-(* Per-router series in the default registry, labeled by AID. *)
-type obs = {
-  aid_label : (string * string) list;
-  m_egress_ok : M.Counter.m;
-  m_delivered : M.Counter.m;
-  m_forwarded : M.Counter.m;
-  m_cache_hits : M.Counter.m;
-  m_cache_misses : M.Counter.m;
-  m_cache_invalidations : M.Counter.m;
-  m_allocs_per_pkt : M.Gauge.m;
-}
+(* The one opt-in measurement: minor words per packet over the last burst,
+   taken only while the registry is enabled. A float-only record, so the
+   write stores in place. *)
+type allocs = { mutable per_pkt : float }
 
 (* Validated-EphID fast path, keyed on the raw 16-byte token. A hit skips
    the AES-CTR decrypt and CBC-MAC verify of Fig. 4 and goes straight to
@@ -53,11 +46,6 @@ type cache_entry = {
   rev_gen : int;
   host_gen : int;
 }
-
-(* Per-reason drop accounting. The labeled counter is registered at most
-   once per reason (lazily, and only while observability is on) — the
-   registry lookup used to run on every single drop. *)
-type drop_stat = { mutable count : int; metric : M.Counter.m Lazy.t }
 
 type ingress_decision = Deliver of Addr.hid | Forward of Addr.aid
 
@@ -111,8 +99,7 @@ type t = {
   revoked : Revocation.t;
   topology : Topology.t;
   stats : counters;
-  drops_by_reason : (string, drop_stat) Hashtbl.t;
-  mutable drop_registrations : int;
+  drops : M.Tally.tally;
   audit : Audit.t option;
   cache : cache_entry Ephid_lru.t option;
   cache_stats : cache_stats;
@@ -122,7 +109,7 @@ type t = {
   arena : Arena.t;
   ephid_scratch : Ephid.scratch;
   one : Burst.t;
-  obs : obs;
+  allocs : allocs;
 }
 
 let default_cache_capacity = 8192
@@ -131,67 +118,62 @@ let arena_slot_bytes = 2048
 
 let create ~(keys : Keys.as_keys) ~host_info ~revoked ~topology ?audit
     ?(ephid_cache = default_cache_capacity) () =
-  let aid_label = [ ("aid", string_of_int (Addr.aid_to_int keys.aid)) ] in
+  let labels = [ ("aid", string_of_int (Addr.aid_to_int keys.aid)) ] in
+  (* [dropped] stays 0 here: {!counters} fills it from the drop tally. *)
+  let stats = { egress_ok = 0; ingress_delivered = 0; ingress_forwarded = 0; dropped = 0 }
+  and cache_stats = { hits = 0; misses = 0; invalidations = 0 }
+  and allocs = { per_pkt = 0.0 } in
+  (* Registration order is scrape order, which the stats goldens pin. *)
+  M.Gauge.register_fn M.default ~labels
+    ~help:
+      "GC minor words allocated per packet over the last burst (includes \
+       whatever the enabled instrumentation allocates)"
+    "apna_br_allocs_per_packet"
+    (fun () -> allocs.per_pkt);
+  let counter name help read = M.Counter.register_fn M.default ~labels ~help name read in
+  counter "apna_br_ephid_cache_invalidations_total"
+    "Validated-EphID cache entries rejected on hit (expired or stale generation)"
+    (fun () -> cache_stats.invalidations);
+  counter "apna_br_ephid_cache_misses_total"
+    "Validated-EphID cache misses (full Fig. 4 pipeline)" (fun () -> cache_stats.misses);
+  counter "apna_br_ephid_cache_hits_total"
+    "Validated-EphID cache hits (decrypt + CBC-MAC skipped)" (fun () -> cache_stats.hits);
+  counter "apna_br_ingress_forwarded_total" "Transit packets forwarded to the next AS"
+    (fun () -> stats.ingress_forwarded);
+  counter "apna_br_ingress_delivered_total" "Ingress packets delivered to a local host"
+    (fun () -> stats.ingress_delivered);
+  counter "apna_br_egress_ok_total" "Egress packets that passed the Fig. 4 pipeline"
+    (fun () -> stats.egress_ok);
   {
     keys;
     host_info;
     revoked;
     topology;
-    stats = { egress_ok = 0; ingress_delivered = 0; ingress_forwarded = 0; dropped = 0 };
-    drops_by_reason = Hashtbl.create 8;
-    drop_registrations = 0;
+    stats;
+    drops =
+      M.Tally.create M.default ~labels ~label:"reason"
+        ~help:"Packets dropped by the border router, by reason" "apna_br_drops_total";
     audit;
     cache =
       (if ephid_cache <= 0 then None
        else Some (Ephid_lru.create ~capacity:ephid_cache));
-    cache_stats = { hits = 0; misses = 0; invalidations = 0 };
+    cache_stats;
     arena = Arena.create ~slots:max_burst ~slot_bytes:arena_slot_bytes;
     ephid_scratch = Ephid.scratch ();
     one = Burst.create ~capacity:1 ();
-    obs =
-      {
-        aid_label;
-        m_egress_ok =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Egress packets that passed the Fig. 4 pipeline"
-            "apna_br_egress_ok_total";
-        m_delivered =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Ingress packets delivered to a local host"
-            "apna_br_ingress_delivered_total";
-        m_forwarded =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Transit packets forwarded to the next AS"
-            "apna_br_ingress_forwarded_total";
-        m_cache_hits =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Validated-EphID cache hits (decrypt + CBC-MAC skipped)"
-            "apna_br_ephid_cache_hits_total";
-        m_cache_misses =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:"Validated-EphID cache misses (full Fig. 4 pipeline)"
-            "apna_br_ephid_cache_misses_total";
-        m_cache_invalidations =
-          M.Counter.register M.default ~labels:aid_label
-            ~help:
-              "Validated-EphID cache entries rejected on hit (expired or \
-               stale generation)"
-            "apna_br_ephid_cache_invalidations_total";
-        m_allocs_per_pkt =
-          M.Gauge.register M.default ~labels:aid_label
-            ~help:
-              "GC minor words allocated per packet over the last burst \
-               (includes whatever the enabled instrumentation allocates)"
-            "apna_br_allocs_per_packet";
-      };
+    allocs;
   }
 
-let counters t = t.stats
-let ephid_cache_stats t = t.cache_stats
+(* Snapshots ([with] copies the record): a caller that keeps one as a
+   baseline must not see it move. The drop total is the per-reason tally's. *)
+let counters t = { t.stats with dropped = M.Tally.total t.drops }
+let ephid_cache_stats t = { t.cache_stats with hits = t.cache_stats.hits }
+
+let allocs_per_packet t = t.allocs.per_pkt
 let ephid_cache_size t = match t.cache with None -> 0 | Some c -> Ephid_lru.size c
 let revoked t = t.revoked
 let arena_overflows t = Arena.overflows t.arena
-let drop_registrations t = t.drop_registrations
+let drop_registrations t = M.Tally.registrations t.drops
 
 (* Drop verdicts travel as an exception so the accept path stays free of
    result cells; drops are off the steady state and may allocate. *)
@@ -199,35 +181,9 @@ exception Rejected of Error.t
 
 let reject e = raise_notrace (Rejected e)
 
-let record_drop t e =
-  t.stats.dropped <- t.stats.dropped + 1;
-  let label = Error.kind_label e in
-  let stat =
-    match Hashtbl.find_opt t.drops_by_reason label with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            count = 0;
-            metric =
-              lazy
-                (t.drop_registrations <- t.drop_registrations + 1;
-                 M.Counter.register M.default
-                   ~labels:(("reason", label) :: t.obs.aid_label)
-                   ~help:"Packets dropped by the border router, by reason"
-                   "apna_br_drops_total");
-          }
-        in
-        Hashtbl.add t.drops_by_reason label s;
-        s
-  in
-  stat.count <- stat.count + 1;
-  if M.enabled M.default then M.Counter.incr (Lazy.force stat.metric)
+let record_drop t e = M.Tally.incr t.drops (Error.kind_label e)
 
-let drop_reasons t =
-  Hashtbl.fold (fun k (v : drop_stat) acc -> (k, v.count) :: acc)
-    t.drops_by_reason []
-  |> List.sort compare
+let drop_reasons t = M.Tally.to_list t.drops
 
 (* The common EphID validity pipeline of Fig. 4: authenticity (tag), expiry,
    revocation list, HID registration. Raises [Rejected]. *)
@@ -275,8 +231,7 @@ let revalidate t cache ~now raw =
 
 let invalidate t cache raw =
   Ephid_lru.remove cache raw;
-  t.cache_stats.invalidations <- t.cache_stats.invalidations + 1;
-  M.Counter.incr t.obs.m_cache_invalidations
+  t.cache_stats.invalidations <- t.cache_stats.invalidations + 1
 
 (* Returns the validated [cache_entry] — the existing record on a hit, so
    the cached path allocates nothing — or raises [Rejected]. *)
@@ -298,7 +253,6 @@ let check_ephid t ~now raw =
           end
           else begin
             t.cache_stats.hits <- t.cache_stats.hits + 1;
-            M.Counter.incr t.obs.m_cache_hits;
             e
           end
       | _stale ->
@@ -309,7 +263,6 @@ let check_ephid t ~now raw =
           revalidate t cache ~now raw
       | exception Not_found ->
           t.cache_stats.misses <- t.cache_stats.misses + 1;
-          M.Counter.incr t.obs.m_cache_misses;
           revalidate t cache ~now raw
     end
 
@@ -324,7 +277,6 @@ let egress_pipeline t ~now ~scratch (pkt : Packet.t) =
   in
   if not mac_ok then reject Error.Bad_mac;
   t.stats.egress_ok <- t.stats.egress_ok + 1;
-  M.Counter.incr t.obs.m_egress_ok;
   (* Data retention (§VIII-H): the digest is source EphID ‖ MAC, so a
      host that gives packets of two EphIDs one tag still leaves two
      entries. The EphID was validated above; no re-parse. *)
@@ -355,7 +307,6 @@ let ingress_pipeline t ~now (b : Burst.t) i (pkt : Packet.t) =
   if Addr.aid_equal pkt.header.dst_aid t.keys.aid then begin
     let e = check_ephid t ~now pkt.header.dst_ephid in
     t.stats.ingress_delivered <- t.stats.ingress_delivered + 1;
-    M.Counter.incr t.obs.m_delivered;
     b.hids.(i) <- Addr.hid_to_int e.info.hid
   end
   else begin
@@ -364,7 +315,6 @@ let ingress_pipeline t ~now (b : Burst.t) i (pkt : Packet.t) =
     with
     | Some hop ->
         t.stats.ingress_forwarded <- t.stats.ingress_forwarded + 1;
-        M.Counter.incr t.obs.m_forwarded;
         b.fwds.(i) <- Addr.aid_to_int hop
     | None -> reject Error.No_route
   end
@@ -386,9 +336,7 @@ let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
   end
 
 let gauge_allocs t ~w0 ~n =
-  if n > 0 then
-    M.Gauge.set t.obs.m_allocs_per_pkt
-      ((Gc.minor_words () -. w0) /. float_of_int n)
+  if n > 0 then t.allocs.per_pkt <- (Gc.minor_words () -. w0) /. float_of_int n
 
 let egress_burst t ~now pkts ~n b =
   if n < 0 || n > Array.length pkts then

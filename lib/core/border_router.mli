@@ -57,9 +57,15 @@ val create :
     measure). *)
 
 val counters : t -> counters
+(** A snapshot: later traffic does not move it. *)
 
 val ephid_cache_stats : t -> cache_stats
-(** All-zero when the cache is disabled. *)
+(** A snapshot, like {!counters}. All-zero when the cache is disabled. *)
+
+val allocs_per_packet : t -> float
+(** GC minor words per packet over the last burst run while the metrics
+    registry was enabled (the [apna_br_allocs_per_packet] gauge); 0 until
+    then. *)
 
 val ephid_cache_size : t -> int
 (** Entries currently cached (0 when disabled). *)
@@ -69,9 +75,10 @@ val drop_reasons : t -> (string * int) list
     operator's view of what the pipeline is rejecting. *)
 
 val drop_registrations : t -> int
-(** How many reason-labeled drop counters this router has registered in
+(** How many reason-labeled drop series this router has registered in
     the metrics registry — at most one per distinct reason, however many
-    packets dropped (the cost sentinel the scale tests watch). *)
+    packets dropped, and none while the registry is disabled (the cost
+    sentinel the scale tests watch). *)
 
 type ingress_decision =
   | Deliver of Apna_net.Addr.hid  (** at destination AS: intra-domain hop *)

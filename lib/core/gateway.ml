@@ -19,18 +19,18 @@ type flow = {
 
 module I64_tbl = Apna_util.I64_tbl
 
-(* Per-gateway series in the default registry, labeled by gateway name. *)
-type obs = {
-  m_flows : M.Counter.m;
-  m_tunnel_rx : M.Counter.m;
-  m_tunnel_tx : M.Counter.m;
-  ev_encap : E.kind;
-  ev_decap : E.kind;
+(* Shown in the default registry labeled by gateway name. *)
+type counters = {
+  mutable flows : int;
+  mutable tunnel_rx : int;
+  mutable tunnel_tx : int;
 }
 
 type t = {
   gw_name : string;
-  obs : obs;
+  counts : counters;
+  ev_encap : E.kind;
+  ev_decap : E.kind;
   host : Host.t;
   (* Client side: server IPv4 -> APNA destination. *)
   dst_map : Dns_service.Record.t Addr.Hid_tbl.t;
@@ -47,28 +47,23 @@ type t = {
 }
 
 let rec create ~name ~rng =
+  let host = Host.create ~name ~rng () in
+  let counts = { flows = 0; tunnel_rx = 0; tunnel_tx = 0 } in
   let labels = [ ("gateway", name) ] in
+  let counter metric help read = M.Counter.register_fn M.default ~labels ~help metric read in
+  counter "apna_gw_tunnel_frames_tx_total" "GRE frames encapsulated into the APNA tunnel"
+    (fun () -> counts.tunnel_tx);
+  counter "apna_gw_tunnel_frames_rx_total" "GRE frames decapsulated from the APNA tunnel"
+    (fun () -> counts.tunnel_rx);
+  counter "apna_gw_flows_opened_total" "Legacy IPv4 flows mapped onto APNA sessions"
+    (fun () -> counts.flows);
   let t =
     {
       gw_name = name;
-      obs =
-        {
-          m_flows =
-            M.Counter.register M.default ~labels
-              ~help:"Legacy IPv4 flows mapped onto APNA sessions"
-              "apna_gw_flows_opened_total";
-          m_tunnel_rx =
-            M.Counter.register M.default ~labels
-              ~help:"GRE frames decapsulated from the APNA tunnel"
-              "apna_gw_tunnel_frames_rx_total";
-          m_tunnel_tx =
-            M.Counter.register M.default ~labels
-              ~help:"GRE frames encapsulated into the APNA tunnel"
-              "apna_gw_tunnel_frames_tx_total";
-          ev_encap = E.Gw_encap { gateway = name };
-          ev_decap = E.Gw_decap { gateway = name };
-        };
-      host = Host.create ~name ~rng ();
+      counts;
+      ev_encap = E.Gw_encap { gateway = name };
+      ev_decap = E.Gw_decap { gateway = name };
+      host;
       dst_map = Addr.Hid_tbl.create 8;
       flows = Hashtbl.create 8;
       server_ip = None;
@@ -108,8 +103,8 @@ and handle_tunnel_data t session data =
   match decode_tunnel data with
   | Error e -> Logs.debug (fun m -> m "%s: %s" t.gw_name e)
   | Ok inner -> begin
-      M.Counter.incr t.obs.m_tunnel_rx;
-      gw_event t.obs.ev_decap inner;
+      t.counts.tunnel_rx <- t.counts.tunnel_rx + 1;
+      gw_event t.ev_decap inner;
       match Ipv4_header.of_bytes inner with
       | Error e -> Logs.debug (fun m -> m "%s: inner ipv4: %s" t.gw_name e)
       | Ok header -> begin
@@ -195,8 +190,8 @@ and server_side_input t bytes (header : Ipv4_header.t) =
           with
           | Error e -> Logs.debug (fun m -> m "%s: rewrite: %s" t.gw_name e)
           | Ok rewritten -> begin
-              M.Counter.incr t.obs.m_tunnel_tx;
-              gw_event t.obs.ev_encap rewritten;
+              t.counts.tunnel_tx <- t.counts.tunnel_tx + 1;
+              gw_event t.ev_encap rewritten;
               match Host.send t.host session (encode_tunnel rewritten) with
               | Ok () -> ()
               | Error e -> Logs.debug (fun m -> m "%s: send: %a" t.gw_name Error.pp e)
@@ -207,8 +202,8 @@ and server_side_input t bytes (header : Ipv4_header.t) =
 and client_side_input t bytes (header : Ipv4_header.t) =
   let key = (Addr.hid_to_int header.src, Addr.hid_to_int header.dst) in
   let tunnel = encode_tunnel bytes in
-  M.Counter.incr t.obs.m_tunnel_tx;
-  gw_event t.obs.ev_encap bytes;
+  t.counts.tunnel_tx <- t.counts.tunnel_tx + 1;
+  gw_event t.ev_encap bytes;
   match Hashtbl.find_opt t.flows key with
   | Some flow -> flow_send t flow tunnel
   | None -> begin
@@ -221,7 +216,7 @@ and client_side_input t bytes (header : Ipv4_header.t) =
              Host default) and 0-RTT carry of the first packet. *)
           let flow = { session = None; backlog = Queue.create () } in
           Hashtbl.replace t.flows key flow;
-          M.Counter.incr t.obs.m_flows;
+          t.counts.flows <- t.counts.flows + 1;
           Host.connect t.host ~remote:record.cert ~data0:tunnel
             ~expect_accept:record.receive_only (fun session ->
               flow.session <- Some session;

@@ -3,53 +3,59 @@ open Apna_net
 module M = Apna_obs.Metrics
 module E = Apna_obs.Event
 
-let m_rpc_retries =
-  M.Counter.register M.default "apna_host_rpc_retries_total"
-    ~help:"Control-plane request retransmissions"
+(* Process-wide totals over every host, shown in the default registry. The
+   per-host counts behind the accessors below are the same events, one
+   host at a time. *)
+type totals = {
+  mutable retries : int; mutable timeouts : int; mutable orphans : int;
+  mutable migrated : int; mutable recovered : int; mutable brownouts : int;
+  mutable stale : int; mutable breaker_opens : int; mutable replay_rejected : int;
+}
 
-let m_rpc_timeouts =
-  M.Counter.register M.default "apna_host_rpc_timeouts_total"
-    ~help:"Control-plane requests abandoned after exhausting retransmissions"
+let totals =
+  { retries = 0; timeouts = 0; orphans = 0; migrated = 0; recovered = 0; brownouts = 0;
+    stale = 0; breaker_opens = 0; replay_rejected = 0 }
 
-let m_rpc_orphans =
-  M.Counter.register M.default "apna_host_rpc_orphan_replies_total"
-    ~help:"Replies with no pending request (duplicates or late arrivals)"
+let () =
+  let counter name help read = M.Counter.register_fn M.default ~help name read in
+  counter "apna_host_rpc_retries_total" "Control-plane request retransmissions"
+    (fun () -> totals.retries);
+  counter "apna_host_rpc_timeouts_total"
+    "Control-plane requests abandoned after exhausting retransmissions" (fun () ->
+      totals.timeouts);
+  counter "apna_host_rpc_orphan_replies_total"
+    "Replies with no pending request (duplicates or late arrivals)" (fun () ->
+      totals.orphans);
+  counter "apna_host_session_migrations_total"
+    "Live sessions rebound onto a fresh source EphID (Rekey sent)" (fun () ->
+      totals.migrated);
+  counter "apna_host_session_recoveries_total"
+    "ICMP-driven recoveries of a session whose EphID died mid-flight" (fun () ->
+      totals.recovered);
+  counter "apna_host_brownout_sends_total"
+    "Sends that fell back to a degraded EphID during an issuance brownout" (fun () ->
+      totals.brownouts);
+  counter "apna_host_stale_prefetch_discarded_total"
+    "Prefetched EphIDs discarded at dequeue for staleness" (fun () -> totals.stale);
+  counter "apna_host_issuance_breaker_opens_total"
+    "Issuance circuit breaker transitions to open" (fun () -> totals.breaker_opens);
+  counter "apna_host_replay_rejected_total"
+    "Sealed frames rejected by a session replay window (replayed or stale sequence \
+     number)"
+    (fun () -> totals.replay_rejected)
 
-let m_migrations =
-  M.Counter.register M.default "apna_host_session_migrations_total"
-    ~help:"Live sessions rebound onto a fresh source EphID (Rekey sent)"
+let unreachable_by_reason =
+  M.Tally.create M.default ~label:"reason"
+    ~help:"ICMP unreachable notices received, by reason" "apna_host_icmp_unreachable_total"
 
-let m_recoveries =
-  M.Counter.register M.default "apna_host_session_recoveries_total"
-    ~help:"ICMP-driven recoveries of a session whose EphID died mid-flight"
-
-let m_brownout =
-  M.Counter.register M.default "apna_host_brownout_sends_total"
-    ~help:"Sends that fell back to a degraded EphID during an issuance brownout"
-
-let m_stale_discards =
-  M.Counter.register M.default "apna_host_stale_prefetch_discarded_total"
-    ~help:"Prefetched EphIDs discarded at dequeue for staleness"
-
-let m_breaker_opens =
-  M.Counter.register M.default "apna_host_issuance_breaker_opens_total"
-    ~help:"Issuance circuit breaker transitions to open"
-
-let m_unreachable reason =
-  M.Counter.register M.default "apna_host_icmp_unreachable_total"
-    ~labels:[ ("reason", Icmp.reason_label reason) ]
-    ~help:"ICMP unreachable notices received, by reason"
-
-let m_replay_rejected =
-  M.Counter.register M.default "apna_host_replay_rejected_total"
-    ~help:"Sealed frames rejected by a session replay window (replayed or stale sequence number)"
+let replay_rejected_total () = totals.replay_rejected
 
 (* Every sealed-frame open goes through here so replay-window rejections
    are counted — the raw signal behind the replay-flood alert rule. *)
 let open_sealed_counted session ~seq ~sealed =
   match Session.open_sealed session ~seq ~sealed with
   | Error (Error.Rejected _) as e ->
-      if M.enabled M.default then M.Counter.incr m_replay_rejected;
+      totals.replay_rejected <- totals.replay_rejected + 1;
       e
   | r -> r
 
@@ -191,14 +197,12 @@ let unreachable_cap = 256
 
 let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
   let breaker = Breaker.create () in
-  let breaker_gauge =
-    M.Gauge.register M.default "apna_host_issuance_breaker_state"
-      ~labels:[ ("host", name) ]
-      ~help:"Issuance circuit breaker: 0 closed, 1 half-open, 2 open"
-  in
+  M.Gauge.register_fn M.default "apna_host_issuance_breaker_state"
+    ~labels:[ ("host", name) ]
+    ~help:"Issuance circuit breaker: 0 closed, 1 half-open, 2 open" (fun () ->
+      Breaker.state_to_float (Breaker.state breaker));
   Breaker.on_transition breaker (fun state ->
-      M.Gauge.set breaker_gauge (Breaker.state_to_float state);
-      if state = Breaker.Open then M.Counter.incr m_breaker_opens;
+      if state = Breaker.Open then totals.breaker_opens <- totals.breaker_opens + 1;
       Logs.info (fun m ->
           m "%s: issuance breaker %s" name (Breaker.state_label state)));
   {
@@ -321,7 +325,7 @@ let stale_prefetch_discards t = t.stale_discards
 
 let note_brownout t =
   t.brownout_sends <- t.brownout_sends + 1;
-  M.Counter.incr m_brownout
+  totals.brownouts <- totals.brownouts + 1
 
 let pending_rpc_count t =
   let count slot = if Option.is_some slot then 1 else 0 in
@@ -378,7 +382,7 @@ and rpc_timer_fired t rpc =
     let on_timeout = rpc.on_timeout in
     settle rpc;
     t.rpc_timeouts <- t.rpc_timeouts + 1;
-    M.Counter.incr m_rpc_timeouts;
+    totals.timeouts <- totals.timeouts + 1;
     Logs.warn (fun m ->
         m "%s: %s: no reply after %d attempts" t.host_name rpc.what
           rpc.attempts);
@@ -387,7 +391,7 @@ and rpc_timer_fired t rpc =
   else begin
     rpc.attempts <- rpc.attempts + 1;
     t.rpc_retries <- t.rpc_retries + 1;
-    M.Counter.incr m_rpc_retries;
+    totals.retries <- totals.retries + 1;
     rpc.resend ();
     arm_rpc t rpc
   end
@@ -415,7 +419,7 @@ let dispatch_reply t corr msg =
       settle rpc;
       on_reply msg
   | None ->
-      M.Counter.incr m_rpc_orphans;
+      totals.orphans <- totals.orphans + 1;
       Logs.debug (fun m ->
           m "%s: reply with no pending request (corr %Ld)" t.host_name corr)
 
@@ -695,7 +699,7 @@ let rec pop_usable_prefetched t =
     end
     else begin
       t.stale_discards <- t.stale_discards + 1;
-      M.Counter.incr m_stale_discards;
+      totals.stale <- totals.stale + 1;
       remove_endpoint t ep;
       pop_usable_prefetched t
     end
@@ -804,7 +808,7 @@ let migrate_session t c ~reason ?(and_then = fun (_ : endpoint) -> ()) () =
                   bind t fresh;
                   c.local <- fresh;
                   t.migrations <- t.migrations + 1;
-                  M.Counter.incr m_migrations;
+                  totals.migrated <- totals.migrated + 1;
                   Logs.info (fun m ->
                       m "%s: conn %Ld migrated to fresh EphID (%s)" t.host_name
                         conn_id reason);
@@ -1287,7 +1291,7 @@ let record_unreachable t reason =
   while Queue.length t.unreachables_q > unreachable_cap do
     ignore (Queue.pop t.unreachables_q)
   done;
-  if M.enabled M.default then M.Counter.incr (m_unreachable reason)
+  M.Tally.incr unreachable_by_reason (Icmp.reason_label reason)
 
 (* Scrub a dead EphID out of every reuse path: granularity pools, the
    per-packet prefetch stock, and the endpoint list. Session bindings are
@@ -1341,7 +1345,7 @@ let try_recover t (pkt : Packet.t) ~reason ~quoted =
             if att.now_f () -. c.recovery_last >= recovery_cooldown_s then begin
               c.recovery_last <- att.now_f ();
               t.recoveries <- t.recoveries + 1;
-              M.Counter.incr m_recoveries;
+              totals.recovered <- totals.recovered + 1;
               let retransmit (ep : endpoint) =
                 let remote = Session.remote_cert c.session in
                 warn t "recover: retransmit"

@@ -235,6 +235,10 @@ val rpc_retries : t -> int
 val rpc_timeouts : t -> int
 (** Round trips abandoned with [Error.Timeout]. *)
 
+val replay_rejected_total : unit -> int
+(** Sealed frames any host's session replay window has rejected since the
+    program started ([apna_host_replay_rejected_total]). *)
+
 val pending_rpc_count : t -> int
 (** In-flight round trips: EphID issuance and DNS requests, pings, and for
     each connection an awaited [Accept] or an unacknowledged [Rekey]. A

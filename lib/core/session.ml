@@ -102,9 +102,13 @@ let rekey_local t ~local_cert ~local_keys =
         t.replay <- Replay_window.create ~size:t.window ();
         Ok ()
 
+(* Sequence numbers live in [0, 2^56): the bits above carry the direction
+   in the nonce. *)
+let seq_limit = Int64.shift_left 1L 56
+
 let nonce ~dir seq =
   (* Four zero bytes (Aead's authenticated prefix), then the 12-byte RFC
-     8439 nonce: four zero bytes ‖ direction bit in the top byte ‖ low 56
+     8439 nonce: four zero bytes ‖ direction bit in the top byte ‖ the 56
      bits of seq. Unique per (key, direction, sequence number); the key
      already differs per connection. *)
   let b = Bytes.make Aead.nonce_size '\000' in
@@ -114,29 +118,34 @@ let nonce ~dir seq =
 
 let seal t data =
   let seq = t.send_seq in
+  if seq >= seq_limit then invalid_arg "Session.seal: sequence space exhausted";
   t.send_seq <- Int64.add seq 1L;
   let n = nonce ~dir:t.initiator seq in
   (seq, Aead.seal ~key:t.key ~nonce:n data)
 
 let open_sealed t ~seq ~sealed =
-  let n = nonce ~dir:(not t.initiator) seq in
   let checked replay data =
     (* Authenticate first, then replay-check: only genuine packets may
        advance the window (§VIII-D). *)
     if Replay_window.check_and_update replay seq then Ok data
     else Error (Error.Rejected "replayed or stale sequence number")
   in
-  match Aead.open_ ~key:t.key ~nonce:n sealed with
-  | Ok data -> checked t.replay data
-  | Error e -> (
-      (* Grace window: a frame sealed just before a rekey may still be in
-         flight — try the previous key with its own replay window. *)
-      match t.prev with
-      | None -> Error (Error.Crypto e)
-      | Some (key, replay) -> (
-          match Aead.open_ ~key ~nonce:n sealed with
-          | Ok data -> checked replay data
-          | Error _ -> Error (Error.Crypto e)))
+  (* The wire seq is unauthenticated input: one outside [0, 2^56) would
+     set the direction bit and open our own frames as the peer's. *)
+  if seq < 0L || seq >= seq_limit then Error (Error.Rejected "sequence number out of range")
+  else
+    let n = nonce ~dir:(not t.initiator) seq in
+    match Aead.open_ ~key:t.key ~nonce:n sealed with
+    | Ok data -> checked t.replay data
+    | Error e -> (
+        (* Grace window: a frame sealed just before a rekey may still be in
+           flight — try the previous key with its own replay window. *)
+        match t.prev with
+        | None -> Error (Error.Crypto e)
+        | Some (key, replay) -> (
+            match Aead.open_ ~key ~nonce:n sealed with
+            | Ok data -> checked replay data
+            | Error _ -> Error (Error.Crypto e)))
 
 module Frame = struct
   type f =

@@ -61,10 +61,14 @@ val rekey_local : t -> local_cert:Cert.t -> local_keys:Keys.ephid_keys ->
     EphID. *)
 
 val seal : t -> string -> int64 * string
-(** [seal t data] is [(seq, sealed)] for the next outgoing frame. *)
+(** [seal t data] is [(seq, sealed)] for the next outgoing frame.
+    @raise Invalid_argument once 2{^56} frames have been sealed under one
+    key (the sequence space the nonce has room for). *)
 
 val open_sealed : t -> seq:int64 -> sealed:string -> (string, Error.t) result
-(** AEAD-opens an incoming frame and enforces the anti-replay window. *)
+(** AEAD-opens an incoming frame and enforces the anti-replay window. A
+    [seq] outside \[0, 2{^56}) is refused before any AEAD work: its top
+    bits would collide with the nonce's direction bit. *)
 
 (** Frame codec. *)
 module Frame : sig

@@ -1,22 +1,24 @@
 open Apna_crypto
 module M = Apna_obs.Metrics
 
-let m_built =
-  M.Counter.register M.default "apna_shutoff_requests_built_total"
-    ~help:"Shutoff requests constructed by victims"
+(* Process-wide totals, shown in the default registry. *)
+type totals = { mutable built : int; mutable parsed : int; mutable rejected : int }
 
-let m_parsed =
-  M.Counter.register M.default "apna_shutoff_requests_parsed_total"
+let totals = { built = 0; parsed = 0; rejected = 0 }
+
+let () =
+  M.Counter.register_fn M.default "apna_shutoff_requests_built_total"
+    ~help:"Shutoff requests constructed by victims" (fun () -> totals.built);
+  M.Counter.register_fn M.default "apna_shutoff_requests_parsed_total"
     ~help:"Shutoff requests successfully parsed by an accountability agent"
-
-let m_rejected =
-  M.Counter.register M.default "apna_shutoff_parse_errors_total"
-    ~help:"Malformed shutoff requests rejected at parse time"
+    (fun () -> totals.parsed);
+  M.Counter.register_fn M.default "apna_shutoff_parse_errors_total"
+    ~help:"Malformed shutoff requests rejected at parse time" (fun () -> totals.rejected)
 
 let make_request ~packet ~(dst_cert : Cert.t) ~(dst_keys : Keys.ephid_keys) =
   if dst_cert.sig_pub <> Ed25519.public_key dst_keys.sig_keypair then
     invalid_arg "Shutoff.make_request: certificate/key mismatch";
-  M.Counter.incr m_built;
+  totals.built <- totals.built + 1;
   let packet_bytes = Apna_net.Packet.to_bytes packet in
   Msgs.Shutoff_request
     {
@@ -46,6 +48,6 @@ let parse_request msg =
     | _ -> Error (Error.Malformed "expected a shutoff request")
   in
   (match r with
-  | Ok _ -> M.Counter.incr m_parsed
-  | Error _ -> M.Counter.incr m_rejected);
+  | Ok _ -> totals.parsed <- totals.parsed + 1
+  | Error _ -> totals.rejected <- totals.rejected + 1);
   r

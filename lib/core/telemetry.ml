@@ -1,6 +1,6 @@
-(* Engine-driven telemetry: a recurring simulated-time tick that refreshes
-   per-AS gauges, snapshots the metrics registry into ring-buffered time
-   series, computes derived indicators, and evaluates the alert rules. *)
+(* Engine-driven telemetry: a recurring simulated-time tick that snapshots
+   the metrics registry into ring-buffered time series, computes derived
+   indicators, and evaluates the alert rules. *)
 
 module M = Apna_obs.Metrics
 module T = Apna_obs.Timeseries
@@ -16,8 +16,6 @@ type t = {
   ts : T.t;
   alerts : Alert.t;
   interval : float;
-  (* Lazily-registered per-AS gauges refreshed at tick time. *)
-  revocation_gauges : (int, M.Gauge.m) Hashtbl.t;
   mutable armed : bool;
   mutable stopped : bool;
 }
@@ -26,32 +24,22 @@ let timeseries t = t.ts
 let alerts t = t.alerts
 let interval t = t.interval
 
-let revocation_gauge t as_number =
-  match Hashtbl.find_opt t.revocation_gauges as_number with
-  | Some g -> g
-  | None ->
-      let g =
-        M.Gauge.register M.default
-          ~labels:[ ("aid", string_of_int as_number) ]
-          ~help:"Live revocation-list entries" "apna_revocation_list_size"
-      in
-      Hashtbl.replace t.revocation_gauges as_number g;
-      g
-
-(* Pull-model gauges: state that nothing pushes on change (list sizes)
-   is read off the network right before each snapshot. *)
-let refresh_gauges t =
+(* Each AS's revocation-list size, read at scrape. Registered at tick time
+   (so an AS added mid-run appears at the next tick); registering again
+   replaces the reader with an identical one. *)
+let register_revocation_gauges t =
   List.iter
     (fun node ->
-      let as_number = Addr.aid_to_int (As_node.aid node) in
-      M.Gauge.set
-        (revocation_gauge t as_number)
-        (float_of_int (Revocation.size (As_node.revoked node))))
+      let revoked = As_node.revoked node in
+      M.Gauge.register_fn M.default
+        ~labels:[ ("aid", string_of_int (Addr.aid_to_int (As_node.aid node))) ]
+        ~help:"Live revocation-list entries" "apna_revocation_list_size" (fun () ->
+          float_of_int (Revocation.size revoked)))
     (Network.ases t.net)
 
 let tick_now t =
   let now = Network.now_f t.net in
-  refresh_gauges t;
+  register_revocation_gauges t;
   T.tick t.ts ~now;
   Derive.compute t.ts ~now;
   Alert.eval t.alerts ~now
@@ -90,7 +78,6 @@ let attach ?(interval = 0.25) ?capacity ?rules net =
       ts;
       alerts;
       interval;
-      revocation_gauges = Hashtbl.create 8;
       armed = false;
       stopped = false;
     }

@@ -6,7 +6,7 @@
     sampler + alert engine, and arms a recurring engine-scheduled tick.
     Each tick (simulated time, fully deterministic):
 
-    + refreshes pull-model per-AS gauges ([apna_revocation_list_size]),
+    + registers any new AS's [apna_revocation_list_size] reader,
     + snapshots every registry series into the ring buffers,
     + computes the [derived:*] indicators,
     + evaluates the alert rules.
@@ -16,8 +16,9 @@
     [Network.run]'s run-to-quiescence loop still terminates. Drive
     multi-phase workloads with {!kick} before each phase.
 
-    Nothing here runs unless [attach] was called: with observability
-    disabled the hot paths keep their single load-and-branch cost. *)
+    Nothing here runs unless [attach] was called. The counters it samples
+    count from each role's creation, so the first tick already holds what
+    was counted before the attach. *)
 
 type t
 

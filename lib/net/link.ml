@@ -1,29 +1,3 @@
-module M = Apna_obs.Metrics
-
-let m_transits =
-  M.Counter.register M.default "apna_net_link_transits_total"
-    ~help:"Frames placed on inter-AS links"
-
-let m_bytes =
-  M.Counter.register M.default "apna_net_link_bytes_total"
-    ~help:"Wire bytes placed on inter-AS links"
-
-let m_lost =
-  M.Counter.register M.default "apna_net_fault_lost_total"
-    ~help:"Frames dropped by injected link loss"
-
-let m_duplicated =
-  M.Counter.register M.default "apna_net_fault_duplicated_total"
-    ~help:"Frames delivered twice by injected link duplication"
-
-let m_reordered =
-  M.Counter.register M.default "apna_net_fault_reordered_total"
-    ~help:"Frames delayed by injected reorder jitter"
-
-let m_queue_drops =
-  M.Counter.register M.default "apna_net_fault_queue_drops_total"
-    ~help:"Frames tail-dropped by a bounded link queue"
-
 type faults = {
   loss : float;  (** probability a frame is silently dropped *)
   duplicate : float;  (** probability a frame is delivered twice *)
@@ -58,6 +32,29 @@ type fault_stats = {
 let fresh_fault_stats () =
   { lost = 0; duplicated = 0; reordered = 0; queue_dropped = 0 }
 
+(* Process-wide totals over every link, shown in the default registry. *)
+type totals = { mutable transits : int; mutable bytes : int }
+
+let totals = { transits = 0; bytes = 0 }
+let fault_totals = fresh_fault_stats ()
+
+let () =
+  let module M = Apna_obs.Metrics in
+  let counter name help read = M.Counter.register_fn M.default ~help name read in
+  counter "apna_net_link_transits_total" "Frames placed on inter-AS links" (fun () ->
+      totals.transits);
+  counter "apna_net_link_bytes_total" "Wire bytes placed on inter-AS links" (fun () ->
+      totals.bytes);
+  counter "apna_net_fault_lost_total" "Frames dropped by injected link loss" (fun () ->
+      fault_totals.lost);
+  counter "apna_net_fault_duplicated_total"
+    "Frames delivered twice by injected link duplication" (fun () ->
+      fault_totals.duplicated);
+  counter "apna_net_fault_reordered_total" "Frames delayed by injected reorder jitter"
+    (fun () -> fault_totals.reordered);
+  counter "apna_net_fault_queue_drops_total" "Frames tail-dropped by a bounded link queue"
+    (fun () -> fault_totals.queue_dropped)
+
 type t = {
   capacity_bps : float;
   propagation_s : float;
@@ -86,11 +83,8 @@ let transit_delay t ~bytes =
 (* Called once per frame by the network layer when it commits a frame to a
    link — not from [transit_delay], which path estimators call repeatedly. *)
 let observe_transit ~bytes =
-  (* Tested first: [~by] would box [bytes] even while metrics are off. *)
-  if M.enabled M.default then begin
-    M.Counter.incr m_transits;
-    M.Counter.incr ~by:bytes m_bytes
-  end
+  totals.transits <- totals.transits + 1;
+  totals.bytes <- totals.bytes + bytes
 
 (* Decide the fate of one frame. Draws from [rand] only for fault classes
    whose probability is non-zero, so a faults record with every probability
@@ -100,14 +94,14 @@ let observe_transit ~bytes =
 let plan_faults f ~(stats : fault_stats) ~rand =
   if f.loss > 0.0 && rand () < f.loss then begin
     stats.lost <- stats.lost + 1;
-    M.Counter.incr m_lost;
+    fault_totals.lost <- fault_totals.lost + 1;
     []
   end
   else begin
     let copies =
       if f.duplicate > 0.0 && rand () < f.duplicate then begin
         stats.duplicated <- stats.duplicated + 1;
-        M.Counter.incr m_duplicated;
+        fault_totals.duplicated <- fault_totals.duplicated + 1;
         2
       end
       else 1
@@ -115,7 +109,7 @@ let plan_faults f ~(stats : fault_stats) ~rand =
     List.init copies (fun _ ->
         if f.reorder > 0.0 && f.jitter_s > 0.0 && rand () < f.reorder then begin
           stats.reordered <- stats.reordered + 1;
-          M.Counter.incr m_reordered;
+          fault_totals.reordered <- fault_totals.reordered + 1;
           rand () *. f.jitter_s
         end
         else 0.0)
@@ -125,4 +119,4 @@ let plan_delivery t ~rand = plan_faults t.faults ~stats:t.stats ~rand
 
 let note_queue_drop ~(stats : fault_stats) =
   stats.queue_dropped <- stats.queue_dropped + 1;
-  M.Counter.incr m_queue_drops
+  fault_totals.queue_dropped <- fault_totals.queue_dropped + 1

@@ -62,10 +62,10 @@ val transit_delay : t -> bytes:int -> float
 (** Serialization plus propagation delay for a frame of [bytes] bytes. *)
 
 val observe_transit : bytes:int -> unit
-(** Count one committed frame in the default metrics registry
-    ([apna_net_link_transits_total] / [apna_net_link_bytes_total]); the
-    network layer calls this when it actually schedules a frame. No-op
-    while observability is disabled. *)
+(** Count one committed frame in the process-wide totals the default
+    metrics registry shows ([apna_net_link_transits_total] /
+    [apna_net_link_bytes_total]); the network layer calls this when it
+    actually schedules a frame. *)
 
 val plan_faults :
   faults -> stats:fault_stats -> rand:(unit -> float) -> float list
@@ -74,7 +74,7 @@ val plan_faults :
     floats in [0, 1); it is consulted only for fault classes whose
     probability is non-zero, so the draw sequence — and therefore the whole
     simulation — is reproducible from the fault DRBG seed. Updates [stats]
-    and the global [apna_net_fault_*] counters. *)
+    and the process-wide totals behind the [apna_net_fault_*] series. *)
 
 val plan_delivery : t -> rand:(unit -> float) -> float list
 (** [plan_faults] against the link's own fault config and stats. *)

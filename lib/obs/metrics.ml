@@ -2,9 +2,15 @@ type labels = (string * string) list
 
 type key = { name : string; labels : labels }
 
+(* A counter series is its pushed count plus every reader registered under
+   its identity, summed at scrape; a gauge series is its pushed value
+   unless a reader replaced it. *)
+type counter = { acc : Accum.Counter.t; mutable reads : (unit -> int) list }
+type gauge = { g : float ref; mutable read : (unit -> float) option }
+
 type value =
-  | Vcounter of Accum.Counter.t
-  | Vgauge of float ref
+  | Vcounter of counter
+  | Vgauge of gauge
   | Vhist of Accum.Hist.t
 
 type t = {
@@ -67,37 +73,53 @@ let register_value t ?help ~labels ~name ~kind make =
       t.order <- key :: t.order;
       v
 
-module Counter = struct
-  type m = { reg : t; c : Accum.Counter.t }
+let counter_value c =
+  List.fold_left (fun n read -> n + read ()) (Accum.Counter.value c.acc) c.reads
 
-  let register reg ?help ?(labels = []) name =
+let gauge_value g = match g.read with Some read -> read () | None -> !(g.g)
+
+module Counter = struct
+  type m = { reg : t; c : counter }
+
+  let cell reg ?help ~labels name =
     match
       register_value reg ?help ~labels ~name ~kind:`Counter (fun () ->
-          Vcounter (Accum.Counter.create ()))
+          Vcounter { acc = Accum.Counter.create (); reads = [] })
     with
-    | Vcounter c -> { reg; c }
+    | Vcounter c -> c
     | _ -> assert false
+
+  let register reg ?help ?(labels = []) name = { reg; c = cell reg ?help ~labels name }
+
+  let register_fn reg ?help ?(labels = []) name read =
+    let c = cell reg ?help ~labels name in
+    c.reads <- read :: c.reads
 
   (* [?by] is passed through as is: re-wrapping a defaulted [by] in [Some]
      would allocate on every increment. *)
-  let incr ?by m = if m.reg.on then Accum.Counter.incr ?by m.c
-  let value m = Accum.Counter.value m.c
+  let incr ?by m = if m.reg.on then Accum.Counter.incr ?by m.c.acc
+  let value m = counter_value m.c
 end
 
 module Gauge = struct
-  type m = { reg : t; g : float ref }
+  type m = { reg : t; g : gauge }
 
-  let register reg ?help ?(labels = []) name =
+  let cell reg ?help ~labels name =
     match
       register_value reg ?help ~labels ~name ~kind:`Gauge (fun () ->
-          Vgauge (ref 0.0))
+          Vgauge { g = ref 0.0; read = None })
     with
-    | Vgauge g -> { reg; g }
+    | Vgauge g -> g
     | _ -> assert false
 
-  let set m v = if m.reg.on then m.g := v
-  let add m v = if m.reg.on then m.g := !(m.g) +. v
-  let value m = !(m.g)
+  let register reg ?help ?(labels = []) name = { reg; g = cell reg ?help ~labels name }
+
+  let register_fn reg ?help ?(labels = []) name read =
+    (cell reg ?help ~labels name).read <- Some read
+
+  let set m v = if m.reg.on then m.g.g := v
+  let add m v = if m.reg.on then m.g.g := !(m.g.g) +. v
+  let value m = gauge_value m.g
 end
 
 module Histogram = struct
@@ -115,6 +137,42 @@ module Histogram = struct
   let count m = Accum.Hist.count m.h
   let mean m = Accum.Hist.mean m.h
   let percentile m p = Accum.Hist.percentile m.h p
+end
+
+module Tally = struct
+  type cell = { mutable n : int; mutable shown : bool }
+
+  type tally = {
+    reg : t;
+    show : string -> (unit -> int) -> unit;  (** registers one value's series *)
+    cells : (string, cell) Hashtbl.t;
+    mutable registrations : int;
+  }
+
+  let create reg ?help ?(labels = []) ~label name =
+    let show v read = Counter.register_fn reg ?help ~labels:((label, v) :: labels) name read in
+    { reg; show; cells = Hashtbl.create 8; registrations = 0 }
+
+  let incr t v =
+    let c =
+      try Hashtbl.find t.cells v
+      with Not_found ->
+        let c = { n = 0; shown = false } in
+        Hashtbl.add t.cells v c;
+        c
+    in
+    c.n <- c.n + 1;
+    if t.reg.on && not c.shown then begin
+      c.shown <- true;
+      t.registrations <- t.registrations + 1;
+      t.show v (fun () -> c.n)
+    end
+
+  let to_list t =
+    Hashtbl.fold (fun v c acc -> (v, c.n) :: acc) t.cells [] |> List.sort compare
+
+  let total t = Hashtbl.fold (fun _ c acc -> acc + c.n) t.cells 0
+  let registrations t = t.registrations
 end
 
 (* ------------------------------------------------------------------ *)
@@ -181,8 +239,8 @@ let samples t =
     (fun (key, v) ->
       let svalue =
         match v with
-        | Vcounter c -> Sample_counter (Accum.Counter.value c)
-        | Vgauge g -> Sample_gauge !g
+        | Vcounter c -> Sample_counter (counter_value c)
+        | Vgauge g -> Sample_gauge (gauge_value g)
         | Vhist h ->
             Sample_hist
               {
@@ -219,8 +277,9 @@ let render_text t =
       match v with
       | Vcounter c ->
           Buffer.add_string b
-            (Printf.sprintf "%s %d\n" (series_name key) (Accum.Counter.value c))
-      | Vgauge g -> Buffer.add_string b (Printf.sprintf "%s %g\n" (series_name key) !g)
+            (Printf.sprintf "%s %d\n" (series_name key) (counter_value c))
+      | Vgauge g ->
+          Buffer.add_string b (Printf.sprintf "%s %g\n" (series_name key) (gauge_value g))
       | Vhist h ->
           List.iter
             (fun q ->
@@ -257,8 +316,8 @@ let to_json t =
     (fun (key, v) ->
       let name = series_name key in
       match v with
-      | Vcounter c -> counters := (name, Json.Int (Accum.Counter.value c)) :: !counters
-      | Vgauge g -> gauges := (name, Json.Float !g) :: !gauges
+      | Vcounter c -> counters := (name, Json.Int (counter_value c)) :: !counters
+      | Vgauge g -> gauges := (name, Json.Float (gauge_value g)) :: !gauges
       | Vhist h ->
           let fields =
             [
@@ -292,7 +351,7 @@ let summary_line t =
       match v with
       | Vcounter c ->
           incr nc;
-          events := !events + Accum.Counter.value c
+          events := !events + counter_value c
       | Vgauge _ -> incr ng
       | Vhist h ->
           incr nh;

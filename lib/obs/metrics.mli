@@ -1,10 +1,12 @@
 (** Metrics registry: named counters, gauges and histograms with labels.
 
-    A registry starts {e disabled}: every recording call is a single mutable
-    load and branch, so instrumented hot paths (border router, simulation
-    engine) pay near-zero cost until someone turns observability on with
-    [set_enabled]. Registration is independent of the enabled state —
-    handles are cheap and permanent.
+    The library's counts live in the roles that make them, as plain ints
+    counted on every event; the registry reads them through functions
+    registered per series ({!Counter.register_fn}, {!Gauge.register_fn},
+    like Prometheus's [CounterFunc]/[GaugeFunc]). A series thus counts from
+    its role's creation. A registry starts {e disabled}; the flag governs
+    only what costs work to record: histograms, pushed series, {!Tally}
+    registrations and opt-in measurements that check {!enabled}.
 
     Metric identity is the pair (name, sorted label set). Registering the
     same identity twice returns the same underlying metric, so independent
@@ -36,6 +38,13 @@ module Counter : sig
   type m
 
   val register : t -> ?help:string -> ?labels:labels -> string -> m
+  (** A push handle; its {!value} reads the whole series. *)
+
+  val register_fn : t -> ?help:string -> ?labels:labels -> string -> (unit -> int) -> unit
+  (** Adds a reader, summed with the identity's other readers at scrape
+      (two worlds with an AS 64500 show one total). It should close over
+      a counters record, never over the role, so no role is kept alive. *)
+
   val incr : ?by:int -> m -> unit
   (** No-op while the owning registry is disabled. *)
 
@@ -46,9 +55,14 @@ module Gauge : sig
   type m
 
   val register : t -> ?help:string -> ?labels:labels -> string -> m
+
+  val register_fn : t -> ?help:string -> ?labels:labels -> string -> (unit -> float) -> unit
+  (** Reads live state; replaces any earlier reader of the identity. *)
+
   val set : m -> float -> unit
   val add : m -> float -> unit
-  (** Both no-ops while the owning registry is disabled. *)
+  (** Both no-ops while the owning registry is disabled, and hidden by a
+      registered reader. *)
 
   val value : m -> float
 end
@@ -74,6 +88,24 @@ module Histogram : sig
   val count : m -> int
   val mean : m -> float
   val percentile : m -> float -> float
+end
+
+(** A role's always-on counts per value of one label (a drop reason). The
+    series [name{label="v",...}] is registered as a reader of [v]'s count
+    the first time [v] is counted while the registry is enabled. *)
+module Tally : sig
+  type tally
+
+  val create : t -> ?help:string -> ?labels:labels -> label:string -> string -> tally
+  val incr : tally -> string -> unit
+
+  val to_list : tally -> (string * int) list
+  (** Sorted by value. *)
+
+  val total : tally -> int
+
+  val registrations : tally -> int
+  (** At most one per value. *)
 end
 
 (** {2 Sampling}

@@ -1,21 +1,3 @@
-(* Engine-level observability: shared series in the default registry (an
-   engine has no stable identity to label by; with several engines the
-   gauges are last-writer-wins, the counter aggregates). Recording is a
-   load-and-branch while the registry is disabled. *)
-module M = Apna_obs.Metrics
-
-let m_events =
-  M.Counter.register M.default "apna_sim_events_total"
-    ~help:"Events processed by the discrete-event engine"
-
-let m_queue =
-  M.Gauge.register M.default "apna_sim_queue_depth"
-    ~help:"Pending events in the engine heap"
-
-let m_clock =
-  M.Gauge.register M.default "apna_sim_clock_seconds"
-    ~help:"Current simulated time"
-
 type event = { time : float; seq : int; action : unit -> unit }
 
 (* Binary min-heap on (time, seq). *)
@@ -27,7 +9,30 @@ type t = {
 }
 
 let dummy = { time = 0.0; seq = 0; action = ignore }
-let create () = { heap = Array.make 64 dummy; size = 0; clock = 0.0; next_seq = 0 }
+
+(* Engine series in the default registry, shared by every engine (an
+   engine has no stable identity to label by): the event counter totals
+   all engines; the two gauges read the newest engine, held weakly so the
+   registry keeps no world alive. *)
+let events = ref 0
+let newest : t Weak.t = Weak.create 1
+
+let () =
+  let module M = Apna_obs.Metrics in
+  let newest_f f () = match Weak.get newest 0 with Some t -> f t | None -> 0.0 in
+  M.Counter.register_fn M.default "apna_sim_events_total"
+    ~help:"Events processed by the discrete-event engine" (fun () -> !events);
+  M.Gauge.register_fn M.default "apna_sim_queue_depth"
+    ~help:"Pending events in the engine heap"
+    (newest_f (fun t -> float_of_int t.size));
+  M.Gauge.register_fn M.default "apna_sim_clock_seconds" ~help:"Current simulated time"
+    (newest_f (fun t -> t.clock))
+
+let create () =
+  let t = { heap = Array.make 64 dummy; size = 0; clock = 0.0; next_seq = 0 } in
+  Weak.set newest 0 (Some t);
+  t
+
 let now t = t.clock
 let pending t = t.size
 
@@ -93,11 +98,7 @@ let step t =
   else begin
     let ev = pop_event t in
     t.clock <- ev.time;
-    if M.enabled M.default then begin
-      M.Counter.incr m_events;
-      M.Gauge.set m_queue (float_of_int t.size);
-      M.Gauge.set m_clock ev.time
-    end;
+    incr events;
     ev.action ();
     true
   end

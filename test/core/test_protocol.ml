@@ -329,6 +329,21 @@ let session_tests =
         ignore (Session.open_sealed sb ~seq ~sealed);
         check_err "replay" (Error.Rejected "replayed or stale sequence number")
           (Session.open_sealed sb ~seq ~sealed));
+    Alcotest.test_case "reflected frame with the direction bit set" `Quick
+      (fun () ->
+        (* The nonce is direction bit 56 OR seq. A's own frame sent back
+           to A with bit 56 set in its seq field would open under A's
+           receive nonce, and its window would then jump to 2^56. *)
+        let sa, sb = session_pair () in
+        let seq, sealed = Session.seal sa "mine" in
+        let reflected = Int64.logor seq (Int64.shift_left 1L 56) in
+        Alcotest.(check bool) "reflection refused" true
+          (Result.is_error (Session.open_sealed sa ~seq:reflected ~sealed));
+        Alcotest.(check bool) "negative seq refused" true
+          (Result.is_error (Session.open_sealed sb ~seq:(-1L) ~sealed));
+        let seq_b, sealed_b = Session.seal sb "peer" in
+        Alcotest.(check string) "peer frame still opens" "peer"
+          (Result.get_ok (Session.open_sealed sa ~seq:seq_b ~sealed:sealed_b)));
     Alcotest.test_case "tampered frame rejected before replay state" `Quick
       (fun () ->
         let sa, sb = session_pair () in
@@ -717,6 +732,20 @@ let ephid_cache_tests =
         Alcotest.(check int) "one miss" 1 s.misses;
         Alcotest.(check int) "one hit" 1 s.hits;
         Alcotest.(check int) "cached" 1 (Border_router.ephid_cache_size br));
+    Alcotest.test_case "a stats snapshot does not move" `Quick (fun () ->
+        let br, _, _, h, kha = br_fixture () in
+        let e = Ephid.issue_random as_keys rng ~hid:h ~expiry:(now0 + 900) in
+        let pkt = packet_for ~src_ephid:e ~kha () in
+        let before = Border_router.ephid_cache_stats br
+        and counters = Border_router.counters br in
+        for _ = 1 to 3 do
+          ignore (Border_router.egress_check br ~now:now0 pkt)
+        done;
+        Alcotest.(check (list int)) "baseline unchanged" [ 0; 0; 0; 0 ]
+          [ before.hits; before.misses; before.invalidations; counters.egress_ok ];
+        let after = Border_router.ephid_cache_stats br in
+        Alcotest.(check (list int)) "traffic counted" [ 2; 1 ]
+          [ after.hits - before.hits; after.misses - before.misses ]);
     Alcotest.test_case "cached EphID is rejected after expiry" `Quick (fun () ->
         let br, _, _, h, kha = br_fixture () in
         let e = Ephid.issue_random as_keys rng ~hid:h ~expiry:(now0 + 10) in

@@ -129,7 +129,72 @@ let telemetry_tests =
           (T.ticks (Telemetry.timeseries tel)));
   ]
 
+(* The registry is a view over the roles' own counters: it reads counts
+   made while it was disabled, and it keeps no role alive. *)
+
+module M = Apna_obs.Metrics
+
+let series name labels = M.Counter.value (M.Counter.register M.default ~labels name)
+
+(* A world that carries a few packets, then is dropped: only weak pointers
+   to one border router and one host leave this function. *)
+let weak_world () =
+  let net = Scenario.line ~seed:"registry-weak" [ 64600; 64601 ] in
+  let alice = Scenario.host net ~as_number:64600 ~name:"weak-a" ~credential:"a" in
+  let bob = Scenario.host net ~as_number:64601 ~name:"weak-b" ~credential:"b" in
+  let ep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+  let session = Scenario.connect net alice ~remote:ep.cert in
+  ignore (Host.send alice session "hello");
+  Network.run net;
+  let weak v =
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some v);
+    w
+  in
+  (weak (As_node.border_router (Network.node_exn net 64600)), weak alice)
+
+let registry_tests =
+  [
+    Alcotest.test_case "reads counts made while disabled" `Quick
+      (fun () ->
+        let was = M.enabled M.default in
+        M.set_enabled M.default false;
+        Fun.protect ~finally:(fun () -> M.set_enabled M.default was) @@ fun () ->
+        let aid = [ ("aid", "64700") ] in
+        let egress () = series "apna_br_egress_ok_total" aid
+        and ms () = series "apna_as_ms_requests_total" aid
+        and events () = series "apna_sim_events_total" []
+        and transits () = series "apna_net_link_transits_total" [] in
+        let before = [ egress (); ms (); events (); transits () ] in
+        let net = Scenario.line ~seed:"registry-off" [ 64700; 64701 ] in
+        let alice = Scenario.host net ~as_number:64700 ~name:"off-a" ~credential:"a" in
+        let bob = Scenario.host net ~as_number:64701 ~name:"off-b" ~credential:"b" in
+        let ep = Scenario.endpoint ~lifetime:Lifetime.Long net bob in
+        let session = Scenario.connect net alice ~remote:ep.cert in
+        ignore (Host.send alice session "while disabled");
+        Network.run net;
+        let c = Border_router.counters (As_node.border_router (Network.node_exn net 64700)) in
+        Alcotest.(check int) "router series = router counter" c.egress_ok
+          (egress () - List.nth before 0);
+        List.iteri
+          (fun i (name, now) ->
+            Alcotest.(check bool) name true (now > List.nth before i))
+          [
+            ("egress moved", egress ());
+            ("ms requests moved", ms ());
+            ("engine events moved", events ());
+            ("link transits moved", transits ());
+          ]);
+    Alcotest.test_case "keeps no router or host alive" `Quick
+      (fun () ->
+        let br, host = Sys.opaque_identity (weak_world ()) in
+        Gc.full_major ();
+        Alcotest.(check bool) "border router collected" false (Weak.check br 0);
+        Alcotest.(check bool) "host collected" false (Weak.check host 0));
+  ]
+
 let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Error);
-  Alcotest.run "telemetry" [ ("telemetry", telemetry_tests) ]
+  Alcotest.run "telemetry"
+    [ ("telemetry", telemetry_tests); ("registry", registry_tests) ]
